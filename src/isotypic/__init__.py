@@ -11,7 +11,6 @@ cross-verifies that all four agree on seeded random instances.
 from .characters import (
     CharacterTable,
     central_idempotent,
-    character_fault,
     character_table,
     character_value,
     class_size,

@@ -10,7 +10,6 @@ arithmetic, memoized by (shape, cycle type).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -18,11 +17,6 @@ from math import factorial
 
 from .partitions import Partition, partitions_of
 from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, all_permutations
-
-# Test seam for harness sensitivity checks: when set to ((lam, rho), ) the
-# reported value of character_value(lam, rho) has its sign flipped.
-_fault: tuple[Partition, Partition] | None = None
-
 
 @cache
 def _mn(lam_parts: tuple[int, ...], rho_parts: tuple[int, ...]) -> int:
@@ -56,35 +50,7 @@ def character_value(lam: Partition, rho: Partition) -> int:
     """The irreducible character indexed by lam, on the class of cycle type rho."""
     if lam.size != rho.size:
         raise ValueError(f"size mismatch: |{lam.parts}| != |{rho.parts}|")
-    value = _mn(lam.parts, rho.parts)
-    if _fault is not None and _fault == (lam, rho):
-        value = -value
-    return value
-
-
-@contextmanager
-def character_fault(lam: Partition, rho: Partition):
-    """Flip the sign of one character value for the duration of the block.
-
-    Exists so tests can prove the verification harness actually notices a
-    broken character table; derived caches are cleared on entry and exit.
-    In-process only: worker processes spawned by run_verification(jobs>1)
-    import a clean module and do not see the fault.
-    """
-    global _fault
-    previous = _fault
-    _fault = (lam, rho)
-    _clear_derived_caches()
-    try:
-        yield
-    finally:
-        _fault = previous
-        _clear_derived_caches()
-
-
-def _clear_derived_caches() -> None:
-    character_table.cache_clear()
-    central_idempotent.cache_clear()
+    return _mn(lam.parts, rho.parts)
 
 
 def class_size(rho: Partition) -> int:
@@ -96,7 +62,8 @@ def class_size(rho: Partition) -> int:
     for part, m in multiplicity.items():
         z *= part**m * factorial(m)
     count, rem = divmod(factorial(rho.size), z)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"class size of {rho.parts} is not an integer")
     return count
 
 
@@ -141,22 +108,14 @@ def _class_index(n: int) -> dict[Partition, int]:
     return {rho: i for i, rho in enumerate(partitions_of(n))}
 
 
+@lru_cache(maxsize=None)
 def permutations_with_class(n: int) -> tuple[tuple[Permutation, int], ...]:
     """All permutations of {1..n} paired with the index of their cycle type.
 
     Class indices point into partitions_of(n); the listing is in the
-    deterministic all_permutations order.  Cached per degree (up to 7!)
-    because the n!-term sums in the tensor module walk it repeatedly;
-    larger listings are rebuilt per call rather than held forever.
+    deterministic all_permutations order.  Cached per degree because the
+    n!-term sums in the tensor module walk it repeatedly.
     """
-    if n <= 7:
-        return _permutations_with_class_cached(n)
-    index = _class_index(n)
-    return tuple((perm, index[perm.cycle_type()]) for perm in all_permutations(n))
-
-
-@lru_cache(maxsize=None)
-def _permutations_with_class_cached(n: int) -> tuple[tuple[Permutation, int], ...]:
     index = _class_index(n)
     return tuple((perm, index[perm.cycle_type()]) for perm in all_permutations(n))
 

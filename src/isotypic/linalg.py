@@ -124,14 +124,14 @@ def _int_rank(rows: list[list[int]]) -> int:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         piv = rows[r][c]
-        assert piv != 0
         for i in range(r + 1, len(rows)):
             ric = rows[i][c]
             row_i, row_r = rows[i], rows[r]
             for j in range(c + 1, ncols):
                 num = row_i[j] * piv - ric * row_r[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination left the integers"
+                if rem:
+                    raise RuntimeError("fraction-free elimination left the integers")
                 row_i[j] = q
             row_i[c] = 0
         prev = piv

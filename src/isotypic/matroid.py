@@ -146,10 +146,10 @@ def rank_partition(cfg: VectorConfiguration) -> RankPartition:
             if e not in covered and _augment(matroid, classes, e):
                 covered.add(e)
                 gained += 1
-        assert gained > 0, "an empty class accepts any nonzero vector"
-        assert all(
-            matroid.is_independent_set(c) for c in classes
-        ), "augmentation broke a color class"
+        if not gained:
+            raise RuntimeError("an empty class accepted no nonzero vector")
+        if not all(matroid.is_independent_set(c) for c in classes):
+            raise RuntimeError("augmentation broke a color class")
         rho.append(gained)
     return RankPartition(tuple(rho))
 
@@ -237,7 +237,8 @@ def gamas_condition(
 
     if fill_block(0, tuple(range(1, cfg.n + 1)), 0):
         certificate = BlockCertificate(tuple(blocks))
-        assert validate_certificate(cfg, certificate, lam)
+        if not validate_certificate(cfg, certificate, lam):
+            raise RuntimeError(f"backtracking built an invalid certificate {blocks}")
         return certificate
     return None
 

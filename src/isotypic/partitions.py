@@ -124,7 +124,8 @@ def syt_count(lam: Partition) -> int:
         for h in row:
             product *= h
     count, rem = divmod(factorial(n), product)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"hook length formula gave a fraction for {lam.parts}")
     return count
 
 
@@ -176,7 +177,8 @@ def weyl_dimension_product(lam: Partition, d: int) -> int:
             num *= d + j - i
             den *= h
     count, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"hook content formula gave a fraction for {lam.parts}")
     return count
 
 

@@ -15,6 +15,7 @@ operator-rank suites per report.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -468,12 +469,19 @@ def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[dict]:
 
 
 def run_verification(spec: TrialSpec, jobs: int = 1) -> VerificationReport:
-    """Run every suite; deterministic given the spec, regardless of jobs."""
+    """Run every suite; deterministic given the spec, regardless of jobs.
+
+    At most jobs worker processes run the cells, and never more than there
+    are cells or CPUs, since the pool starts all of its workers at once.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     cells = [(n, d) for n in range(1, spec.n_max + 1) for d in spec.dims]
     violations: list[dict] = []
-    if jobs > 1 and spec.trials_per_cell > 0:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1 and spec.trials_per_cell > 0:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_run_cell, [(spec, n, d) for n, d in cells]):
                 violations.extend(result)
     else:

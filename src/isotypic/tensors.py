@@ -6,30 +6,27 @@ tensor, acting by sigma reorders the factors to v_{sigma(1)} x ... x
 v_{sigma(n)}, and the general action is the linear extension (entry at
 index tuple t moves to the tuple k -> t[sigma(k)]).
 
-The hot path, `symmetrize`, encodes index tuples as base-d integers and
-reuses per-degree tables of the position action, because the full
-character sum walks all n! permutations.
+Every function that moves index tuples under sigma gets the move from
+`_place_action`, an `operator.itemgetter` over the 0-based positions.
+`symmetrize` evaluates the character sum term by term on the support of
+the pure tensor, skipping classes where the character vanishes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .characters import character_table, permutations_with_class
 from .linalg import Matrix, as_vector, rank_of_rows
 from .partitions import Partition
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _normalize
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
-
-# symmetrize precomputes code-permutation tables only while the total
-# table size n! * d^n stays moderate; beyond that the tuple path is used.
-_CODE_TABLE_ENTRIES_CAP = 2_000_000
 
 
 class VectorConfiguration:
@@ -70,11 +67,6 @@ class VectorConfiguration:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
         return cls(obj["dim"], obj["vectors"])
-
-
-def _normalize(x):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 class SparseTensor:
@@ -173,6 +165,15 @@ def decomposable(cfg: VectorConfiguration) -> SparseTensor:
     return SparseTensor(cfg.n, cfg.dim, entries)
 
 
+def _place_action(images: tuple[int, ...]):
+    """The index-tuple map t -> (t[images[k] - 1])_k of the right action."""
+    if len(images) == 1:
+        # itemgetter with one index returns the item, not a 1-tuple; the
+        # only permutation of degree 1 fixes every tuple
+        return tuple
+    return itemgetter(*(i - 1 for i in images))
+
+
 def permuted(cfg: VectorConfiguration, sigma: Permutation) -> VectorConfiguration:
     """The configuration (v o sigma) with i-th vector v_{sigma(i)}."""
     if sigma.n != cfg.n:
@@ -184,15 +185,9 @@ def act(w: SparseTensor, sigma: Permutation) -> SparseTensor:
     """Right place-permutation action; act(decomposable(v), s) = decomposable(v o s)."""
     if sigma.n != w.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {w.n}")
-    images = sigma.images
-    n = w.n
+    move = _place_action(sigma.images)
     return SparseTensor(
-        w.n,
-        w.d,
-        {
-            tuple(idx[images[k] - 1] for k in range(n)): val
-            for idx, val in w.entries.items()
-        },
+        w.n, w.d, {move(idx): val for idx, val in w.entries.items()}
     )
 
 
@@ -200,51 +195,13 @@ def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTens
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
     if x.n != w.n:
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
-    n = w.n
     total: dict[tuple[int, ...], Fraction | int] = {}
     for sigma, coeff in x.terms.items():
-        images = sigma.images
+        move = _place_action(sigma.images)
         for idx, val in w.entries.items():
-            moved = tuple(idx[images[k] - 1] for k in range(n))
+            moved = move(idx)
             total[moved] = total.get(moved, 0) + coeff * val
     return SparseTensor(w.n, w.d, total)
-
-
-@lru_cache(maxsize=16)
-def _code_tables(n: int, d: int) -> tuple[tuple[list[int], int], ...]:
-    """Per permutation (in permutations_with_class order), the base-d code map
-    of the position action, paired with the permutation's class index."""
-    weights = [d ** (n - 1 - k) for k in range(n)]
-    digits = list(itertools.product(range(1, d + 1), repeat=n))
-    out = []
-    for perm, cls in permutations_with_class(n):
-        src = [perm.images[k] - 1 for k in range(n)]
-        table = [
-            sum((t[src[k]] - 1) * weights[k] for k in range(n)) for t in digits
-        ]
-        out.append((table, cls))
-    return tuple(out)
-
-
-def _decomposable_codes(cfg: VectorConfiguration) -> dict[int, Fraction | int]:
-    d = cfg.dim
-    codes: dict[int, Fraction | int] = {0: 1}
-    for v in cfg.vectors:
-        support = [(i, _normalize(c)) for i, c in enumerate(v) if c]
-        if not support:
-            return {}
-        codes = {
-            code * d + i: val * c for code, val in codes.items() for i, c in support
-        }
-    return codes
-
-
-def _decode(code: int, n: int, d: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        code, r = divmod(code, d)
-        digits.append(r + 1)
-    return tuple(reversed(digits))
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -259,38 +216,22 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
         raise ValueError(f"shape size {lam.size} does not match {n} vectors")
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    d = cfg.dim
     row = character_table(n).rows[lam]
     dimension = row[-1]  # class (1,...,1) is last in reverse-lex order
     scale = Fraction(dimension, factorial(n))
 
-    acc: dict[int, Fraction | int] = {}
-    if factorial(n) * d**n <= _CODE_TABLE_ENTRIES_CAP:
-        codes = _decomposable_codes(cfg)
-        for table, cls in _code_tables(n, d):
-            chi = row[cls]
-            if not chi:
-                continue
-            for code, val in codes.items():
-                moved = table[code]
-                acc[moved] = acc.get(moved, 0) + chi * val
-        entries = {
-            _decode(code, n, d): scale * val for code, val in acc.items() if val
-        }
-        return SparseTensor(n, d, entries)
-
-    w = decomposable(cfg)
-    tuple_acc: dict[tuple[int, ...], Fraction | int] = {}
+    support = decomposable(cfg).entries.items()
+    acc: dict[tuple[int, ...], Fraction | int] = {}
     for perm, cls in permutations_with_class(n):
         chi = row[cls]
         if not chi:
             continue
-        images = perm.images
-        for idx, val in w.entries.items():
-            moved = tuple(idx[images[k] - 1] for k in range(n))
-            tuple_acc[moved] = tuple_acc.get(moved, 0) + chi * val
+        move = _place_action(perm.images)
+        for idx, val in support:
+            moved = move(idx)
+            acc[moved] = acc.get(moved, 0) + chi * val
     return SparseTensor(
-        n, d, {idx: scale * val for idx, val in tuple_acc.items() if val}
+        n, cfg.dim, {idx: scale * val for idx, val in acc.items() if val}
     )
 
 
@@ -357,16 +298,15 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for idx in itertools.product(range(1, d + 1), repeat=n):
         blocks.setdefault(tuple(sorted(idx)), []).append(idx)
-    terms = [(perm.images, coeff) for perm, coeff in x.terms.items()]
+    terms = [(_place_action(perm.images), coeff) for perm, coeff in x.terms.items()]
     total = 0
     for basis in blocks.values():
         index = {idx: i for i, idx in enumerate(basis)}
         rows = []
         for idx in basis:
             acc: dict[int, Fraction | int] = {}
-            for images, coeff in terms:
-                moved = tuple(idx[images[k] - 1] for k in range(n))
-                j = index[moved]
+            for move, coeff in terms:
+                j = index[move(idx)]
                 acc[j] = acc.get(j, 0) + coeff
             dense = [Fraction(0)] * len(basis)
             for j, val in acc.items():

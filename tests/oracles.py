@@ -2,11 +2,16 @@
 
 Everything here is deliberately naive and independent of the library's
 code paths: enumeration instead of formulas, plain rational Gaussian
-elimination instead of fraction-free pivoting.
+elimination instead of fraction-free pivoting.  `character_fault` is the
+one deliberate breakage: it flips a character value so tests can see the
+harness notice.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
+
+import isotypic.characters as characters
 
 
 def brute_partitions(n):
@@ -141,3 +146,31 @@ def brute_determinant(rows):
             prod *= rows[i][perm[i]]
         total += sign * prod
     return total
+
+
+@contextmanager
+def character_fault(lam, rho):
+    """Flip the sign of one character value for the duration of the block.
+
+    Patches isotypic.characters.character_value, which character_table
+    looks up at call time, and clears the caches built from it on entry
+    and exit.  In-process only: worker processes spawned by
+    run_verification(jobs>1) import a clean module and do not see the fault.
+    """
+    clean = characters.character_value
+
+    def flipped(mu, nu):
+        value = clean(mu, nu)
+        return -value if (mu, nu) == (lam, rho) else value
+
+    def clear_caches():
+        characters.character_table.cache_clear()
+        characters.central_idempotent.cache_clear()
+
+    characters.character_value = flipped
+    clear_caches()
+    try:
+        yield
+    finally:
+        characters.character_value = clean
+        clear_caches()

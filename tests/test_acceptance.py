@@ -13,7 +13,6 @@ import pytest
 
 from isotypic.characters import (
     central_idempotent,
-    character_fault,
     character_table,
     character_value,
 )
@@ -50,6 +49,7 @@ from isotypic.tensors import (
     operator_rank,
     symmetrize,
 )
+from oracles import character_fault
 
 
 def P(*parts):

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from isotypic.characters import character_fault
 from isotypic.cli import main
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, run_verification
+from oracles import character_fault
 
 
 @pytest.fixture
@@ -119,6 +119,12 @@ def test_malformed_shape_is_usage_error(capsys, config_file):
         capsys, "decide", "--config", config_file, "--shape", "1,2"
     )
     assert code == 2
+
+
+def test_selfcheck_rejects_nonpositive_jobs(capsys):
+    code, _, err = run_cli(capsys, "selfcheck", "--n-max", "1", "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
 
 
 def test_selfcheck_command_and_replay_cycle(capsys, tmp_path):

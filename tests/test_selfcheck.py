@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isotypic.characters import character_fault
+import isotypic.selfcheck as selfcheck
 from isotypic.partitions import Partition
 from isotypic.selfcheck import (
     SplitMix64,
@@ -10,6 +10,7 @@ from isotypic.selfcheck import (
     generate_configuration,
     run_verification,
 )
+from oracles import character_fault
 
 
 def test_splitmix_reference_stream():
@@ -104,6 +105,43 @@ def test_parallel_run_matches_serial():
     serial = run_verification(spec, jobs=1)
     parallel = run_verification(spec, jobs=4)
     assert json.dumps(serial.to_json_obj()) == json.dumps(parallel.to_json_obj())
+
+
+def test_workers_capped_by_cells_and_cpus(monkeypatch):
+    # the executor starts every worker up front, so the cap must come
+    # before it; a recording stand-in runs the cells without processes
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(selfcheck, "ProcessPoolExecutor", RecordingPool)
+    three_cells = TrialSpec(n_max=3, dims=(2,), trials_per_cell=2)
+    six_cells = TrialSpec(n_max=3, dims=(1, 2), trials_per_cell=2)
+    serial = json.dumps(run_verification(three_cells).to_json_obj())
+
+    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
+    for jobs in (2, 5000):
+        report = run_verification(three_cells, jobs=jobs)
+        assert json.dumps(report.to_json_obj()) == serial
+    run_verification(six_cells, jobs=5000)
+    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: None)
+    run_verification(six_cells, jobs=5000)
+    assert requested == [2, 3, 4]
+
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            run_verification(three_cells, jobs=jobs)
 
 
 def test_fault_injection_is_detected():

@@ -406,20 +406,6 @@ def test_sparse_tensor_validation():
         SparseTensor(2, 2, {(1,): 1})
 
 
-def test_symmetrize_tuple_fallback_matches_code_path(monkeypatch):
-    # the code-table fast path is disabled past a size budget; both branches
-    # must compute the same tensor
-    import isotypic.tensors as tensors_module
-
-    rng = random.Random(16)
-    samples = [random_config(rng, rng.randint(1, 4), rng.randint(1, 3)) for _ in range(8)]
-    shapes = [partitions_of(s.n)[rng.randrange(len(partitions_of(s.n)))] for s in samples]
-    fast = [symmetrize(s, lam) for s, lam in zip(samples, shapes)]
-    monkeypatch.setattr(tensors_module, "_CODE_TABLE_ENTRIES_CAP", 0)
-    slow = [symmetrize(s, lam) for s, lam in zip(samples, shapes)]
-    assert fast == slow
-
-
 def test_exact_scalars_only():
     with pytest.raises(ValueError):
         VectorConfiguration(2, [(0.5, 1)])
