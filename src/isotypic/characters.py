@@ -10,13 +10,14 @@ arithmetic, memoized by (shape, cycle type).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
 
 from .partitions import Partition, partitions_of
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, all_permutations
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _cycle_lengths
 
 @cache
 def _mn(lam_parts: tuple[int, ...], rho_parts: tuple[int, ...]) -> int:
@@ -104,20 +105,17 @@ def character_table(n: int) -> CharacterTable:
 
 
 @lru_cache(maxsize=None)
-def _class_index(n: int) -> dict[Partition, int]:
-    return {rho: i for i, rho in enumerate(partitions_of(n))}
-
-
-@lru_cache(maxsize=None)
-def permutations_with_class(n: int) -> tuple[tuple[Permutation, int], ...]:
-    """All permutations of {1..n} paired with the index of their cycle type.
-
-    Class indices point into partitions_of(n); the listing is in the
-    deterministic all_permutations order.  Cached per degree because the
-    n!-term sums in the tensor module walk it repeatedly.
+def permutations_with_class(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All permutations of {1..n} as 1-based image tuples, lexicographic (the
+    all_permutations order), each paired with the index of its cycle type in
+    partitions_of(n).  No Permutation is built: the n!-term sums only move
+    index tuples and read the class.  Cached, as those sums walk it often.
     """
-    index = _class_index(n)
-    return tuple((perm, index[perm.cycle_type()]) for perm in all_permutations(n))
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
+    index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
+    perms = itertools.permutations(range(1, n + 1))
+    return tuple((images, index[_cycle_lengths(images)]) for images in perms)
 
 
 @lru_cache(maxsize=None)
@@ -128,10 +126,11 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
     row = character_table(n).rows[lam]
-    scale = Fraction(row[_class_index(n)[Partition([1] * n)]], factorial(n))
+    # class (1,...,1) is last in reverse-lex order
+    scale = Fraction(row[-1], factorial(n))
     terms = {}
-    for perm, cls in permutations_with_class(n):
+    for images, cls in permutations_with_class(n):
         chi = row[cls]
         if chi:
-            terms[perm] = scale * chi
+            terms[Permutation(images)] = scale * chi
     return GroupAlgebraElement(n, terms)

@@ -106,6 +106,16 @@ def integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(int(e * scale) for e in row)
 
 
+def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm.
+
+    integerize keeps its own loop: the rank oracle calls it 10^5..10^6
+    times per decide, where one more call level is measurable.
+    """
+    scale = lcm(*(e.denominator for e in row))
+    return [e.numerator * (scale // e.denominator) for e in row], scale
+
+
 def _int_rank(rows: list[list[int]]) -> int:
     """Rank via one-step Bareiss elimination; all intermediate values stay integral."""
     rows = [list(r) for r in rows if any(r)]

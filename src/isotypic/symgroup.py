@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
+from .linalg import integer_scaled
 from .partitions import Partition
 
 # n! enumerations (all_permutations, central idempotents, full symmetrizations)
@@ -99,19 +101,7 @@ class Permutation:
         return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycles)
 
     def cycle_type(self) -> Partition:
-        seen = set()
-        lengths = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            length = 0
-            j = start
-            while j not in seen:
-                seen.add(j)
-                length += 1
-                j = self(j)
-            lengths.append(length)
-        return Partition(sorted(lengths, reverse=True))
+        return Partition(_cycle_lengths(self.images))
 
     @property
     def sign(self) -> int:
@@ -123,6 +113,30 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     if sigma.n != tau.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
     return Permutation(sigma.images[t - 1] for t in tau.images)
+
+
+def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of the cycle type of a 1-based image tuple, longest first."""
+    unseen = set(images)
+    lengths = []
+    while unseen:
+        start = j = unseen.pop()
+        length = 1
+        while (j := images[j - 1]) != start:
+            unseen.discard(j)
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _place_action(images: tuple[int, ...]):
+    """The index-tuple map t -> (t[images[k] - 1])_k of the right action;
+    on image tuples, _place_action(t.images)(s.images) == (s * t).images."""
+    if len(images) == 1:
+        # itemgetter with one index returns the item, not a 1-tuple; the
+        # only permutation of degree 1 fixes every tuple
+        return tuple
+    return itemgetter(*(i - 1 for i in images))
 
 
 def sign_and_cycle_type(sigma: Permutation) -> tuple[int, Partition]:
@@ -270,14 +284,23 @@ def _normalize(x):
 def algebra_multiply(
     x: GroupAlgebraElement, y: GroupAlgebraElement
 ) -> GroupAlgebraElement:
-    """Convolution product: the coefficient of pi collects x(s)*y(t) over s*t = pi."""
+    """Convolution product: the coefficient of pi collects x(s)*y(t) over s*t = pi,
+    summed in int on image tuples after scaling each factor's coefficients
+    by the lcm of their denominators."""
     x._check(y)
-    total: dict[Permutation, Fraction] = {}
-    for sigma, a in x.terms.items():
-        for tau, b in y.terms.items():
-            pi = compose(sigma, tau)
+    a_ints, a_scale = integer_scaled(list(x.terms.values()))
+    b_ints, b_scale = integer_scaled(list(y.terms.values()))
+    moves = [(_place_action(tau.images), b) for tau, b in zip(y.terms, b_ints)]
+    total: dict[tuple[int, ...], int] = {}
+    for sigma, a in zip(x.terms, a_ints):
+        s = sigma.images
+        for move, b in moves:
+            pi = move(s)
             total[pi] = total.get(pi, 0) + a * b
-    return GroupAlgebraElement(x.n, total)
+    scale = a_scale * b_scale
+    return GroupAlgebraElement(
+        x.n, {Permutation(pi): Fraction(c, scale) for pi, c in total.items() if c}
+    )
 
 
 def _block_permutations(n: int, blocks: Iterable[Iterable[int]]) -> Iterator[Permutation]:

@@ -7,23 +7,24 @@ v_{sigma(n)}, and the general action is the linear extension (entry at
 index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
-`_place_action`, an `operator.itemgetter` over the 0-based positions.
-`symmetrize` evaluates the character sum term by term on the support of
-the pure tensor, skipping classes where the character vanishes.
+`symgroup._place_action`.  The n!-term sums (`symmetrize`,
+`generalized_matrix_function`) walk image tuples with their class
+indices, skip classes where the character vanishes, and sum in `int`:
+each vector or row is scaled by the lcm of its denominators on the way
+in, and the exact result divided by those scales on the way out.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
-from operator import itemgetter
+from math import factorial, prod
 from typing import Iterable, Mapping
 
 from .characters import character_table, permutations_with_class
-from .linalg import Matrix, as_vector, rank_of_rows
+from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _normalize
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _normalize, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
@@ -165,15 +166,6 @@ def decomposable(cfg: VectorConfiguration) -> SparseTensor:
     return SparseTensor(cfg.n, cfg.dim, entries)
 
 
-def _place_action(images: tuple[int, ...]):
-    """The index-tuple map t -> (t[images[k] - 1])_k of the right action."""
-    if len(images) == 1:
-        # itemgetter with one index returns the item, not a 1-tuple; the
-        # only permutation of degree 1 fixes every tuple
-        return tuple
-    return itemgetter(*(i - 1 for i in images))
-
-
 def permuted(cfg: VectorConfiguration, sigma: Permutation) -> VectorConfiguration:
     """The configuration (v o sigma) with i-th vector v_{sigma(i)}."""
     if sigma.n != cfg.n:
@@ -218,21 +210,21 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
     row = character_table(n).rows[lam]
     dimension = row[-1]  # class (1,...,1) is last in reverse-lex order
-    scale = Fraction(dimension, factorial(n))
+    ints, scales = zip(*(integer_scaled(v) for v in cfg.vectors))
+    support = decomposable(VectorConfiguration(cfg.dim, ints)).entries.items()
+    denominator = factorial(n) * prod(scales)
 
-    support = decomposable(cfg).entries.items()
-    acc: dict[tuple[int, ...], Fraction | int] = {}
-    for perm, cls in permutations_with_class(n):
+    acc: dict[tuple[int, ...], int] = {}
+    for images, cls in permutations_with_class(n):
         chi = row[cls]
         if not chi:
             continue
-        move = _place_action(perm.images)
+        move = _place_action(images)
         for idx, val in support:
             moved = move(idx)
             acc[moved] = acc.get(moved, 0) + chi * val
-    return SparseTensor(
-        n, cfg.dim, {idx: scale * val for idx, val in acc.items() if val}
-    )
+    entries = {idx: Fraction(dimension * val, denominator) for idx, val in acc.items()}
+    return SparseTensor(n, cfg.dim, entries)
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
@@ -262,22 +254,19 @@ def generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
     row = character_table(n).rows[lam]
-    rows = a.rows
-    total = Fraction(0)
-    for perm, cls in permutations_with_class(n):
-        chi = row[cls]
-        if not chi:
-            continue
-        prod = Fraction(1)
-        for i, img in enumerate(perm.images):
-            entry = rows[i][img - 1]
-            if not entry:
-                prod = None
+    # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
+    # entry from every row; a leading 0 makes columns 1-based like images
+    scaled = [integer_scaled(r) for r in a.rows]
+    rows = [(0, *ints) for ints, _ in scaled]
+    total = 0
+    for images, cls in permutations_with_class(n):
+        term = row[cls]
+        for r, img in zip(rows, images):
+            if not term:
                 break
-            prod = prod * entry
-        if prod is not None:
-            total += chi * prod
-    return total
+            term *= r[img]
+        total += term
+    return Fraction(total, prod(scale for _, scale in scaled))
 
 
 def operator_rank(x: GroupAlgebraElement, d: int) -> int:
@@ -298,19 +287,17 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for idx in itertools.product(range(1, d + 1), repeat=n):
         blocks.setdefault(tuple(sorted(idx)), []).append(idx)
-    terms = [(_place_action(perm.images), coeff) for perm, coeff in x.terms.items()]
+    # rank is unchanged by the nonzero scale that makes the coefficients integers
+    coeffs, _ = integer_scaled(list(x.terms.values()))
+    terms = [(_place_action(perm.images), c) for perm, c in zip(x.terms, coeffs)]
     total = 0
     for basis in blocks.values():
         index = {idx: i for i, idx in enumerate(basis)}
         rows = []
         for idx in basis:
-            acc: dict[int, Fraction | int] = {}
+            dense = [0] * len(basis)
             for move, coeff in terms:
-                j = index[move(idx)]
-                acc[j] = acc.get(j, 0) + coeff
-            dense = [Fraction(0)] * len(basis)
-            for j, val in acc.items():
-                dense[j] = Fraction(val)
+                dense[index[move(idx)]] += coeff
             rows.append(dense)
         total += rank_of_rows(rows)
     return total

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive and independent of the library's
 code paths: enumeration instead of formulas, plain rational Gaussian
-elimination instead of fraction-free pivoting.  `character_fault` is the
-one deliberate breakage: it flips a character value so tests can see the
-harness notice.
+elimination instead of fraction-free pivoting.  `reference_algebra_multiply`
+and `reference_generalized_matrix_function` are the library's earlier
+routes, kept as references: they sum `Fraction` values over `Permutation`
+objects, where the library sums integers over image tuples.
+`character_fault` is the one deliberate breakage: it flips a character
+value so tests can see the harness notice.
 """
 
 from contextlib import contextmanager
@@ -12,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import isotypic.characters as characters
+from isotypic.symgroup import GroupAlgebraElement, all_permutations, compose
 
 
 def brute_partitions(n):
@@ -145,6 +149,33 @@ def brute_determinant(rows):
         for i in range(n):
             prod *= rows[i][perm[i]]
         total += sign * prod
+    return total
+
+
+def reference_algebra_multiply(x, y):
+    """Convolution product in Fraction arithmetic over composed Permutations."""
+    if x.n != y.n:
+        raise ValueError(f"degree mismatch: {x.n} vs {y.n}")
+    total = {}
+    for sigma, a in x.terms.items():
+        for tau, b in y.terms.items():
+            pi = compose(sigma, tau)
+            total[pi] = total.get(pi, 0) + Fraction(a) * Fraction(b)
+    return GroupAlgebraElement(x.n, total)
+
+
+def reference_generalized_matrix_function(a, lam):
+    """Sum of chi(sigma) * prod_i a[i][sigma(i)] over Permutation objects, in
+    Fraction arithmetic, with each class looked up by its cycle type."""
+    n = len(a.rows)
+    table = characters.character_table(n)
+    total = Fraction(0)
+    for sigma in all_permutations(n):
+        chi = table.value(lam, sigma.cycle_type())
+        prod = Fraction(chi)
+        for i, img in enumerate(sigma.images):
+            prod *= a.rows[i][img - 1]
+        total += prod
     return total
 
 

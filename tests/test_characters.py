@@ -167,8 +167,16 @@ def test_idempotents_are_central():
 def test_permutations_with_class_indexing():
     for n in range(1, 6):
         classes = partitions_of(n)
-        for perm, cls in permutations_with_class(n):
-            assert classes[cls] == perm.cycle_type()
+        for images, cls in permutations_with_class(n):
+            assert classes[cls] == Permutation(images).cycle_type()
+
+
+def test_permutations_with_class_order_and_cap():
+    for n in range(1, 5):
+        images = [images for images, _ in permutations_with_class(n)]
+        assert images == [perm.images for perm in all_permutations(n)]
+    with pytest.raises(ValueError):
+        permutations_with_class(DEGREE_CAP + 1)
 
 
 def test_character_fault_is_scoped():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isotypic.characters import central_idempotent
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
     DEGREE_CAP,
@@ -20,6 +21,7 @@ from isotypic.symgroup import (
     sign_and_cycle_type,
     subset_antisymmetrizer,
 )
+from oracles import reference_algebra_multiply
 
 
 def perm_strategy(n):
@@ -225,6 +227,37 @@ def test_tableau_validation():
 def test_algebra_multiply_size_mismatch():
     with pytest.raises(ValueError):
         algebra_multiply(GroupAlgebraElement.one(2), GroupAlgebraElement.one(3))
+
+
+def test_algebra_multiply_matches_reference_on_rationals():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        perms = list(all_permutations(n))
+        x, y = (
+            GroupAlgebraElement(
+                n,
+                {
+                    rng.choice(perms): Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 7]))
+                    for _ in range(rng.randint(0, 6))
+                },
+            )
+            for _ in range(2)
+        )
+        assert algebra_multiply(x, y) == reference_algebra_multiply(x, y)
+    # degree 1, where the place action is the 1-tuple map
+    half = GroupAlgebraElement(1, {Permutation([1]): Fraction(1, 2)})
+    third = GroupAlgebraElement(1, {Permutation([1]): Fraction(-1, 3)})
+    assert algebra_multiply(half, third) == reference_algebra_multiply(half, third)
+    assert algebra_multiply(half, third).coefficient(Permutation([1])) == Fraction(-1, 6)
+
+
+def test_idempotent_products_match_reference():
+    for n in range(1, 5):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                x, y = central_idempotent(lam), central_idempotent(mu)
+                assert algebra_multiply(x, y) == reference_algebra_multiply(x, y)
 
 
 def test_algebra_json_form_sorted():

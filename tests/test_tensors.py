@@ -30,7 +30,7 @@ from isotypic.tensors import (
     permuted,
     symmetrize,
 )
-from oracles import brute_determinant
+from oracles import brute_determinant, reference_generalized_matrix_function
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -202,6 +202,21 @@ def test_symmetrize_equals_idempotent_application():
             decomposable(configuration), central_idempotent(lam)
         )
         assert direct == via_algebra
+    # vectors with their own denominators (and zero entries) scale differently
+    for _ in range(15):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        configuration = VectorConfiguration(
+            d,
+            [
+                [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4, 5])) for _ in range(d)]
+                for _ in range(n)
+            ],
+        )
+        for lam in partitions_of(n):
+            via_algebra = apply_algebra_element(
+                decomposable(configuration), central_idempotent(lam)
+            )
+            assert symmetrize(configuration, lam) == via_algebra
 
 
 def test_symmetrize_size_mismatch():
@@ -256,12 +271,42 @@ def test_gram_matrix_examples():
     assert gram_matrix(cfg(2, (1, 1), E1)) == Matrix([[2, 1], [1, 1]])
 
 
+def random_rational_rows(rng, n):
+    # each row draws its own denominators, so the rows scale differently
+    return [
+        [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5, 9])) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
 def test_gmf_single_column_is_determinant():
     rng = random.Random(10)
     for _ in range(15):
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
         got = generalized_matrix_function(Matrix(rows), P(1, 1, 1))
         assert got == brute_determinant(rows)
+    for _ in range(15):
+        rows = random_rational_rows(rng, rng.randint(1, 4))
+        got = generalized_matrix_function(Matrix(rows), P(*[1] * len(rows)))
+        assert got == brute_determinant(rows)
+
+
+def test_gmf_matches_reference_on_rationals():
+    rng = random.Random(12)
+    matrices = []
+    for _ in range(12):
+        matrices.append(random_rational_rows(rng, rng.randint(1, 5)))
+    zero_row = random_rational_rows(rng, 4)
+    zero_row[2] = [Fraction(0)] * 4
+    zero_entry = [[Fraction(1, 2), Fraction(2, 3)], [Fraction(0), Fraction(5, 7)]]
+    matrices += [zero_row, zero_entry, [[Fraction(-3, 4)]], [[Fraction(0)]]]
+    for rows in matrices:
+        m = Matrix(rows)
+        for lam in partitions_of(len(rows)):
+            got = generalized_matrix_function(m, lam)
+            assert isinstance(got, Fraction)
+            assert got == reference_generalized_matrix_function(m, lam)
+    assert generalized_matrix_function(Matrix([[Fraction(-3, 4)]]), P(1)) == Fraction(-3, 4)
 
 
 def test_gmf_identity_gives_dimension():
