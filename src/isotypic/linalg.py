@@ -109,8 +109,8 @@ def integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
 def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, as ints, and that lcm.
 
-    integerize keeps its own loop: the rank oracle calls it 10^5..10^6
-    times per decide, where one more call level is measurable.
+    integerize does not call this: it stays one loop, on the path of the
+    matroid deciders.
     """
     scale = lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row], scale
