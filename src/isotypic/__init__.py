@@ -38,7 +38,6 @@ from .partitions import (
     syt_count,
     vertical_strips,
     weyl_dimension,
-    weyl_dimension_product,
 )
 from .selfcheck import (
     SplitMix64,
@@ -57,7 +56,6 @@ from .symgroup import (
     column_antisymmetrizer,
     compose,
     row_symmetrizer,
-    sign_and_cycle_type,
     subset_antisymmetrizer,
     young_symmetrizer,
 )

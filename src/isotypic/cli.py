@@ -15,7 +15,7 @@ from .characters import character_table
 from .linalg import Matrix
 from .matroid import decide_appears, gamas_condition, rank_partition
 from .partitions import Partition
-from .selfcheck import TrialSpec, check_trial, run_verification
+from .selfcheck import TrialSpec, check_trial, run_standalone_suite, run_verification
 from .tensors import (
     VectorConfiguration,
     generalized_matrix_function,
@@ -170,23 +170,17 @@ def _cmd_selfcheck(args) -> int:
 def _cmd_replay(args) -> int:
     report = _load_json(args.report)
     spec = TrialSpec.from_json_obj(report["spec"])
-    record = report["violations"][args.index]
+    violations = report["violations"]
+    if not 0 <= args.index < len(violations):
+        raise ValueError(f"no violation #{args.index}: the report has {len(violations)}")
+    record = violations[args.index]
     suite = record["suite"]
     if record.get("config") is not None:
         fresh = check_trial(
             spec, record["n"], record["d"], record["trial_index"], suites={suite}
         )
     else:
-        from . import selfcheck as _sc
-
-        if suite == "character_orthogonality":
-            fresh = _sc._character_suite(min(spec.n_max, 8))
-        elif suite == "idempotent_system":
-            fresh = _sc._idempotent_suite(min(spec.n_max, 5))
-        elif suite == "schur_weyl_rank":
-            fresh = _sc._rank_law_suite(min(spec.n_max, 5), spec.dims)
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
+        fresh = run_standalone_suite(suite, spec)
     reproduced = any(
         v["suite"] == suite and v["shape"] == record["shape"] for v in fresh
     )

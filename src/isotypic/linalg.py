@@ -100,18 +100,8 @@ class Matrix:
         return cls(obj["entries"])
 
 
-def integerize(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational row by the lcm of its denominators (rank-preserving)."""
-    scale = lcm(*(e.denominator for e in row)) if row else 1
-    return tuple(int(e * scale) for e in row)
-
-
 def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, as ints, and that lcm.
-
-    integerize does not call this: it stays one loop, on the path of the
-    matroid deciders.
-    """
+    """The row times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row], scale
 
@@ -153,12 +143,13 @@ def _int_rank(rows: list[list[int]]) -> int:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    return _int_rank([list(integerize(row)) for row in m.rows])
+    return rank_of_rows(m.rows)
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a list of equal-length rational rows (no Matrix wrapper needed)."""
-    return _int_rank([list(integerize(tuple(r))) for r in rows])
+    """Rank of a list of equal-length rational rows (no Matrix wrapper needed);
+    scaling a row to integers does not change the rank."""
+    return _int_rank([integer_scaled(r)[0] for r in rows])
 
 
 def is_independent(vectors: Sequence[Sequence[Fraction]]) -> bool:

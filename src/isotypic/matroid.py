@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .linalg import _int_rank, integerize, is_independent
+from .linalg import _int_rank, integer_scaled, is_independent
 from .partitions import Partition
 from .tensors import VectorConfiguration
 
@@ -36,7 +36,7 @@ class LinearMatroid:
     def __init__(self, cfg: VectorConfiguration):
         self.cfg = cfg
         self.n = cfg.n
-        self._rows = {i + 1: integerize(v) for i, v in enumerate(cfg.vectors)}
+        self._rows = {i + 1: integer_scaled(v)[0] for i, v in enumerate(cfg.vectors)}
         self.zero_indices = frozenset(
             i for i, row in self._rows.items() if not any(row)
         )
@@ -46,7 +46,7 @@ class LinearMatroid:
         key = frozenset(subset)
         cached = self._cache.get(key)
         if cached is None:
-            cached = _int_rank([list(self._rows[i]) for i in sorted(key)])
+            cached = _int_rank([self._rows[i] for i in sorted(key)])
             self._cache[key] = cached
         return cached
 

@@ -132,42 +132,10 @@ def syt_count(lam: Partition) -> int:
 def weyl_dimension(lam: Partition, d: int) -> int:
     """Dimension of the Schur functor applied to a d-dimensional space.
 
-    Counted directly as the number of semistandard tableaux with entries
-    in 1..d (rows weakly increase, columns strictly increase); zero when
-    the shape has more than d rows.
+    The number of semistandard tableaux with entries in 1..d, by the hook
+    content formula: the product of (d + content) over the product of hook
+    lengths; zero when the shape has more than d rows.
     """
-    if len(lam) > d:
-        return 0
-    if lam.size == 0:
-        return 1
-
-    parts = lam.parts
-
-    def count_fillings(row_idx: int, above: tuple[int, ...]) -> int:
-        if row_idx == len(parts):
-            return 1
-        width = parts[row_idx]
-        total = 0
-
-        def fill(col: int, prev: int, current: tuple[int, ...]) -> None:
-            nonlocal total
-            if col == width:
-                total += count_fillings(row_idx + 1, current)
-                return
-            lo = prev
-            if col < len(above):
-                lo = max(lo, above[col] + 1)
-            for v in range(lo, d + 1):
-                fill(col + 1, v, current + (v,))
-
-        fill(0, 1, ())
-        return total
-
-    return count_fillings(0, ())
-
-
-def weyl_dimension_product(lam: Partition, d: int) -> int:
-    """Product-formula fast path for weyl_dimension; must agree with it."""
     if len(lam) > d:
         return 0
     num = den = 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import factorial
 
@@ -64,10 +64,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return _scramble(self.state)
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -124,29 +121,17 @@ class TrialSpec:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
     def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "dims": list(self.dims),
-            "trials_per_cell": self.trials_per_cell,
-            "entry_range": self.entry_range,
-            "p_duplicate": self.p_duplicate,
-            "p_scale": self.p_scale,
-            "p_zero": self.p_zero,
-        }
+        """The fields in declaration order, which fixes the report's key order."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["dims"] = list(self.dims)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TrialSpec":
-        return cls(
-            seed=obj["seed"],
-            n_max=obj["n_max"],
-            dims=tuple(obj["dims"]),
-            trials_per_cell=obj["trials_per_cell"],
-            entry_range=obj["entry_range"],
-            p_duplicate=obj["p_duplicate"],
-            p_scale=obj["p_scale"],
-            p_zero=obj["p_zero"],
-        )
+        """Every field is required (KeyError if missing); other keys are ignored."""
+        values = {f.name: obj[f.name] for f in fields(cls)}
+        values["dims"] = tuple(values["dims"])
+        return cls(**values)
 
 
 def generate_configuration(
@@ -468,6 +453,24 @@ def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[dict]:
     return out
 
 
+# suite name -> (runner taking n_top and dims, degree cap) for the suites
+# that run once per report; the runners look each suite up when called, so
+# a wrapper put on the module attribute sees the call
+STANDALONE_SUITES = {
+    "character_orthogonality": (lambda n_top, dims: _character_suite(n_top), 8),
+    "idempotent_system": (lambda n_top, dims: _idempotent_suite(n_top), 5),
+    "schur_weyl_rank": (lambda n_top, dims: _rank_law_suite(n_top, dims), 5),
+}
+
+
+def run_standalone_suite(suite: str, spec: TrialSpec) -> list[dict]:
+    """Run one standalone suite for n up to its degree cap and the spec's n_max."""
+    if suite not in STANDALONE_SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    runner, cap = STANDALONE_SUITES[suite]
+    return runner(min(spec.n_max, cap), spec.dims)
+
+
 def run_verification(spec: TrialSpec, jobs: int = 1) -> VerificationReport:
     """Run every suite; deterministic given the spec, regardless of jobs.
 
@@ -488,9 +491,8 @@ def run_verification(spec: TrialSpec, jobs: int = 1) -> VerificationReport:
         for n, d in cells:
             violations.extend(_run_cell((spec, n, d)))
 
-    violations.extend(_character_suite(min(spec.n_max, 8)))
-    violations.extend(_idempotent_suite(min(spec.n_max, 5)))
-    violations.extend(_rank_law_suite(min(spec.n_max, 5), spec.dims))
+    for suite in STANDALONE_SUITES:
+        violations.extend(run_standalone_suite(suite, spec))
 
     violations.sort(key=_sort_key)
     return VerificationReport(

@@ -112,7 +112,7 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """(sigma o tau)(i) = sigma(tau(i))."""
     if sigma.n != tau.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
-    return Permutation(sigma.images[t - 1] for t in tau.images)
+    return Permutation(_place_action(tau.images)(sigma.images))
 
 
 def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,16 +132,23 @@ def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
 def _place_action(images: tuple[int, ...]):
     """The index-tuple map t -> (t[images[k] - 1])_k of the right action;
     on image tuples, _place_action(t.images)(s.images) == (s * t).images."""
-    if len(images) == 1:
-        # itemgetter with one index returns the item, not a 1-tuple; the
-        # only permutation of degree 1 fixes every tuple
+    if len(images) <= 1:
+        # itemgetter with one index returns the item, not a 1-tuple, and
+        # takes no zero indices; permutations of degree 0 or 1 fix every tuple
         return tuple
     return itemgetter(*(i - 1 for i in images))
 
 
-def sign_and_cycle_type(sigma: Permutation) -> tuple[int, Partition]:
-    ct = sigma.cycle_type()
-    return (-1 if (sigma.n - len(ct)) % 2 else 1, ct)
+def _moved_sum(support, terms) -> dict[tuple, int]:
+    """The sum over the (images, c) terms of c * (the support moved by the place
+    action of images), as an index -> int map that keeps cancelled entries."""
+    acc: dict[tuple, int] = {}
+    for images, c in terms:
+        move = _place_action(images)
+        for idx, val in support:
+            moved = move(idx)
+            acc[moved] = acc.get(moved, 0) + c * val
+    return acc
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
@@ -290,13 +297,10 @@ def algebra_multiply(
     x._check(y)
     a_ints, a_scale = integer_scaled(list(x.terms.values()))
     b_ints, b_scale = integer_scaled(list(y.terms.values()))
-    moves = [(_place_action(tau.images), b) for tau, b in zip(y.terms, b_ints)]
-    total: dict[tuple[int, ...], int] = {}
-    for sigma, a in zip(x.terms, a_ints):
-        s = sigma.images
-        for move, b in moves:
-            pi = move(s)
-            total[pi] = total.get(pi, 0) + a * b
+    total = _moved_sum(
+        [(sigma.images, a) for sigma, a in zip(x.terms, a_ints)],
+        [(tau.images, b) for tau, b in zip(y.terms, b_ints)],
+    )
     scale = a_scale * b_scale
     return GroupAlgebraElement(
         x.n, {Permutation(pi): Fraction(c, scale) for pi, c in total.items() if c}

@@ -7,11 +7,12 @@ v_{sigma(n)}, and the general action is the linear extension (entry at
 index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
-`symgroup._place_action`.  The n!-term sums (`symmetrize`,
-`generalized_matrix_function`) walk image tuples with their class
-indices, skip classes where the character vanishes, and sum in `int`:
-each vector or row is scaled by the lcm of its denominators on the way
-in, and the exact result divided by those scales on the way out.
+`symgroup._place_action`, and `symmetrize` and `apply_algebra_element`
+add up the moved tensors in `symgroup._moved_sum`.  The n!-term sums
+skip classes where the character vanishes.  Every sum runs in `int`:
+each vector, row, tensor or coefficient list is scaled by the lcm of its
+denominators on the way in, and the exact result divided by those
+scales on the way out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Iterable, Mapping
 from .characters import character_table, permutations_with_class
 from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _normalize, _place_action
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _normalize
+from .symgroup import _moved_sum, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
@@ -187,13 +189,14 @@ def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTens
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
     if x.n != w.n:
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
-    total: dict[tuple[int, ...], Fraction | int] = {}
-    for sigma, coeff in x.terms.items():
-        move = _place_action(sigma.images)
-        for idx, val in w.entries.items():
-            moved = move(idx)
-            total[moved] = total.get(moved, 0) + coeff * val
-    return SparseTensor(w.n, w.d, total)
+    values, w_scale = integer_scaled(list(w.entries.values()))
+    coeffs, x_scale = integer_scaled(list(x.terms.values()))
+    total = _moved_sum(
+        list(zip(w.entries, values)),
+        [(sigma.images, c) for sigma, c in zip(x.terms, coeffs)],
+    )
+    scale = w_scale * x_scale
+    return SparseTensor(w.n, w.d, {idx: Fraction(c, scale) for idx, c in total.items()})
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -213,16 +216,10 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     ints, scales = zip(*(integer_scaled(v) for v in cfg.vectors))
     support = decomposable(VectorConfiguration(cfg.dim, ints)).entries.items()
     denominator = factorial(n) * prod(scales)
-
-    acc: dict[tuple[int, ...], int] = {}
-    for images, cls in permutations_with_class(n):
-        chi = row[cls]
-        if not chi:
-            continue
-        move = _place_action(images)
-        for idx, val in support:
-            moved = move(idx)
-            acc[moved] = acc.get(moved, 0) + chi * val
+    acc = _moved_sum(
+        support,
+        ((images, row[cls]) for images, cls in permutations_with_class(n) if row[cls]),
+    )
     entries = {idx: Fraction(dimension * val, denominator) for idx, val in acc.items()}
     return SparseTensor(n, cfg.dim, entries)
 

@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive and independent of the library's
 code paths: enumeration instead of formulas, plain rational Gaussian
-elimination instead of fraction-free pivoting.  `reference_algebra_multiply`
-and `reference_generalized_matrix_function` are the library's earlier
-routes, kept as references: they sum `Fraction` values over `Permutation`
-objects, where the library sums integers over image tuples.
+elimination instead of fraction-free pivoting.  `reference_algebra_multiply`,
+`reference_generalized_matrix_function` and `reference_apply_algebra_element`
+are the library's earlier routes, kept as references: they sum `Fraction`
+values, where the library scales to integers, sums in `int` and divides once.
 `character_fault` is the one deliberate breakage: it flips a character
 value so tests can see the harness notice.
 """
@@ -16,6 +16,7 @@ from itertools import permutations
 
 import isotypic.characters as characters
 from isotypic.symgroup import GroupAlgebraElement, all_permutations, compose
+from isotypic.tensors import SparseTensor
 
 
 def brute_partitions(n):
@@ -177,6 +178,21 @@ def reference_generalized_matrix_function(a, lam):
             prod *= a.rows[i][img - 1]
         total += prod
     return total
+
+
+def reference_apply_algebra_element(w, x):
+    """Sum of x(sigma) * (w acted on by sigma), accumulating the products of
+    the stored coefficients and entries (Fraction where rational); the entry
+    at index tuple t moves to k -> t[sigma(k)], written out here rather than
+    taken from the library's place-action kernel."""
+    if x.n != w.n:
+        raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
+    total = {}
+    for sigma, coeff in x.terms.items():
+        for idx, val in w.entries.items():
+            moved = tuple(idx[i - 1] for i in sigma.images)
+            total[moved] = total.get(moved, 0) + coeff * val
+    return SparseTensor(w.n, w.d, total)
 
 
 @contextmanager

@@ -163,6 +163,27 @@ def test_selfcheck_command_and_replay_cycle(capsys, tmp_path):
     assert json.loads(out)["reproduced"] is False
 
 
+def test_replay_rejects_missing_violation(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "selfcheck", "--n-max", "1", "--dims", "1", "--trials", "1")
+    assert code == 0
+    report_path = tmp_path / "clean.json"
+    report_path.write_text(out)
+    for index in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "replay", "--report", str(report_path), "--index", index
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "no violation" in err
+    # a standalone record whose suite the harness does not know
+    report = json.loads(report_path.read_text())
+    report["violations"] = [{"suite": "bogus", "config": None, "shape": None}]
+    report_path.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "replay", "--report", str(report_path))
+    assert code == 2
+    assert "unknown suite" in err
+
+
 def test_selfcheck_report_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,

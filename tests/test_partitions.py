@@ -8,7 +8,6 @@ from isotypic.partitions import (
     syt_count,
     vertical_strips,
     weyl_dimension,
-    weyl_dimension_product,
 )
 from oracles import brute_partitions, brute_ssyt_count, brute_standard_tableaux, is_vertical_strip
 
@@ -108,7 +107,6 @@ def test_weyl_dimension_matches_enumeration_and_product_formula():
             for d in range(1, 5):
                 want = brute_ssyt_count(lam.parts, d)
                 assert weyl_dimension(lam, d) == want
-                assert weyl_dimension_product(lam, d) == want
 
 
 def test_vertical_strips_examples():

@@ -182,4 +182,15 @@ def test_violations_sorted():
 
 def test_spec_json_round_trip():
     spec = TrialSpec(seed=9, n_max=4, dims=(2, 3), trials_per_cell=7, p_zero=0.2)
-    assert TrialSpec.from_json_obj(spec.to_json_obj()) == spec
+    obj = spec.to_json_obj()
+    assert TrialSpec.from_json_obj(obj) == spec
+    # the report's key order, and dims as a JSON list
+    assert list(obj) == [
+        "seed", "n_max", "dims", "trials_per_cell", "entry_range",
+        "p_duplicate", "p_scale", "p_zero",
+    ]
+    assert obj["dims"] == [2, 3]
+    assert TrialSpec.from_json_obj(dict(obj, extra=1)) == spec
+    for key in obj:
+        with pytest.raises(KeyError):
+            TrialSpec.from_json_obj({k: v for k, v in obj.items() if k != key})

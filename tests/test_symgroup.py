@@ -18,7 +18,6 @@ from isotypic.symgroup import (
     column_antisymmetrizer,
     compose,
     row_symmetrizer,
-    sign_and_cycle_type,
     subset_antisymmetrizer,
 )
 from oracles import reference_algebra_multiply
@@ -53,10 +52,20 @@ def test_compose_size_mismatch():
         compose(Permutation.identity(3), Permutation.identity(4))
 
 
+def test_degree_zero_products():
+    empty = Permutation(())
+    assert compose(empty, empty) == empty
+    one = GroupAlgebraElement.one(0)
+    assert one * one == one == reference_algebra_multiply(one, one)
+
+
 def test_sign_and_cycle_type_examples():
-    assert sign_and_cycle_type(Permutation.identity(4)) == (1, Partition([1, 1, 1, 1]))
-    assert sign_and_cycle_type(cyc(3, (1, 2))) == (-1, Partition([2, 1]))
-    assert sign_and_cycle_type(cyc(5, (1, 2, 3), (4, 5))) == (-1, Partition([3, 2]))
+    p = Permutation.identity(4)
+    assert (p.sign, p.cycle_type()) == (1, Partition([1, 1, 1, 1]))
+    p = cyc(3, (1, 2))
+    assert (p.sign, p.cycle_type()) == (-1, Partition([2, 1]))
+    p = cyc(5, (1, 2, 3), (4, 5))
+    assert (p.sign, p.cycle_type()) == (-1, Partition([3, 2]))
 
 
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(perm_strategy(n), perm_strategy(n), perm_strategy(n))))

@@ -30,7 +30,11 @@ from isotypic.tensors import (
     permuted,
     symmetrize,
 )
-from oracles import brute_determinant, reference_generalized_matrix_function
+from oracles import (
+    brute_determinant,
+    reference_apply_algebra_element,
+    reference_generalized_matrix_function,
+)
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -217,6 +221,34 @@ def test_symmetrize_equals_idempotent_application():
                 decomposable(configuration), central_idempotent(lam)
             )
             assert symmetrize(configuration, lam) == via_algebra
+
+
+def test_apply_algebra_element_matches_reference_on_rationals():
+    rng = random.Random(44)
+    # entries and coefficients draw their own denominators
+    cases = []
+    for _ in range(30):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        cases.append((random_tensor(rng, n, d), random_algebra_element(rng, n)))
+    # central idempotents carry Fraction coefficients
+    for n in range(1, 5):
+        w = random_tensor(rng, n, 2)
+        cases += [(w, central_idempotent(lam)) for lam in partitions_of(n)]
+    # the zero tensor and the zero element
+    rational = SparseTensor(3, 2, {(1, 2, 1): Fraction(2, 3), (2, 2, 1): Fraction(-1, 5)})
+    cases += [
+        (SparseTensor.zero(3, 2), central_idempotent(P(2, 1))),
+        (rational, GroupAlgebraElement(3)),
+        (SparseTensor.zero(3, 2), GroupAlgebraElement(3)),
+    ]
+    for w, x in cases:
+        assert apply_algebra_element(w, x) == reference_apply_algebra_element(w, x)
+    assert apply_algebra_element(rational, GroupAlgebraElement(3)).is_zero()
+    # degree 1, where the place action is the 1-tuple map
+    w = SparseTensor(1, 2, {(1,): Fraction(1, 2), (2,): Fraction(-2, 3)})
+    x = GroupAlgebraElement(1, {Permutation([1]): Fraction(3, 4)})
+    want = SparseTensor(1, 2, {(1,): Fraction(3, 8), (2,): Fraction(-1, 2)})
+    assert apply_algebra_element(w, x) == reference_apply_algebra_element(w, x) == want
 
 
 def test_symmetrize_size_mismatch():
