@@ -10,12 +10,25 @@ cross-check; `gamas_condition` searches for an explicit partition of the
 indices into independent blocks with a prescribed size profile; and
 `decide_appears` is the polynomial-time dominance decider built on the
 rank partition.
+
+The augmenting-path search skips work by four exact matroid facts, so it
+finds the same paths and ends with the same color classes as the plain
+search would:
+1. a class with r(E) elements is a basis and accepts no element;
+2. acceptance is tested in every class before any exchange arc is built,
+   and the first accepting class in index order is the one the plain
+   search, which interleaves the two, would have reached first;
+3. while the classes are unchanged, a node visited by a failed search
+   reaches no sink, and neither does anything it has arcs to, so later
+   searches of the round never enter it;
+4. once every class is a basis, nothing more can be covered that round.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .linalg import _int_rank, integer_scaled, is_independent
@@ -54,6 +67,11 @@ class LinearMatroid:
         key = frozenset(subset)
         return self.rank(key) == len(key)
 
+    @cached_property
+    def full_rank(self) -> int:
+        """r(E): the size of every basis."""
+        return self.rank(range(1, self.n + 1))
+
 
 @dataclass(frozen=True)
 class RankPartition:
@@ -91,7 +109,9 @@ class BlockCertificate:
         return [list(b) for b in self.blocks]
 
 
-def _augment(matroid: LinearMatroid, classes: list[set[int]], e: int) -> bool:
+def _augment(
+    matroid: LinearMatroid, classes: list[set[int]], e: int, dead: set[int]
+) -> bool:
     """Try to cover e, possibly shuffling elements between classes.
 
     Breadth-first search in the exchange digraph: an arc a -> y labelled j
@@ -99,31 +119,75 @@ def _augment(matroid: LinearMatroid, classes: list[set[int]], e: int) -> bool:
     independent; a node a is terminal when some class accepts a outright.
     Along a shortest (BFS) path the chain of replacements, executed from
     the terminal node back to e, keeps every class independent.
+
+    Full classes (bases) are never asked to accept, and a popped node's
+    arcs are built only when no class accepts it; neither changes which
+    node is terminal first or through which class.  `dead` holds the nodes
+    visited by failed searches since the classes last changed: they start
+    out visited here, and since every arc out of a dead node ends at a dead
+    node, no live node is reached through one and the live nodes are
+    queued in the same order.  A failure adds its visited nodes to `dead`;
+    a success clears it.
     """
+    full = matroid.full_rank
     frozen = [frozenset(c) for c in classes]
+    open_classes = [(j, cls) for j, cls in enumerate(frozen) if len(cls) < full]
     parent: dict[int, tuple[int, int]] = {}
-    visited = {e}
+    visited = dead | {e}
     queue = deque([e])
     while queue:
         a = queue.popleft()
-        for j, cls in enumerate(frozen):
-            if a in cls:
-                continue
-            if matroid.rank(cls | {a}) == len(cls) + 1:
+        for j, cls in open_classes:
+            if a not in cls and matroid.rank(cls | {a}) == len(cls) + 1:
                 node, target = a, j
                 while True:
                     classes[target].add(node)
                     if node not in parent:
+                        dead.clear()
                         return True
                     replacer, source = parent[node]
                     classes[source].remove(node)
                     node, target = replacer, source
+        for j, cls in enumerate(frozen):
+            if a in cls:
+                continue
             for y in cls:
                 if y not in visited and matroid.rank((cls - {y}) | {a}) == len(cls):
                     visited.add(y)
                     parent[y] = (a, j)
                     queue.append(y)
+    dead |= visited
     return False
+
+
+def _color_classes(matroid: LinearMatroid) -> tuple[list[int], list[set[int]]]:
+    """rho and the final color classes of the matroid-partition rounds.
+
+    Round k adds an empty class and tries to cover each uncovered nonzero
+    element in index order; rho_k is the number it covers.  The round ends
+    early once every class holds r(E) elements, since no class can then
+    accept anything.
+    """
+    targets = [i for i in range(1, matroid.n + 1) if i not in matroid.zero_indices]
+    classes: list[set[int]] = []
+    covered: set[int] = set()
+    rho: list[int] = []
+    while len(covered) < len(targets):
+        classes.append(set())
+        dead: set[int] = set()
+        gained = 0
+        for e in targets:
+            if len(covered) == len(classes) * matroid.full_rank:
+                break
+            if e not in covered and _augment(matroid, classes, e, dead):
+                covered.add(e)
+                gained += 1
+        if not gained:
+            raise RuntimeError("an empty class accepted no nonzero vector")
+        if not all(matroid.is_independent_set(c) for c in classes):
+            raise RuntimeError("augmentation broke a color class")
+        rho.append(gained)
+    return rho, classes
 
 
 def rank_partition(cfg: VectorConfiguration) -> RankPartition:
@@ -132,25 +196,13 @@ def rank_partition(cfg: VectorConfiguration) -> RankPartition:
     Color classes are added one at a time; rho_k is the number of new
     elements covered once k classes are available.  Zero vectors belong
     to no independent set and are never covered, so the parts sum to the
-    number of nonzero vectors.
+    number of nonzero vectors.  The search skips full classes, tests
+    acceptance before building arcs, never re-enters nodes of a failed
+    search while the classes stand still, and ends a round once every
+    class is a basis (see `_augment`); each is exact, so the paths and
+    the classes are those of the plain search.
     """
-    matroid = LinearMatroid(cfg)
-    targets = [i for i in range(1, cfg.n + 1) if i not in matroid.zero_indices]
-    classes: list[set[int]] = []
-    covered: set[int] = set()
-    rho: list[int] = []
-    while len(covered) < len(targets):
-        classes.append(set())
-        gained = 0
-        for e in targets:
-            if e not in covered and _augment(matroid, classes, e):
-                covered.add(e)
-                gained += 1
-        if not gained:
-            raise RuntimeError("an empty class accepted no nonzero vector")
-        if not all(matroid.is_independent_set(c) for c in classes):
-            raise RuntimeError("augmentation broke a color class")
-        rho.append(gained)
+    rho, _ = _color_classes(LinearMatroid(cfg))
     return RankPartition(tuple(rho))
 
 
@@ -200,7 +252,7 @@ def gamas_condition(
     matroid = LinearMatroid(cfg)
     if matroid.zero_indices:
         return None
-    if profile[0] > matroid.rank(range(1, cfg.n + 1)):
+    if profile[0] > matroid.full_rank:
         return None
 
     blocks: list[tuple[int, ...]] = []

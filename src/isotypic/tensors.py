@@ -38,7 +38,9 @@ class VectorConfiguration:
     __slots__ = ("dim", "vectors")
 
     def __init__(self, dim: int, vectors: Iterable[Iterable]):
-        self.dim = int(dim)
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
+        self.dim = dim
         self.vectors = tuple(as_vector(v) for v in vectors)
         for v in self.vectors:
             if len(v) != self.dim:

@@ -6,15 +6,19 @@ elimination instead of fraction-free pivoting.  `reference_algebra_multiply`,
 `reference_generalized_matrix_function` and `reference_apply_algebra_element`
 are the library's earlier routes, kept as references: they sum `Fraction`
 values, where the library scales to integers, sums in `int` and divides once.
+`reference_rank_partition` is the earlier matroid-partition route, which
+explores the whole exchange graph on every augmenting search.
 `character_fault` is the one deliberate breakage: it flips a character
 value so tests can see the harness notice.
 """
 
+from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
 import isotypic.characters as characters
+from isotypic.matroid import LinearMatroid
 from isotypic.symgroup import GroupAlgebraElement, all_permutations, compose
 from isotypic.tensors import SparseTensor
 
@@ -193,6 +197,58 @@ def reference_apply_algebra_element(w, x):
             moved = tuple(idx[i - 1] for i in sigma.images)
             total[moved] = total.get(moved, 0) + coeff * val
     return SparseTensor(w.n, w.d, total)
+
+
+def _reference_augment(matroid, classes, e):
+    """Breadth-first augmenting search that, for each popped node, tries the
+    classes in index order, testing acceptance and then building that
+    class's exchange arcs, with no pruning."""
+    frozen = [frozenset(c) for c in classes]
+    parent = {}
+    visited = {e}
+    queue = deque([e])
+    while queue:
+        a = queue.popleft()
+        for j, cls in enumerate(frozen):
+            if a in cls:
+                continue
+            if matroid.rank(cls | {a}) == len(cls) + 1:
+                node, target = a, j
+                while True:
+                    classes[target].add(node)
+                    if node not in parent:
+                        return True
+                    replacer, source = parent[node]
+                    classes[source].remove(node)
+                    node, target = replacer, source
+            for y in cls:
+                if y not in visited and matroid.rank((cls - {y}) | {a}) == len(cls):
+                    visited.add(y)
+                    parent[y] = (a, j)
+                    queue.append(y)
+    return False
+
+
+def reference_rank_partition(cfg):
+    """(rho, final color classes) of matroid partition by augmenting paths:
+    one new class per round, every uncovered nonzero element tried in
+    index order in every round."""
+    matroid = LinearMatroid(cfg)
+    targets = [i for i in range(1, cfg.n + 1) if i not in matroid.zero_indices]
+    classes = []
+    covered = set()
+    rho = []
+    while len(covered) < len(targets):
+        classes.append(set())
+        gained = 0
+        for e in targets:
+            if e not in covered and _reference_augment(matroid, classes, e):
+                covered.add(e)
+                gained += 1
+        if not gained:
+            raise RuntimeError("an empty class accepted no nonzero vector")
+        rho.append(gained)
+    return tuple(rho), classes
 
 
 @contextmanager

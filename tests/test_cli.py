@@ -121,6 +121,20 @@ def test_malformed_shape_is_usage_error(capsys, config_file):
     assert code == 2
 
 
+def test_bad_dimension_is_usage_error(capsys, tmp_path):
+    for dim in (2.9, -3, True):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": dim, "vectors": [["1", "0"]]}))
+        for argv in (
+            ("rank-partition", "--config", str(path)),
+            ("decide", "--config", str(path), "--shape", "1", "--method", "dominance"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "dimension must be a nonnegative integer" in err
+
+
 def test_selfcheck_rejects_nonpositive_jobs(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--n-max", "1", "--jobs", "0")
     assert code == 2

@@ -8,6 +8,7 @@ from isotypic.matroid import (
     ORACLE_SIZE_CAP,
     LinearMatroid,
     RankPartition,
+    _color_classes,
     decide_appears,
     gamas_condition,
     rank_partition,
@@ -16,6 +17,7 @@ from isotypic.matroid import (
 )
 from isotypic.partitions import Partition, partitions_of
 from isotypic.tensors import VectorConfiguration
+from oracles import reference_rank_partition
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -86,6 +88,71 @@ def test_rank_partition_matches_oracle_randomized():
         assert fast.rho == slow.rho, configuration.to_json_obj()
         nonzero = sum(1 for v in configuration.vectors if any(v))
         assert fast.covered == nonzero
+
+
+def test_pruned_search_ends_with_reference_classes():
+    # zero vectors, repeats and rational multiples of earlier vectors
+    rng = random.Random(5150)
+    for trial in range(500):
+        n = rng.randint(1, 12)
+        d = rng.randint(1, 5)
+        vectors = []
+        for i in range(n):
+            roll = rng.random()
+            if roll < 0.1:
+                vectors.append((Fraction(0),) * d)
+            elif i > 0 and roll < 0.3:
+                vectors.append(vectors[rng.randrange(i)])
+            elif i > 0 and roll < 0.5:
+                c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                vectors.append(tuple(c * e for e in vectors[rng.randrange(i)]))
+            else:
+                vectors.append(
+                    tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d))
+                )
+        configuration = VectorConfiguration(d, vectors)
+        rho, classes = _color_classes(LinearMatroid(configuration))
+        ref_rho, ref_classes = reference_rank_partition(configuration)
+        assert classes == ref_classes, configuration.to_json_obj()
+        assert tuple(rho) == ref_rho
+        assert rank_partition(configuration).rho == ref_rho
+        assert rank_partition_oracle(configuration).rho == ref_rho
+
+
+MOMENT_POINTS = [tuple(t**k for k in range(5)) for t in range(1, 31)]
+
+
+@pytest.mark.parametrize(
+    "vectors, rho, factor",
+    [
+        # 30 moment-curve points in Q^5, each used twice: every round fills
+        # all its classes, after which the unpruned search re-explores the
+        # whole exchange graph for each remaining element
+        (MOMENT_POINTS * 2, (5,) * 12, 200),
+        # 10 of them and one more point 30 times: after three rounds each
+        # round covers one copy, and every other copy fails
+        (MOMENT_POINTS[:10] + MOMENT_POINTS[10:11] * 30, (5, 5, 3) + (1,) * 27, 4),
+    ],
+    ids=["moment-pairs", "one-point-thirty-times"],
+)
+def test_rank_partition_work_bound(vectors, rho, factor):
+    # at most 1/factor of the reference route's rank-oracle calls; the
+    # factors leave headroom of 1.5x over the measured ratios (338x, 5.9x)
+    configuration = VectorConfiguration(5, vectors)
+    calls = 0
+    rank = LinearMatroid.rank
+
+    def counted(self, subset):
+        nonlocal calls
+        calls += 1
+        return rank(self, subset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearMatroid, "rank", counted)
+        assert reference_rank_partition(configuration)[0] == rho
+        reference_calls, calls = calls, 0
+        assert rank_partition(configuration).rho == rho
+    assert calls * factor <= reference_calls, (calls, reference_calls)
 
 
 def test_rank_partition_achievable_by_certificate():

@@ -490,6 +490,15 @@ def test_exact_scalars_only():
         VectorConfiguration(2, [(True, 1)])
 
 
+def test_configuration_dimension_must_be_nonnegative_int():
+    for dim in (2.9, 2.0, "2", -3, True, False, None):
+        with pytest.raises(ValueError, match="dimension"):
+            VectorConfiguration(dim, [])
+    with pytest.raises(ValueError, match="dimension"):
+        VectorConfiguration.from_json_obj({"dim": 2.9, "vectors": [["1", "0"]]})
+    assert VectorConfiguration(0, [(), ()]).n == 2
+
+
 def test_character_sum_skips_vanishing_classes_consistently():
     # symmetrize must agree with the fully naive character sum
     rng = random.Random(15)
