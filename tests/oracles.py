@@ -247,6 +247,8 @@ def reference_rank_partition(cfg):
                 gained += 1
         if not gained:
             raise RuntimeError("an empty class accepted no nonzero vector")
+        if not all(matroid.is_independent_set(c) for c in classes):
+            raise RuntimeError("augmentation broke a color class")
         rho.append(gained)
     return tuple(rho), classes
 

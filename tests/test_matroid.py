@@ -129,15 +129,15 @@ MOMENT_POINTS = [tuple(t**k for k in range(5)) for t in range(1, 31)]
         # all its classes, after which the unpruned search re-explores the
         # whole exchange graph for each remaining element
         (MOMENT_POINTS * 2, (5,) * 12, 200),
-        # 10 of them and one more point 30 times: after three rounds each
-        # round covers one copy, and every other copy fails
+        # 10 of them and one more point 30 times: from the fourth round on,
+        # each round covers one copy and every other copy fails
         (MOMENT_POINTS[:10] + MOMENT_POINTS[10:11] * 30, (5, 5, 3) + (1,) * 27, 4),
     ],
     ids=["moment-pairs", "one-point-thirty-times"],
 )
 def test_rank_partition_work_bound(vectors, rho, factor):
     # at most 1/factor of the reference route's rank-oracle calls; the
-    # factors leave headroom of 1.5x over the measured ratios (338x, 5.9x)
+    # factors sit at least 1.5x below the measured ratios (339x, 5.9x)
     configuration = VectorConfiguration(5, vectors)
     calls = 0
     rank = LinearMatroid.rank
