@@ -1,11 +1,12 @@
 """Exact deciders for nonvanishing of character-symmetrized pure tensors.
 
-Four independent routes decide, for a list of rational vectors and a
-partition-shaped symmetrization, whether the symmetrized tensor is
-nonzero: direct symmetrization, the Gram-matrix generalized matrix
-function, an explicit independent-partition certificate, and dominance
-against the transposed rank partition.  The `selfcheck` harness
-cross-verifies that all four agree on seeded random instances.
+Four routes decide, for a list of rational vectors and a partition-shaped
+symmetrization, whether the symmetrized tensor is nonzero: direct
+symmetrization, the Gram-matrix generalized matrix function, an explicit
+independent-partition certificate, and dominance against the transposed
+rank partition; the last two share one matroid-partition engine.  The
+`selfcheck` harness cross-verifies that all four agree on seeded random
+instances.
 """
 
 from .characters import (
@@ -36,7 +37,6 @@ from .partitions import (
     Partition,
     partitions_of,
     syt_count,
-    vertical_strips,
     weyl_dimension,
 )
 from .selfcheck import (

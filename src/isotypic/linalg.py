@@ -97,6 +97,8 @@ class Matrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Matrix":
+        if not isinstance(obj, dict) or "entries" not in obj:
+            raise ValueError('a matrix is a JSON object with the key "entries"')
         return cls(obj["entries"])
 
 

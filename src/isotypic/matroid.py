@@ -3,25 +3,31 @@
 The combinatorial side of the package: a configuration of vectors is a
 linear matroid on the index set {1..n}; its rank partition rho satisfies
 rho_1 + ... + rho_k = size of the largest union of k independent subsets.
-`rank_partition` computes it with the matroid-partition augmenting-path
-algorithm; `rank_partition_oracle` recomputes it from the exponential
+One matroid-partition engine answers both questions asked of it: it
+covers elements with color classes by augmenting paths, class j staying
+independent with at most caps[j] elements (matroid union over truncated
+matroids; Edmonds 1965, Dias da Silva 1990).  `rank_partition` adds one
+class of capacity r(E) per round; `gamas_condition` gives one class per
+part of the conjugate shape, with that part as its capacity, and returns
+the classes as an explicit partition of the indices into independent
+blocks; `decide_appears` is the dominance decider built on the rank
+partition.  `rank_partition_oracle` recomputes rho from the exponential
 min-formula  min over S of (k * rank(S) + |E - S|)  as an independent
-cross-check; `gamas_condition` searches for an explicit partition of the
-indices into independent blocks with a prescribed size profile; and
-`decide_appears` is the polynomial-time dominance decider built on the
-rank partition.
+cross-check.
 
 The augmenting-path search skips work by four exact matroid facts, so it
 finds the same paths and ends with the same color classes as the plain
-search would:
-1. a class with r(E) elements is a basis and accepts no element;
+search would.  Call a class full when it holds min(cap, r(E)) elements:
+1. a full class accepts no element, being a basis or at its capacity;
 2. acceptance is tested in every class before any exchange arc is built,
    and the first accepting class in index order is the one the plain
    search, which interleaves the two, would have reached first;
 3. while the classes are unchanged, a node visited by a failed search
    reaches no sink, and neither does anything it has arcs to, so later
-   searches of the round never enter it;
-4. once every class is a basis, nothing more can be covered that round.
+   searches never enter it;
+4. once every class is full, nothing more can be covered.
+Capacities change only which classes are full: an exchange keeps a
+class's size, so the arcs are those of the uncapped search.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ class BlockCertificate:
 
 
 def _augment(
-    matroid: LinearMatroid, classes: list[set[int]], e: int, dead: set[int]
+    matroid: LinearMatroid, classes: list[set[int]], caps: list[int], e: int, dead: set[int]
 ) -> bool:
     """Try to cover e, possibly shuffling elements between classes.
 
@@ -120,18 +126,18 @@ def _augment(
     Along a shortest (BFS) path the chain of replacements, executed from
     the terminal node back to e, keeps every class independent.
 
-    Full classes (bases) are never asked to accept, and a popped node's
-    arcs are built only when no class accepts it; neither changes which
-    node is terminal first or through which class.  `dead` holds the nodes
-    visited by failed searches since the classes last changed: they start
-    out visited here, and since every arc out of a dead node ends at a dead
-    node, no live node is reached through one and the live nodes are
-    queued in the same order.  A failure adds its visited nodes to `dead`;
-    a success clears it.
+    Full classes, those holding min(caps[j], r(E)) elements, are never
+    asked to accept, and a popped node's arcs are built only when no class
+    accepts it; neither changes which node is terminal first or through
+    which class.  `dead` holds the nodes visited by failed searches since
+    the classes last changed: they start out visited here, and since every
+    arc out of a dead node ends at a dead node, no live node is reached
+    through one and the live nodes are queued in the same order.  A
+    failure adds its visited nodes to `dead`; a success clears it.
     """
     full = matroid.full_rank
     frozen = [frozenset(c) for c in classes]
-    open_classes = [(j, cls) for j, cls in enumerate(frozen) if len(cls) < full]
+    open_classes = [(j, c) for j, c in enumerate(frozen) if len(c) < min(caps[j], full)]
     parent: dict[int, tuple[int, int]] = {}
     visited = dead | {e}
     queue = deque([e])
@@ -160,13 +166,38 @@ def _augment(
     return False
 
 
+def _fill(
+    matroid: LinearMatroid, classes: list[set[int]], caps: list[int], elements: Iterable[int]
+) -> list[int]:
+    """Cover what it can of `elements` in order, and return what it covered.
+
+    Class j stays independent with at most caps[j] elements: the classes
+    are an independent set of the union of the truncated matroids, so an
+    element whose search fails stays uncovered by them (Edmonds 1965).  The
+    pruning stays exact with capacities, which only decide which classes
+    are full; the loop stops once every class is.
+    """
+    room = sum(min(cap, matroid.full_rank) for cap in caps)
+    held = sum(len(c) for c in classes)
+    dead: set[int] = set()
+    covered: list[int] = []
+    for e in elements:
+        if held == room:
+            break
+        if _augment(matroid, classes, caps, e, dead):
+            covered.append(e)
+            held += 1
+    if not all(matroid.is_independent_set(c) for c in classes):
+        raise RuntimeError("augmentation broke a color class")
+    return covered
+
+
 def _color_classes(matroid: LinearMatroid) -> tuple[list[int], list[set[int]]]:
     """rho and the final color classes of the matroid-partition rounds.
 
-    Round k adds an empty class and tries to cover each uncovered nonzero
-    element in index order; rho_k is the number it covers.  The round ends
-    early once every class holds r(E) elements, since no class can then
-    accept anything.
+    Round k adds an empty class of capacity r(E) and fills the classes
+    from the uncovered nonzero elements in index order; rho_k is the
+    number it covers.
     """
     targets = [i for i in range(1, matroid.n + 1) if i not in matroid.zero_indices]
     classes: list[set[int]] = []
@@ -174,19 +205,12 @@ def _color_classes(matroid: LinearMatroid) -> tuple[list[int], list[set[int]]]:
     rho: list[int] = []
     while len(covered) < len(targets):
         classes.append(set())
-        dead: set[int] = set()
-        gained = 0
-        for e in targets:
-            if len(covered) == len(classes) * matroid.full_rank:
-                break
-            if e not in covered and _augment(matroid, classes, e, dead):
-                covered.add(e)
-                gained += 1
+        caps = [matroid.full_rank] * len(classes)
+        gained = _fill(matroid, classes, caps, [e for e in targets if e not in covered])
         if not gained:
             raise RuntimeError("an empty class accepted no nonzero vector")
-        if not all(matroid.is_independent_set(c) for c in classes):
-            raise RuntimeError("augmentation broke a color class")
-        rho.append(gained)
+        covered.update(gained)
+        rho.append(len(gained))
     return rho, classes
 
 
@@ -196,11 +220,9 @@ def rank_partition(cfg: VectorConfiguration) -> RankPartition:
     Color classes are added one at a time; rho_k is the number of new
     elements covered once k classes are available.  Zero vectors belong
     to no independent set and are never covered, so the parts sum to the
-    number of nonzero vectors.  The search skips full classes, tests
-    acceptance before building arcs, never re-enters nodes of a failed
-    search while the classes stand still, and ends a round once every
-    class is a basis (see `_augment`); each is exact, so the paths and
-    the classes are those of the plain search.
+    number of nonzero vectors.  The four pruning rules of the search (see
+    the module docstring) are exact, so the paths and the classes are
+    those of the plain search.
     """
     rho, _ = _color_classes(LinearMatroid(cfg))
     return RankPartition(tuple(rho))
@@ -236,63 +258,28 @@ def rank_partition_oracle(cfg: VectorConfiguration) -> RankPartition:
 def gamas_condition(
     cfg: VectorConfiguration, lam: Partition
 ) -> Optional[BlockCertificate]:
-    """Search for a partition of the indices into independent blocks whose
-    sizes are the parts of the conjugate shape.
+    """A partition of the indices into independent blocks whose sizes are
+    the parts of the conjugate shape, or None when there is none.
 
-    Backtracking fills the largest blocks first, trying indices in
-    increasing order and pruning by independence; blocks of equal size
-    are canonicalized by increasing smallest element.  Returns a
-    certificate or None.
+    One class per part of lam', with that part as its capacity, filled by
+    the matroid-partition engine.  The capacities sum to n, so covering all
+    n indices fills every class exactly; and since a failed augmenting
+    search is exact, an index left uncovered means no such partition
+    exists.  A zero vector, or a part above r(E), leaves one uncovered.
+    Blocks come by size descending, then by smallest index.
     """
     if lam.size != cfg.n:
         raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
-    profile = lam.conjugate().parts
-    if not profile:
-        return BlockCertificate(())
+    caps = list(lam.conjugate().parts)
+    classes: list[set[int]] = [set() for _ in caps]
     matroid = LinearMatroid(cfg)
-    if matroid.zero_indices:
+    if len(_fill(matroid, classes, caps, range(1, cfg.n + 1))) < cfg.n:
         return None
-    if profile[0] > matroid.full_rank:
-        return None
-
-    blocks: list[tuple[int, ...]] = []
-
-    def fill_block(block_idx: int, remaining: tuple[int, ...], min_first: int) -> bool:
-        if block_idx == len(profile):
-            return True
-        size = profile[block_idx]
-
-        def extend(chosen: tuple[int, ...], pool: tuple[int, ...], need: int) -> bool:
-            if need == 0:
-                blocks.append(chosen)
-                same_size_next = (
-                    block_idx + 1 < len(profile) and profile[block_idx + 1] == size
-                )
-                rest = tuple(x for x in remaining if x not in chosen)
-                if fill_block(
-                    block_idx + 1, rest, chosen[0] if same_size_next else 0
-                ):
-                    return True
-                blocks.pop()
-                return False
-            for i, e in enumerate(pool):
-                if len(pool) - i < need:
-                    break
-                if not chosen and e <= min_first:
-                    continue
-                if matroid.is_independent_set(chosen + (e,)):
-                    if extend(chosen + (e,), pool[i + 1 :], need - 1):
-                        return True
-            return False
-
-        return extend((), remaining, size)
-
-    if fill_block(0, tuple(range(1, cfg.n + 1)), 0):
-        certificate = BlockCertificate(tuple(blocks))
-        if not validate_certificate(cfg, certificate, lam):
-            raise RuntimeError(f"backtracking built an invalid certificate {blocks}")
-        return certificate
-    return None
+    blocks = sorted((tuple(sorted(c)) for c in classes), key=lambda b: (-len(b), b))
+    certificate = BlockCertificate(tuple(blocks))
+    if not validate_certificate(cfg, certificate, lam):
+        raise RuntimeError(f"the engine built an invalid certificate {blocks}")
+    return certificate
 
 
 def validate_certificate(

@@ -1,14 +1,13 @@
 """Integer partitions and their combinatorics.
 
 Conjugation, dominance order, hook lengths, standard and semistandard
-tableau counts, vertical strips, and first-column removal.  Enumeration
-order is reverse-lexicographic everywhere, so output is reproducible.
+tableau counts, and first-column removal.  Enumeration order is
+reverse-lexicographic everywhere, so output is reproducible.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -149,25 +148,3 @@ def weyl_dimension(lam: Partition, d: int) -> int:
         raise RuntimeError(f"hook content formula gave a fraction for {lam.parts}")
     return count
 
-
-def vertical_strips(mu: Partition, k: int, max_rows: int) -> list[Partition]:
-    """Shapes obtained from mu by adding k boxes, at most one per row.
-
-    Results have at most max_rows rows and are returned in
-    reverse-lexicographic order.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if len(mu) > max_rows:
-        return []
-    nrows = min(max_rows, len(mu) + k)
-    padded = list(mu.parts) + [0] * (nrows - len(mu))
-    found = []
-    for rows in combinations(range(nrows), k):
-        parts = padded[:]
-        for i in rows:
-            parts[i] += 1
-        if all(a >= b for a, b in zip(parts, parts[1:])):
-            found.append(tuple(p for p in parts if p > 0))
-    found.sort(reverse=True)
-    return [Partition(p) for p in found]

@@ -71,6 +71,8 @@ class VectorConfiguration:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
+        if not isinstance(obj, dict) or not {"dim", "vectors"} <= obj.keys():
+            raise ValueError('a configuration is a JSON object with keys "dim" and "vectors"')
         return cls(obj["dim"], obj["vectors"])
 
 

@@ -7,20 +7,27 @@ elimination instead of fraction-free pivoting.  `reference_algebra_multiply`,
 are the library's earlier routes, kept as references: they sum `Fraction`
 values, where the library scales to integers, sums in `int` and divides once.
 `reference_rank_partition` is the earlier matroid-partition route, which
-explores the whole exchange graph on every augmenting search.
-`character_fault` is the one deliberate breakage: it flips a character
-value so tests can see the harness notice.
+explores the whole exchange graph on every augmenting search, and
+`reference_gamas_condition` the earlier backtracking search for Gamas's
+certificate, which the library now gets from the same engine.
+`vertical_strips` serves the Pieri check of the Weyl dimension.
+`character_fault` and `engine_fault` are the deliberate breakages: they
+flip a character value, or take the exchanges out of the matroid-partition
+engine, so tests can see the harness notice.
 """
 
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from typing import Optional
 
 import isotypic.characters as characters
-from isotypic.matroid import LinearMatroid
+import isotypic.matroid as matroid_module
+from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
+from isotypic.partitions import Partition
 from isotypic.symgroup import GroupAlgebraElement, all_permutations, compose
-from isotypic.tensors import SparseTensor
+from isotypic.tensors import SparseTensor, VectorConfiguration
 
 
 def brute_partitions(n):
@@ -103,6 +110,29 @@ def is_vertical_strip(mu, lam):
         return False
     lam = tuple(lam) + (0,) * (len(mu) - len(lam))
     return all(0 <= a - b <= 1 for a, b in zip(lam, mu))
+
+
+def vertical_strips(mu: Partition, k: int, max_rows: int) -> list[Partition]:
+    """Shapes obtained from mu by adding k boxes, at most one per row.
+
+    Results have at most max_rows rows and are returned in
+    reverse-lexicographic order.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if len(mu) > max_rows:
+        return []
+    nrows = min(max_rows, len(mu) + k)
+    padded = list(mu.parts) + [0] * (nrows - len(mu))
+    found = []
+    for rows in combinations(range(nrows), k):
+        parts = padded[:]
+        for i in rows:
+            parts[i] += 1
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            found.append(tuple(p for p in parts if p > 0))
+    found.sort(reverse=True)
+    return [Partition(p) for p in found]
 
 
 def fraction_rank(rows):
@@ -253,6 +283,68 @@ def reference_rank_partition(cfg):
     return tuple(rho), classes
 
 
+def reference_gamas_condition(
+    cfg: VectorConfiguration, lam: Partition
+) -> Optional[BlockCertificate]:
+    """Search for a partition of the indices into independent blocks whose
+    sizes are the parts of the conjugate shape.
+
+    Backtracking fills the largest blocks first, trying indices in
+    increasing order and pruning by independence; blocks of equal size
+    are canonicalized by increasing smallest element.  Returns a
+    certificate or None.
+    """
+    if lam.size != cfg.n:
+        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    profile = lam.conjugate().parts
+    if not profile:
+        return BlockCertificate(())
+    matroid = LinearMatroid(cfg)
+    if matroid.zero_indices:
+        return None
+    if profile[0] > matroid.full_rank:
+        return None
+
+    blocks: list[tuple[int, ...]] = []
+
+    def fill_block(block_idx: int, remaining: tuple[int, ...], min_first: int) -> bool:
+        if block_idx == len(profile):
+            return True
+        size = profile[block_idx]
+
+        def extend(chosen: tuple[int, ...], pool: tuple[int, ...], need: int) -> bool:
+            if need == 0:
+                blocks.append(chosen)
+                same_size_next = (
+                    block_idx + 1 < len(profile) and profile[block_idx + 1] == size
+                )
+                rest = tuple(x for x in remaining if x not in chosen)
+                if fill_block(
+                    block_idx + 1, rest, chosen[0] if same_size_next else 0
+                ):
+                    return True
+                blocks.pop()
+                return False
+            for i, e in enumerate(pool):
+                if len(pool) - i < need:
+                    break
+                if not chosen and e <= min_first:
+                    continue
+                if matroid.is_independent_set(chosen + (e,)):
+                    if extend(chosen + (e,), pool[i + 1 :], need - 1):
+                        return True
+            return False
+
+        return extend((), remaining, size)
+
+    if fill_block(0, tuple(range(1, cfg.n + 1)), 0):
+        certificate = BlockCertificate(tuple(blocks))
+        if not validate_certificate(cfg, certificate, lam):
+            raise RuntimeError(f"backtracking built an invalid certificate {blocks}")
+        return certificate
+    return None
+
+
 @contextmanager
 def character_fault(lam, rho):
     """Flip the sign of one character value for the duration of the block.
@@ -279,3 +371,26 @@ def character_fault(lam, rho):
     finally:
         characters.character_value = clean
         clear_caches()
+
+
+@contextmanager
+def engine_fault():
+    """Start every augmenting search with all other nodes dead, for the
+    duration of the block.
+
+    The engine then covers an element only where some class accepts it
+    outright: a greedy partition with no exchanges, which can fall short
+    of the rank partition and miss certificates.  Patches
+    isotypic.matroid._augment, which the engine looks up at call time;
+    in-process only, like character_fault.
+    """
+    clean = matroid_module._augment
+
+    def greedy(matroid, classes, caps, e, dead):
+        return clean(matroid, classes, caps, e, set(range(1, matroid.n + 1)) - {e})
+
+    matroid_module._augment = greedy
+    try:
+        yield
+    finally:
+        matroid_module._augment = clean

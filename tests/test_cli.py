@@ -135,6 +135,30 @@ def test_bad_dimension_is_usage_error(capsys, tmp_path):
             assert "dimension must be a nonnegative integer" in err
 
 
+@pytest.mark.parametrize(
+    "option, obj, expected",
+    [
+        ("--config", [["1", "0"]], 'keys "dim" and "vectors"'),
+        ("--config", {"vectors": [["1", "0"]]}, 'keys "dim" and "vectors"'),
+        ("--config", {"dim": 2}, 'keys "dim" and "vectors"'),
+        ("--matrix", {"rows": [["1"]]}, 'the key "entries"'),
+        ("--matrix", [["1"]], 'the key "entries"'),
+    ],
+    ids=["config-list", "config-no-dim", "config-no-vectors", "matrix-no-entries", "matrix-list"],
+)
+def test_malformed_json_input_is_usage_error(capsys, tmp_path, option, obj, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "gmf", option, str(path), "--shape", "1")
+    assert code == 2
+    assert out == ""
+    assert expected in err
+    if option == "--config":
+        code, out, err = run_cli(capsys, "rank-partition", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert expected in err
+
+
 def test_selfcheck_rejects_nonpositive_jobs(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--n-max", "1", "--jobs", "0")
     assert code == 2

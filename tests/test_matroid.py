@@ -6,6 +6,7 @@ import pytest
 from isotypic.linalg import is_independent
 from isotypic.matroid import (
     ORACLE_SIZE_CAP,
+    BlockCertificate,
     LinearMatroid,
     RankPartition,
     _color_classes,
@@ -17,7 +18,7 @@ from isotypic.matroid import (
 )
 from isotypic.partitions import Partition, partitions_of
 from isotypic.tensors import VectorConfiguration
-from oracles import reference_rank_partition
+from oracles import reference_gamas_condition, reference_rank_partition
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -227,6 +228,93 @@ def test_certificates_validate_randomized():
             certificate = gamas_condition(configuration, lam)
             if certificate is not None:
                 assert validate_certificate(configuration, certificate, lam)
+
+
+def mixed_config(rng, n, d):
+    """Zero vectors, repeats and rational multiples of earlier vectors."""
+    vectors = []
+    for i in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            vectors.append((Fraction(0),) * d)
+        elif i > 0 and roll < 0.3:
+            vectors.append(vectors[rng.randrange(i)])
+        elif i > 0 and roll < 0.5:
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            vectors.append(tuple(c * e for e in vectors[rng.randrange(i)]))
+        else:
+            vectors.append(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d)))
+    return VectorConfiguration(d, vectors)
+
+
+def is_canonical(certificate):
+    # blocks by size descending, then by smallest index; indices ascending
+    blocks = list(certificate.blocks)
+    return all(list(b) == sorted(b) for b in blocks) and blocks == sorted(
+        blocks, key=lambda b: (-len(b), b)
+    )
+
+
+def test_gamas_condition_matches_backtracking_reference():
+    rng = random.Random(6161)
+    pairs = 0
+    while pairs < 2000:
+        n = rng.randint(1, 9)
+        d = rng.randint(1, 4)
+        configuration = mixed_config(rng, n, d)
+        for lam in partitions_of(n):
+            certificate = gamas_condition(configuration, lam)
+            reference = reference_gamas_condition(configuration, lam)
+            assert (certificate is None) == (reference is None), (
+                configuration.to_json_obj(), lam.parts,
+            )
+            if certificate is not None:
+                assert validate_certificate(configuration, certificate, lam)
+                assert is_canonical(certificate)
+            pairs += 1
+    empty = VectorConfiguration(2, [])
+    assert gamas_condition(empty, P()) == reference_gamas_condition(empty, P())
+    assert gamas_condition(empty, P()) == BlockCertificate(())
+    assert gamas_condition(cfg(2, (0, 0)), P(1)) is None
+    assert reference_gamas_condition(cfg(2, (0, 0)), P(1)) is None
+    # the README example
+    assert gamas_condition(cfg(2, E1, E1, E2), P(2, 1)).blocks == ((1, 3), (2,))
+
+
+def plane_crowd(n):
+    # n - 2 vectors in general position in the plane z = 0 of Q^3, then two
+    # off it whose span holds none of them: each of the three blocks of
+    # size 3 that the shape (n - 6, 3, 3) asks for needs a vector off the
+    # plane, so there is no certificate
+    vectors = [(1, t, 0) for t in range(1, n - 1)] + [(0, 0, 1), (1, 0, 1)]
+    return VectorConfiguration(3, vectors), P(n - 6, 3, 3)
+
+
+def count_rank_calls(run):
+    calls = 0
+    rank = LinearMatroid.rank
+
+    def counted(self, subset):
+        nonlocal calls
+        calls += 1
+        return rank(self, subset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearMatroid, "rank", counted)
+        assert run() is None
+    return calls
+
+
+def test_gamas_condition_work_bound():
+    # the engine's rank-oracle calls on a plane crowd: at most 1/100 of the
+    # backtracking reference's at n = 16, and at most 1000 at n = 30
+    configuration, lam = plane_crowd(16)
+    engine = count_rank_calls(lambda: gamas_condition(configuration, lam))
+    reference = count_rank_calls(lambda: reference_gamas_condition(configuration, lam))
+    assert engine * 100 <= reference, (engine, reference)
+    configuration, lam = plane_crowd(30)
+    engine = count_rank_calls(lambda: gamas_condition(configuration, lam))
+    assert engine <= 1000, engine
 
 
 def test_decide_appears_examples():

@@ -6,10 +6,15 @@ from isotypic.partitions import (
     Partition,
     partitions_of,
     syt_count,
-    vertical_strips,
     weyl_dimension,
 )
-from oracles import brute_partitions, brute_ssyt_count, brute_standard_tableaux, is_vertical_strip
+from oracles import (
+    brute_partitions,
+    brute_ssyt_count,
+    brute_standard_tableaux,
+    is_vertical_strip,
+    vertical_strips,
+)
 
 
 def P(*parts):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from isotypic.selfcheck import (
     generate_configuration,
     run_verification,
 )
-from oracles import character_fault
+from oracles import character_fault, engine_fault
 
 
 def test_splitmix_reference_stream():
@@ -160,6 +161,16 @@ def test_fault_injection_is_detected():
         assert "detail" in record
     # and the harness is clean again outside the fault
     assert run_verification(spec).ok
+
+
+def test_engine_fault_is_detected():
+    # a greedy engine, with no exchanges, misses certificates and rank
+    # partitions; the harness must report it, not raise
+    with engine_fault():
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites["four_decider_agreement"] >= 1
+    assert suites["matroid_oracle"] >= 1
 
 
 def test_violations_sorted():
