@@ -18,10 +18,8 @@ from .characters import (
 )
 from .linalg import (
     Matrix,
-    format_rational,
     is_independent,
     parse_rational,
-    rank,
 )
 from .matroid import (
     BlockCertificate,
@@ -52,25 +50,21 @@ from .symgroup import (
     Permutation,
     Tableau,
     algebra_multiply,
-    all_permutations,
     column_antisymmetrizer,
     compose,
     row_symmetrizer,
     subset_antisymmetrizer,
-    young_symmetrizer,
 )
 from .tensors import (
     OPERATOR_DIMENSION_CAP,
     SparseTensor,
     VectorConfiguration,
-    act,
     apply_algebra_element,
     decomposable,
     generalized_matrix_function,
     gram_matrix,
     nonzero_after_symmetrize,
     operator_rank,
-    permuted,
     symmetrize,
 )
 

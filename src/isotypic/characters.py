@@ -77,9 +77,6 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
     rows: dict[Partition, tuple[int, ...]]
 
-    def value(self, lam: Partition, rho: Partition) -> int:
-        return self.rows[lam][self.classes.index(rho)]
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -106,8 +103,8 @@ def character_table(n: int) -> CharacterTable:
 
 @lru_cache(maxsize=None)
 def permutations_with_class(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All permutations of {1..n} as 1-based image tuples, lexicographic (the
-    all_permutations order), each paired with the index of its cycle type in
+    """All permutations of {1..n} as 1-based image tuples, lexicographic by
+    image tuple, each paired with the index of its cycle type in
     partitions_of(n).  No Permutation is built: the n!-term sums only move
     index tuples and read the class.  Cached, as those sums walk it often.
     """

@@ -169,6 +169,8 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_replay(args) -> int:
     report = _load_json(args.report)
+    if not isinstance(report, dict) or not {"spec", "violations"} <= report.keys():
+        raise ValueError('a report is a JSON object with keys "spec" and "violations"')
     spec = TrialSpec.from_json_obj(report["spec"])
     violations = report["violations"]
     if not 0 <= args.index < len(violations):

@@ -30,11 +30,6 @@ def parse_rational(text: str | int) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
-def format_rational(x: Fraction | int) -> str:
-    """Inverse of parse_rational: 'p/q' in lowest terms, or 'p' for integers."""
-    return str(Fraction(x))
-
-
 def as_vector(entries: Iterable) -> Vector:
     """Coerce entries to Fractions; only exact inputs (no floats) are accepted."""
     out = []
@@ -60,14 +55,6 @@ class Matrix:
             raise ValueError("ragged rows in matrix")
         self.rows = grid
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -75,10 +62,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -88,12 +71,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[[str(e) for e in row] for row in self.rows]})"
-
-    def rank(self) -> int:
-        return rank(self)
-
-    def to_json_obj(self) -> dict:
-        return {"entries": [[format_rational(e) for e in row] for row in self.rows]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Matrix":
@@ -141,11 +118,6 @@ def _int_rank(rows: list[list[int]]) -> int:
         if r == len(rows):
             break
     return r
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank over the rationals."""
-    return rank_of_rows(m.rows)
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -53,7 +53,6 @@ class LinearMatroid:
     """
 
     def __init__(self, cfg: VectorConfiguration):
-        self.cfg = cfg
         self.n = cfg.n
         self._rows = {i + 1: integer_scaled(v)[0] for i, v in enumerate(cfg.vectors)}
         self.zero_indices = frozenset(

@@ -71,8 +71,11 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection-sampled to avoid modulo bias."""
+        """Uniform integer in [lo, hi], rejection-sampled to avoid modulo bias;
+        one 64-bit draw covers at most 2**64 values."""
         span = hi - lo + 1
+        if not 1 <= span <= 1 << 64:
+            raise ValueError(f"randint span {span} is outside 1..2**64")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             x = self.next_u64()
@@ -113,8 +116,8 @@ class TrialSpec:
             raise ValueError("dims must be positive")
         if self.trials_per_cell < 0:
             raise ValueError("trials_per_cell must be nonnegative")
-        if self.entry_range < 1:
-            raise ValueError("entry_range must be at least 1")
+        if not 1 <= self.entry_range < 2**63:
+            raise ValueError("entry_range must be in 1..2**63 - 1")
         for name in ("p_duplicate", "p_scale", "p_zero"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -128,8 +131,12 @@ class TrialSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TrialSpec":
-        """Every field is required (KeyError if missing); other keys are ignored."""
-        values = {f.name: obj[f.name] for f in fields(cls)}
+        """Every field is required (ValueError if missing); other keys are ignored."""
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in obj] if isinstance(obj, dict) else names
+        if missing:
+            raise ValueError(f"a trial spec is a JSON object; missing: {', '.join(missing)}")
+        values = {name: obj[name] for name in names}
         values["dims"] = tuple(values["dims"])
         return cls(**values)
 

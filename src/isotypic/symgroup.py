@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 from .linalg import integer_scaled
 from .partitions import Partition
 
-# n! enumerations (all_permutations, central idempotents, full symmetrizations)
+# n! enumerations (permutation streams, central idempotents, full symmetrizations)
 # refuse to run past this degree rather than silently truncating.
 DEGREE_CAP = 10
 
@@ -151,14 +151,6 @@ def _moved_sum(support, terms) -> dict[tuple, int]:
     return acc
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations, lexicographic by image tuple."""
-    if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
 class Tableau:
     """A bijective filling of a Young diagram with 1..n (not necessarily standard)."""
 
@@ -246,11 +238,7 @@ class GroupAlgebraElement:
             self.n, {perm: scalar * coeff for perm, coeff in self.terms.items()}
         )
 
-    def __mul__(self, other) -> "GroupAlgebraElement":
-        if not isinstance(other, GroupAlgebraElement):
-            return GroupAlgebraElement(
-                self.n, {p: c * Fraction(other) for p, c in self.terms.items()}
-            )
+    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return algebra_multiply(self, other)
 
     def __eq__(self, other) -> bool:
@@ -274,13 +262,6 @@ class GroupAlgebraElement:
     def _check(self, other: "GroupAlgebraElement") -> None:
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-
-    def to_json_obj(self) -> list[dict]:
-        items = sorted(self.terms.items(), key=lambda kv: kv[0].images)
-        return [
-            {"perm": list(perm.images), "coeff": str(Fraction(coeff))}
-            for perm, coeff in items
-        ]
 
 
 def _normalize(x):
@@ -339,8 +320,3 @@ def subset_antisymmetrizer(n: int, block: Iterable[int]) -> GroupAlgebraElement:
     return GroupAlgebraElement(
         n, {perm: perm.sign for perm in _block_permutations(n, [tuple(block)])}
     )
-
-
-def young_symmetrizer(tableau: Tableau) -> GroupAlgebraElement:
-    """The product (column antisymmetrizer) * (row symmetrizer)."""
-    return column_antisymmetrizer(tableau) * row_symmetrizer(tableau)

@@ -8,11 +8,11 @@ index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
 `symgroup._place_action`, and `symmetrize` and `apply_algebra_element`
-add up the moved tensors in `symgroup._moved_sum`.  The n!-term sums
-skip classes where the character vanishes.  Every sum runs in `int`:
-each vector, row, tensor or coefficient list is scaled by the lcm of its
-denominators on the way in, and the exact result divided by those
-scales on the way out.
+add up the moved tensors through one wrapper of `symgroup._moved_sum`,
+`_moved_tensor`.  The n!-term sums skip classes where the character
+vanishes.  Every sum runs in `int`: each row, tensor or coefficient list
+is scaled by the lcm of its denominators on the way in, and the exact
+result divided by those scales on the way out.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from .characters import character_table, permutations_with_class
 from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _normalize
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, _normalize
 from .symgroup import _moved_sum, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
@@ -172,35 +172,23 @@ def decomposable(cfg: VectorConfiguration) -> SparseTensor:
     return SparseTensor(cfg.n, cfg.dim, entries)
 
 
-def permuted(cfg: VectorConfiguration, sigma: Permutation) -> VectorConfiguration:
-    """The configuration (v o sigma) with i-th vector v_{sigma(i)}."""
-    if sigma.n != cfg.n:
-        raise ValueError(f"degree mismatch: {sigma.n} vs {cfg.n}")
-    return VectorConfiguration(cfg.dim, (cfg.vectors[j - 1] for j in sigma.images))
-
-
-def act(w: SparseTensor, sigma: Permutation) -> SparseTensor:
-    """Right place-permutation action; act(decomposable(v), s) = decomposable(v o s)."""
-    if sigma.n != w.n:
-        raise ValueError(f"degree mismatch: {sigma.n} vs {w.n}")
-    move = _place_action(sigma.images)
-    return SparseTensor(
-        w.n, w.d, {move(idx): val for idx, val in w.entries.items()}
-    )
+def _moved_tensor(w: SparseTensor, terms, divisor: int) -> SparseTensor:
+    """The sum over the (images, c) terms of c * (w acted on by images),
+    divided by divisor: w's values are scaled to ints once, summed in
+    `_moved_sum` and divided once by the scale times divisor."""
+    values, scale = integer_scaled(list(w.entries.values()))
+    total = _moved_sum(list(zip(w.entries, values)), terms)
+    scale *= divisor
+    return SparseTensor(w.n, w.d, {idx: Fraction(c, scale) for idx, c in total.items()})
 
 
 def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
     if x.n != w.n:
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
-    values, w_scale = integer_scaled(list(w.entries.values()))
-    coeffs, x_scale = integer_scaled(list(x.terms.values()))
-    total = _moved_sum(
-        list(zip(w.entries, values)),
-        [(sigma.images, c) for sigma, c in zip(x.terms, coeffs)],
-    )
-    scale = w_scale * x_scale
-    return SparseTensor(w.n, w.d, {idx: Fraction(c, scale) for idx, c in total.items()})
+    coeffs, scale = integer_scaled(list(x.terms.values()))
+    terms = [(sigma.images, c) for sigma, c in zip(x.terms, coeffs)]
+    return _moved_tensor(w, terms, scale)
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -217,15 +205,9 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
     row = character_table(n).rows[lam]
     dimension = row[-1]  # class (1,...,1) is last in reverse-lex order
-    ints, scales = zip(*(integer_scaled(v) for v in cfg.vectors))
-    support = decomposable(VectorConfiguration(cfg.dim, ints)).entries.items()
-    denominator = factorial(n) * prod(scales)
-    acc = _moved_sum(
-        support,
-        ((images, row[cls]) for images, cls in permutations_with_class(n) if row[cls]),
-    )
-    entries = {idx: Fraction(dimension * val, denominator) for idx, val in acc.items()}
-    return SparseTensor(n, cfg.dim, entries)
+    pairs = permutations_with_class(n)
+    terms = ((images, dimension * row[c]) for images, c in pairs if row[c])
+    return _moved_tensor(decomposable(cfg), terms, factorial(n))
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:

@@ -10,7 +10,10 @@ values, where the library scales to integers, sums in `int` and divides once.
 explores the whole exchange graph on every augmenting search, and
 `reference_gamas_condition` the earlier backtracking search for Gamas's
 certificate, which the library now gets from the same engine.
-`vertical_strips` serves the Pieri check of the Weyl dimension.
+`vertical_strips` serves the Pieri check of the Weyl dimension,
+`all_permutations` is the order reference for the library's permutation
+stream, and `permuted` reorders vector lists without the place-action
+kernel, the independent route the action tests compare against.
 `character_fault` and `engine_fault` are the deliberate breakages: they
 flip a character value, or take the exchanges out of the matroid-partition
 engine, so tests can see the harness notice.
@@ -26,7 +29,7 @@ import isotypic.characters as characters
 import isotypic.matroid as matroid_module
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition
-from isotypic.symgroup import GroupAlgebraElement, all_permutations, compose
+from isotypic.symgroup import GroupAlgebraElement, Permutation, compose
 from isotypic.tensors import SparseTensor, VectorConfiguration
 
 
@@ -135,6 +138,18 @@ def vertical_strips(mu: Partition, k: int, max_rows: int) -> list[Partition]:
     return [Partition(p) for p in found]
 
 
+def all_permutations(n):
+    """All n! permutations, lexicographic by image tuple."""
+    return (Permutation(images) for images in permutations(range(1, n + 1)))
+
+
+def permuted(cfg, sigma):
+    """The configuration (v o sigma) with i-th vector v_{sigma(i)}."""
+    if sigma.n != cfg.n:
+        raise ValueError(f"degree mismatch: {sigma.n} vs {cfg.n}")
+    return VectorConfiguration(cfg.dim, (cfg.vectors[j - 1] for j in sigma.images))
+
+
 def fraction_rank(rows):
     """Plain rational Gaussian elimination, no fraction-free tricks."""
     rows = [[Fraction(x) for x in row] for row in rows]
@@ -206,7 +221,7 @@ def reference_generalized_matrix_function(a, lam):
     table = characters.character_table(n)
     total = Fraction(0)
     for sigma in all_permutations(n):
-        chi = table.value(lam, sigma.cycle_type())
+        chi = table.rows[lam][table.classes.index(sigma.cycle_type())]
         prod = Fraction(chi)
         for i, img in enumerate(sigma.images):
             prod *= a.rows[i][img - 1]

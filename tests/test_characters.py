@@ -13,8 +13,8 @@ from isotypic.characters import (
     permutations_with_class,
 )
 from isotypic.partitions import Partition, partitions_of, syt_count
-from isotypic.symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, all_permutations
-from oracles import character_fault
+from isotypic.symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
+from oracles import all_permutations, character_fault
 
 
 def P(*parts):

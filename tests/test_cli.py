@@ -165,6 +165,15 @@ def test_selfcheck_rejects_nonpositive_jobs(capsys):
     assert "jobs" in err
 
 
+def test_selfcheck_rejects_entry_range_past_one_draw(capsys):
+    code, out, err = run_cli(
+        capsys, "selfcheck", "--n-max", "1", "--dims", "1", "--trials", "1",
+        "--entry-range", str(2**63),
+    )
+    assert (code, out) == (2, "")
+    assert "entry_range must be in 1..2**63 - 1" in err
+
+
 def test_selfcheck_command_and_replay_cycle(capsys, tmp_path):
     code, out, err = run_cli(
         capsys,
@@ -220,6 +229,31 @@ def test_replay_rejects_missing_violation(capsys, tmp_path):
     code, _, err = run_cli(capsys, "replay", "--report", str(report_path))
     assert code == 2
     assert "unknown suite" in err
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "mangle, expected",
+    [
+        (lambda report: [report], 'keys "spec" and "violations"'),
+        (lambda report: {"violations": []}, 'keys "spec" and "violations"'),
+        (lambda report: {"spec": report["spec"]}, 'keys "spec" and "violations"'),
+        (lambda report: dict(report, spec=_without(report["spec"], "n_max")), "missing: n_max"),
+        (lambda report: dict(report, spec=[]), "missing: seed, n_max"),
+    ],
+    ids=["list", "no-spec", "no-violations", "spec-no-n_max", "spec-list"],
+)
+def test_malformed_report_is_usage_error(capsys, tmp_path, mangle, expected):
+    spec = TrialSpec(n_max=1, dims=(1,), trials_per_cell=1)
+    report = {"spec": spec.to_json_obj(), "cells_run": 1, "trials_run": 1, "violations": []}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(mangle(report)))
+    code, out, err = run_cli(capsys, "replay", "--report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and expected in err
 
 
 def test_selfcheck_report_matches_library(capsys):

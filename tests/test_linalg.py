@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isotypic.linalg import (
-    Matrix,
-    format_rational,
-    is_independent,
-    parse_rational,
-    rank,
-    rank_of_rows,
-)
+from isotypic.linalg import Matrix, is_independent, parse_rational, rank_of_rows
 from oracles import fraction_rank
 
 rationals = st.fractions(
@@ -31,12 +24,16 @@ def matrices(max_dim=5):
     )
 
 
+def rank(m):
+    return rank_of_rows(m.rows)
+
+
 def test_rank_identity():
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix.zero(2, 3)) == 0
+    assert rank(Matrix([[0, 0, 0], [0, 0, 0]])) == 0
 
 
 def test_rank_proportional_rows():
@@ -138,8 +135,9 @@ def test_parse_rational_rejects(bad):
 
 
 def test_format_rational_round_trip():
+    # str(Fraction) is the interchange form every to_json_obj writes
     for text in ["-3/7", "4", "0", "22/7"]:
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
 
 
 def test_matrix_rejects_ragged():

@@ -36,6 +36,13 @@ def test_randint_bounds_and_determinism():
     assert set(values) == set(range(-3, 4))
     rng2 = SplitMix64(42)
     assert [rng2.randint(-3, 3) for _ in range(500)] == values
+    # one 64-bit draw covers at most 2**64 values; past that the rejection
+    # limit would be 0 and the loop would never end, so it refuses to draw
+    state = rng2.state
+    for lo, hi in [(-(2**63), 2**63), (0, 2**64), (1, 0)]:
+        with pytest.raises(ValueError, match="span"):
+            rng2.randint(lo, hi)
+    assert rng2.state == state
 
 
 def test_generate_configuration_deterministic():
@@ -80,6 +87,10 @@ def test_trial_spec_validation():
         TrialSpec(dims=())
     with pytest.raises(ValueError):
         TrialSpec(entry_range=0)
+    # randint(-r, r) spans 2r + 1 values, which one draw covers up to r = 2**63 - 1
+    assert TrialSpec(entry_range=2**63 - 1).entry_range == 2**63 - 1
+    with pytest.raises(ValueError, match="entry_range"):
+        TrialSpec(entry_range=2**63)
     with pytest.raises(ValueError):
         TrialSpec(trials_per_cell=-1)
 
@@ -203,5 +214,7 @@ def test_spec_json_round_trip():
     assert obj["dims"] == [2, 3]
     assert TrialSpec.from_json_obj(dict(obj, extra=1)) == spec
     for key in obj:
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=f"missing: {key}$"):
             TrialSpec.from_json_obj({k: v for k, v in obj.items() if k != key})
+    with pytest.raises(ValueError, match="missing: seed, n_max, dims"):
+        TrialSpec.from_json_obj([obj])

