@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
+from typing import Iterator
 
 from .partitions import Partition, partitions_of
 from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _cycle_lengths
@@ -115,19 +116,22 @@ def permutations_with_class(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((images, index[_cycle_lengths(images)]) for images in perms)
 
 
+def character_terms(lam: Partition) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
+    """chi(1) and the (images, chi(sigma)) pairs with chi(sigma) != 0, in the
+    order of permutations_with_class: the one walk behind every n!-term
+    character sum.  The degree cap is checked by character_table."""
+    row = character_table(lam.size).rows[lam]
+    pairs = permutations_with_class(lam.size)
+    # class (1,...,1) is last in reverse-lex order
+    return row[-1], ((images, row[c]) for images, c in pairs if row[c])
+
+
 @lru_cache(maxsize=None)
 def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
     lam-isotypic two-sided ideal of the rational group algebra."""
-    n = lam.size
-    if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    row = character_table(n).rows[lam]
-    # class (1,...,1) is last in reverse-lex order
-    scale = Fraction(row[-1], factorial(n))
-    terms = {}
-    for images, cls in permutations_with_class(n):
-        chi = row[cls]
-        if chi:
-            terms[Permutation(images)] = scale * chi
-    return GroupAlgebraElement(n, terms)
+    chi_1, terms = character_terms(lam)
+    scale = Fraction(chi_1, factorial(lam.size))
+    return GroupAlgebraElement(
+        lam.size, {Permutation(images): scale * chi for images, chi in terms}
+    )

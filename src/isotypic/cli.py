@@ -167,12 +167,25 @@ def _cmd_selfcheck(args) -> int:
     return 0 if report.ok else 1
 
 
+_RECORD_KEYS = ("suite", "n", "d", "trial_index", "shape")
+
+
 def _cmd_replay(args) -> int:
     report = _load_json(args.report)
     if not isinstance(report, dict) or not {"spec", "violations"} <= report.keys():
         raise ValueError('a report is a JSON object with keys "spec" and "violations"')
     spec = TrialSpec.from_json_obj(report["spec"])
     violations = report["violations"]
+    if not isinstance(violations, list):
+        raise ValueError(f"violations must be a list, got {violations!r}")
+    for i, record in enumerate(violations):
+        keys = record.keys() if isinstance(record, dict) else ()
+        missing = [key for key in _RECORD_KEYS if key not in keys]
+        if missing:
+            raise ValueError(
+                f"violation #{i} is a JSON object with keys {', '.join(_RECORD_KEYS)}; "
+                f"missing: {', '.join(missing)}"
+            )
     if not 0 <= args.index < len(violations):
         raise ValueError(f"no violation #{args.index}: the report has {len(violations)}")
     record = violations[args.index]

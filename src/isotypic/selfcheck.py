@@ -96,6 +96,10 @@ def _mix(*parts: int) -> int:
     return h
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     """Deterministic description of a verification run."""
@@ -110,6 +114,12 @@ class TrialSpec:
     p_zero: float = 0.05
 
     def __post_init__(self):
+        for name in ("seed", "n_max", "trials_per_cell", "entry_range"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not all(_is_int(d) for d in self.dims):
+            raise ValueError(f"dims must be integers, got {list(self.dims)!r}")
         if not 1 <= self.n_max <= DEGREE_CAP:
             raise ValueError(f"n_max must be in 1..{DEGREE_CAP}")
         if not self.dims or any(d < 1 for d in self.dims):
@@ -120,6 +130,8 @@ class TrialSpec:
             raise ValueError("entry_range must be in 1..2**63 - 1")
         for name in ("p_duplicate", "p_scale", "p_zero"):
             p = getattr(self, name)
+            if not isinstance(p, (int, float)) or isinstance(p, bool):
+                raise ValueError(f"{name} must be a number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
@@ -137,6 +149,8 @@ class TrialSpec:
         if missing:
             raise ValueError(f"a trial spec is a JSON object; missing: {', '.join(missing)}")
         values = {name: obj[name] for name in names}
+        if not isinstance(values["dims"], list):
+            raise ValueError(f"dims must be a list of integers, got {values['dims']!r}")
         values["dims"] = tuple(values["dims"])
         return cls(**values)
 

@@ -9,8 +9,8 @@ index tuple t moves to the tuple k -> t[sigma(k)]).
 Every function that moves index tuples under sigma gets the move from
 `symgroup._place_action`, and `symmetrize` and `apply_algebra_element`
 add up the moved tensors through one wrapper of `symgroup._moved_sum`,
-`_moved_tensor`.  The n!-term sums skip classes where the character
-vanishes.  Every sum runs in `int`: each row, tensor or coefficient list
+`_moved_tensor`.  The n!-term sums walk `characters.character_terms`,
+which skips the permutations where the character vanishes.  Every sum runs in `int`: each row, tensor or coefficient list
 is scaled by the lcm of its denominators on the way in, and the exact
 result divided by those scales on the way out.
 """
@@ -22,10 +22,10 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Mapping
 
-from .characters import character_table, permutations_with_class
+from .characters import character_terms
 from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, _normalize
+from .symgroup import GroupAlgebraElement, _normalize
 from .symgroup import _moved_sum, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
@@ -198,16 +198,11 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     computed directly from the character sum, skipping classes where the
     character vanishes.
     """
-    n = cfg.n
-    if lam.size != n:
-        raise ValueError(f"shape size {lam.size} does not match {n} vectors")
-    if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    row = character_table(n).rows[lam]
-    dimension = row[-1]  # class (1,...,1) is last in reverse-lex order
-    pairs = permutations_with_class(n)
-    terms = ((images, dimension * row[c]) for images, c in pairs if row[c])
-    return _moved_tensor(decomposable(cfg), terms, factorial(n))
+    if lam.size != cfg.n:
+        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    chi_1, terms = character_terms(lam)
+    terms = ((images, chi_1 * chi) for images, chi in terms)
+    return _moved_tensor(decomposable(cfg), terms, factorial(cfg.n))
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
@@ -234,16 +229,13 @@ def generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
         raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
     if lam.size != n:
         raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
-    if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    row = character_table(n).rows[lam]
+    _, terms = character_terms(lam)
     # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
     # entry from every row; a leading 0 makes columns 1-based like images
     scaled = [integer_scaled(r) for r in a.rows]
     rows = [(0, *ints) for ints, _ in scaled]
     total = 0
-    for images, cls in permutations_with_class(n):
-        term = row[cls]
+    for images, term in terms:
         for r, img in zip(rows, images):
             if not term:
                 break

@@ -8,12 +8,20 @@ import isotypic.characters as characters
 from isotypic.characters import (
     central_idempotent,
     character_table,
+    character_terms,
     character_value,
     class_size,
     permutations_with_class,
 )
+from isotypic.linalg import Matrix
 from isotypic.partitions import Partition, partitions_of, syt_count
 from isotypic.symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
+from isotypic.tensors import (
+    VectorConfiguration,
+    generalized_matrix_function,
+    nonzero_after_symmetrize,
+    symmetrize,
+)
 from oracles import all_permutations, character_fault
 
 
@@ -177,6 +185,41 @@ def test_permutations_with_class_order_and_cap():
         assert images == [perm.images for perm in all_permutations(n)]
     with pytest.raises(ValueError):
         permutations_with_class(DEGREE_CAP + 1)
+
+
+def test_character_terms_is_the_nonzero_class_stream():
+    for n in range(1, 7):
+        pairs = permutations_with_class(n)
+        for lam in partitions_of(n):
+            row = character_table(n).rows[lam]
+            chi_1, terms = character_terms(lam)
+            assert chi_1 == syt_count(lam)
+            assert list(terms) == [(images, row[c]) for images, c in pairs if row[c]]
+
+
+_PAST_CAP = DEGREE_CAP + 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symmetrize(VectorConfiguration(1, [[1]] * _PAST_CAP), P(_PAST_CAP)),
+        lambda: nonzero_after_symmetrize(VectorConfiguration(1, [[1]] * _PAST_CAP), P(_PAST_CAP)),
+        lambda: generalized_matrix_function(
+            Matrix([[1] * _PAST_CAP] * _PAST_CAP), P(_PAST_CAP)
+        ),
+        lambda: central_idempotent(P(_PAST_CAP)),
+    ],
+    ids=["symmetrize", "nonzero_after_symmetrize", "generalized_matrix_function",
+         "central_idempotent"],
+)
+def test_degree_cap_stops_sums_before_the_walk(monkeypatch, call):
+    def no_walk(n):
+        raise AssertionError(f"permutations_with_class({n}) called past the cap")
+
+    monkeypatch.setattr(characters, "permutations_with_class", no_walk)
+    with pytest.raises(ValueError, match=f"degree {_PAST_CAP} exceeds cap {DEGREE_CAP}"):
+        call()
 
 
 def test_character_fault_is_scoped():

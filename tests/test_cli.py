@@ -224,7 +224,9 @@ def test_replay_rejects_missing_violation(capsys, tmp_path):
         assert err.startswith("error:") and "no violation" in err
     # a standalone record whose suite the harness does not know
     report = json.loads(report_path.read_text())
-    report["violations"] = [{"suite": "bogus", "config": None, "shape": None}]
+    report["violations"] = [
+        {"suite": "bogus", "n": None, "d": None, "trial_index": None, "shape": None, "config": None}
+    ]
     report_path.write_text(json.dumps(report))
     code, _, err = run_cli(capsys, "replay", "--report", str(report_path))
     assert code == 2
@@ -235,6 +237,18 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
+# the form of a standalone suite's record, which replays without a trial
+_STANDALONE_RECORD = {
+    "suite": "character", "n": None, "d": None, "trial_index": None, "shape": None,
+    "config": None, "expected": 0, "actual": 1,
+}
+
+
+def _with_spec(report, **fields):
+    """The report with a replayable record, so only the spec can stop it."""
+    return dict(report, spec=dict(report["spec"], **fields), violations=[_STANDALONE_RECORD])
+
+
 @pytest.mark.parametrize(
     "mangle, expected",
     [
@@ -243,8 +257,25 @@ def _without(obj, key):
         (lambda report: {"spec": report["spec"]}, 'keys "spec" and "violations"'),
         (lambda report: dict(report, spec=_without(report["spec"], "n_max")), "missing: n_max"),
         (lambda report: dict(report, spec=[]), "missing: seed, n_max"),
+        (lambda report: _with_spec(report, entry_range=2.5), "entry_range must be an integer"),
+        (lambda report: _with_spec(report, seed=True), "seed must be an integer"),
+        (lambda report: _with_spec(report, n_max="3"), "n_max must be an integer"),
+        (lambda report: _with_spec(report, dims=[1.5]), "dims must be integers"),
+        (lambda report: _with_spec(report, dims=5), "dims must be a list of integers"),
+        (lambda report: _with_spec(report, p_zero=True), "p_zero must be a number"),
+        (lambda report: dict(report, violations=5), "violations must be a list"),
+        (lambda report: dict(report, violations=[5]), "violation #0 is a JSON object"),
+        (
+            lambda report: dict(report, violations=[_without(_STANDALONE_RECORD, "suite")]),
+            "violation #0 is a JSON object with keys suite, n, d, trial_index, shape; "
+            "missing: suite",
+        ),
     ],
-    ids=["list", "no-spec", "no-violations", "spec-no-n_max", "spec-list"],
+    ids=[
+        "list", "no-spec", "no-violations", "spec-no-n_max", "spec-list",
+        "entry_range-float", "seed-bool", "n_max-str", "dims-float", "dims-int",
+        "p_zero-bool", "violations-int", "violation-int", "violation-no-suite",
+    ],
 )
 def test_malformed_report_is_usage_error(capsys, tmp_path, mangle, expected):
     spec = TrialSpec(n_max=1, dims=(1,), trials_per_cell=1)

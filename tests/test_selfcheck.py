@@ -95,6 +95,43 @@ def test_trial_spec_validation():
         TrialSpec(trials_per_cell=-1)
 
 
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"seed": True}, "seed must be an integer"),
+        ({"n_max": "3"}, "n_max must be an integer"),
+        ({"trials_per_cell": 2.0}, "trials_per_cell must be an integer"),
+        ({"entry_range": 2.5}, "entry_range must be an integer"),
+        ({"dims": (1.5,)}, "dims must be integers"),
+        ({"dims": (2, False)}, "dims must be integers"),
+        ({"p_scale": "0.3"}, "p_scale must be a number"),
+        ({"p_duplicate": False}, "p_duplicate must be a number"),
+    ],
+    ids=[
+        "seed-bool", "n_max-str", "trials-float", "entry_range-float", "dim-float",
+        "dim-bool", "p_scale-str", "p_duplicate-bool",
+    ],
+)
+def test_trial_spec_rejects_wrong_types(fields, expected):
+    with pytest.raises(ValueError, match=expected):
+        TrialSpec(**fields)
+    obj = dict(TrialSpec().to_json_obj(), **fields)
+    obj["dims"] = list(obj["dims"])
+    with pytest.raises(ValueError, match=expected):
+        TrialSpec.from_json_obj(obj)
+
+
+def test_trial_spec_accepts_integral_probabilities():
+    assert TrialSpec(p_zero=0, p_scale=1).p_scale == 1
+
+
+def test_spec_json_dims_must_be_a_list():
+    obj = TrialSpec().to_json_obj()
+    for dims in (5, "1,2", {"1": 1}):
+        with pytest.raises(ValueError, match="dims must be a list of integers"):
+            TrialSpec.from_json_obj(dict(obj, dims=dims))
+
+
 def test_zero_trials_report():
     report = run_verification(TrialSpec(trials_per_cell=0, n_max=2, dims=(2,)))
     assert report.trials_run == 0

@@ -1,7 +1,12 @@
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "isotypic"
+import isotypic.cli  # noqa: F401  (imports every library module the tracer wraps)
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCE_DIR = REPO / "src" / "isotypic"
 
 
 def test_no_assert_statements_in_library():
@@ -16,3 +21,20 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_hooks_resolve():
+    # bench/tracing.py wraps library functions by name; a rename or a
+    # deletion would otherwise surface only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracing", REPO / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    missing, undo = tracing.install(tracing.Tracer())
+    try:
+        assert missing == []
+    finally:
+        tracing.uninstall(undo)
