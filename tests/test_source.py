@@ -28,6 +28,7 @@ def test_benchmark_hooks_resolve():
     # deletion would otherwise surface only in a traced benchmark run
     spec = importlib.util.spec_from_file_location("bench_tracing", REPO / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
+    # load it without leaving a __pycache__ under bench/
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(tracing)
