@@ -15,7 +15,13 @@ from .characters import character_table
 from .linalg import Matrix
 from .matroid import decide_appears, gamas_condition, rank_partition
 from .partitions import Partition
-from .selfcheck import TrialSpec, check_trial, run_standalone_suite, run_verification
+from .selfcheck import (
+    TrialSpec,
+    check_record,
+    check_trial,
+    run_standalone_suite,
+    run_verification,
+)
 from .tensors import (
     VectorConfiguration,
     generalized_matrix_function,
@@ -167,9 +173,6 @@ def _cmd_selfcheck(args) -> int:
     return 0 if report.ok else 1
 
 
-_RECORD_KEYS = ("suite", "n", "d", "trial_index", "shape")
-
-
 def _cmd_replay(args) -> int:
     report = _load_json(args.report)
     if not isinstance(report, dict) or not {"spec", "violations"} <= report.keys():
@@ -179,13 +182,7 @@ def _cmd_replay(args) -> int:
     if not isinstance(violations, list):
         raise ValueError(f"violations must be a list, got {violations!r}")
     for i, record in enumerate(violations):
-        keys = record.keys() if isinstance(record, dict) else ()
-        missing = [key for key in _RECORD_KEYS if key not in keys]
-        if missing:
-            raise ValueError(
-                f"violation #{i} is a JSON object with keys {', '.join(_RECORD_KEYS)}; "
-                f"missing: {', '.join(missing)}"
-            )
+        check_record(spec, i, record)
     if not 0 <= args.index < len(violations):
         raise ValueError(f"no violation #{args.index}: the report has {len(violations)}")
     record = violations[args.index]
@@ -246,14 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gmf)
 
     p = sub.add_parser("selfcheck", help="run the verification harness")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--dims", default="1,2,3")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--entry-range", type=int, default=3)
-    p.add_argument("--p-dup", type=float, default=0.3)
-    p.add_argument("--p-scale", type=float, default=0.3)
-    p.add_argument("--p-zero", type=float, default=0.05)
+    default = TrialSpec()
+    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--n-max", type=int, default=default.n_max)
+    p.add_argument("--dims", default=",".join(map(str, default.dims)))
+    p.add_argument("--trials", type=int, default=default.trials_per_cell)
+    p.add_argument("--entry-range", type=int, default=default.entry_range)
+    p.add_argument("--p-dup", type=float, default=default.p_duplicate)
+    p.add_argument("--p-scale", type=float, default=default.p_scale)
+    p.add_argument("--p-zero", type=float, default=default.p_zero)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_selfcheck)

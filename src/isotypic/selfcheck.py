@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import factorial
@@ -213,6 +212,14 @@ class VerificationReport:
         }
 
 
+# the suites that check_trial runs on each configuration, in its order
+TRIAL_SUITES = (
+    "matroid_oracle", "four_decider_agreement", "gram_identity", "column_criterion", "det_twist"
+)
+
+_RECORD_KEYS = ("suite", "n", "d", "trial_index", "shape")
+
+
 def _violation(suite, n, d, trial_index, shape, cfg, expected, actual, detail=None):
     record = {
         "suite": suite,
@@ -227,6 +234,39 @@ def _violation(suite, n, d, trial_index, shape, cfg, expected, actual, detail=No
     if detail is not None:
         record["detail"] = detail
     return record
+
+
+def check_record(spec: TrialSpec, i: int, record) -> None:
+    """Raise ValueError, naming the field, unless record has the keys and
+    shape type that `_violation` writes and, if it is a trial record (one
+    with a config), a per-trial suite and a cell and trial of the spec."""
+    keys = record.keys() if isinstance(record, dict) else ()
+    missing = [key for key in _RECORD_KEYS if key not in keys]
+    if missing:
+        raise ValueError(
+            f"violation #{i} is a JSON object with keys {', '.join(_RECORD_KEYS)}; "
+            f"missing: {', '.join(missing)}"
+        )
+    if record["shape"] is not None and not isinstance(record["shape"], str):
+        raise ValueError(f"violation #{i}: shape must be a string or null, got {record['shape']!r}")
+    if record.get("config") is None:
+        return  # a standalone record: run_standalone_suite checks its suite
+    if record["suite"] not in TRIAL_SUITES:
+        raise ValueError(
+            f"violation #{i}: unknown suite {record['suite']!r} for a trial record; "
+            f"known: {', '.join(TRIAL_SUITES)}"
+        )
+    ranges = {
+        "n": (range(1, spec.n_max + 1), f"an integer in 1..{spec.n_max}"),
+        "d": (spec.dims, f"one of the dims {', '.join(map(str, spec.dims))}"),
+        "trial_index": (
+            range(spec.trials_per_cell), f"an integer in 0..{spec.trials_per_cell - 1}"
+        ),
+    }
+    for key, (allowed, text) in ranges.items():
+        value = record[key]
+        if not _is_int(value) or value not in allowed:
+            raise ValueError(f"violation #{i}: {key} must be {text}, got {value!r}")
 
 
 def _sort_key(record: dict):
@@ -244,16 +284,17 @@ def check_trial(
 ) -> list[dict]:
     """Run the per-configuration suites for one generated trial."""
     cfg = generate_configuration(spec, n, d, trial_index)
+    oracle_suite, agreement_suite, gram_suite, column_suite, twist_suite = TRIAL_SUITES
     run = lambda name: suites is None or name in suites
     out: list[dict] = []
 
     rho = rank_partition(cfg)
-    if run("matroid_oracle"):
+    if run(oracle_suite):
         oracle = rank_partition_oracle(cfg)
         if rho.rho != oracle.rho:
             out.append(
                 _violation(
-                    "matroid_oracle", n, d, trial_index, None, cfg,
+                    oracle_suite, n, d, trial_index, None, cfg,
                     f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}",
                 )
             )
@@ -265,7 +306,7 @@ def check_trial(
             ):
                 out.append(
                     _violation(
-                        "matroid_oracle", n, d, trial_index,
+                        oracle_suite, n, d, trial_index,
                         rho.as_partition().conjugate(), cfg,
                         "rank partition achieved by a valid certificate",
                         "no valid certificate",
@@ -274,11 +315,11 @@ def check_trial(
 
     rho_conjugate = rho.as_partition().conjugate()
     gram = gram_matrix(cfg)
-    shapes = partitions_of(n) if run("four_decider_agreement") or run("gram_identity") else []
+    shapes = partitions_of(n) if run(agreement_suite) or run(gram_suite) else []
     for lam in shapes:
         symmetrized = symmetrize(cfg, lam)
         gmf_value = generalized_matrix_function(gram, lam)
-        if run("four_decider_agreement"):
+        if run(agreement_suite):
             certificate = gamas_condition(cfg, lam)
             answers = {
                 "brute": not symmetrized.is_zero(),
@@ -293,29 +334,29 @@ def check_trial(
                 )
                 out.append(
                     _violation(
-                        "four_decider_agreement", n, d, trial_index, lam, cfg,
+                        agreement_suite, n, d, trial_index, lam, cfg,
                         "all four deciders agree", str(answers), detail,
                     )
                 )
-        if run("gram_identity"):
+        if run(gram_suite):
             lhs = symmetrized.inner(symmetrized)
             rhs = Fraction(syt_count(lam), factorial(n)) * gmf_value
             if lhs != rhs:
                 out.append(
                     _violation(
-                        "gram_identity", n, d, trial_index, lam, cfg,
+                        gram_suite, n, d, trial_index, lam, cfg,
                         f"<wT,wT> = {rhs}", str(lhs),
                     )
                 )
             if gmf_value < 0:
                 out.append(
                     _violation(
-                        "gram_identity", n, d, trial_index, lam, cfg,
+                        gram_suite, n, d, trial_index, lam, cfg,
                         "gmf of a Gram matrix is nonnegative", str(gmf_value),
                     )
                 )
 
-    if run("column_criterion"):
+    if run(column_suite):
         rng = SplitMix64(_mix(spec.seed, 0xC0111, n, d, trial_index))
         shapes = partitions_of(n)
         shape = shapes[rng.randint(0, len(shapes) - 1)]
@@ -339,14 +380,14 @@ def check_trial(
         if symmetrized_nonzero != columns_independent:
             out.append(
                 _violation(
-                    "column_criterion", n, d, trial_index, shape, cfg,
+                    column_suite, n, d, trial_index, shape, cfg,
                     f"columns independent = {columns_independent}",
                     f"nonzero after column antisymmetrization = {symmetrized_nonzero}",
                     {"tableau": [list(r) for r in tableau.rows]},
                 )
             )
 
-    if run("det_twist") and n >= d and is_independent(cfg.vectors[:d]):
+    if run(twist_suite) and n >= d and is_independent(cfg.vectors[:d]):
         w = decomposable(cfg)
         b_first = subset_antisymmetrizer(n, range(1, d + 1))
         wedge = apply_algebra_element(w, b_first)
@@ -366,7 +407,7 @@ def check_trial(
             if lhs != rhs:
                 out.append(
                     _violation(
-                        "det_twist", n, d, trial_index, lam, cfg,
+                        twist_suite, n, d, trial_index, lam, cfg,
                         f"reduced-shape decision = {rhs}",
                         f"wedge decision = {lhs}",
                     )
@@ -505,6 +546,9 @@ def run_verification(spec: TrialSpec, jobs: int = 1) -> VerificationReport:
     violations: list[dict] = []
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1 and spec.trials_per_cell > 0:
+        # imported here: multiprocessing costs every other CLI process its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_run_cell, [(spec, n, d) for n, d in cells]):
                 violations.extend(result)

@@ -139,16 +139,21 @@ def _place_action(images: tuple[int, ...]):
     return itemgetter(*(i - 1 for i in images))
 
 
-def _moved_sum(support, terms) -> dict[tuple, int]:
-    """The sum over the (images, c) terms of c * (the support moved by the place
-    action of images), as an index -> int map that keeps cancelled entries."""
+def _moved_sum(support: Mapping, terms, divisor: int) -> dict[tuple, Fraction]:
+    """The sum over the integer (images, c) terms of c * (the support moved by
+    the place action of images), divided by divisor: the support's values are
+    scaled to ints once, summed in int and divided once by the scale times
+    divisor.  Only the nonzero sums are returned."""
+    values, scale = integer_scaled(list(support.values()))
+    pairs = list(zip(support, values))
     acc: dict[tuple, int] = {}
     for images, c in terms:
         move = _place_action(images)
-        for idx, val in support:
+        for idx, val in pairs:
             moved = move(idx)
             acc[moved] = acc.get(moved, 0) + c * val
-    return acc
+    scale *= divisor
+    return {idx: Fraction(c, scale) for idx, c in acc.items() if c}
 
 
 class Tableau:
@@ -273,19 +278,17 @@ def algebra_multiply(
     x: GroupAlgebraElement, y: GroupAlgebraElement
 ) -> GroupAlgebraElement:
     """Convolution product: the coefficient of pi collects x(s)*y(t) over s*t = pi,
-    summed in int on image tuples after scaling each factor's coefficients
-    by the lcm of their denominators."""
+    the place action of y on the image tuples of x."""
     x._check(y)
-    a_ints, a_scale = integer_scaled(list(x.terms.values()))
-    b_ints, b_scale = integer_scaled(list(y.terms.values()))
-    total = _moved_sum(
-        [(sigma.images, a) for sigma, a in zip(x.terms, a_ints)],
-        [(tau.images, b) for tau, b in zip(y.terms, b_ints)],
-    )
-    scale = a_scale * b_scale
-    return GroupAlgebraElement(
-        x.n, {Permutation(pi): Fraction(c, scale) for pi, c in total.items() if c}
-    )
+    total = _moved_sum({sigma.images: a for sigma, a in x.terms.items()}, *_integer_terms(y))
+    return GroupAlgebraElement(x.n, {Permutation(pi): c for pi, c in total.items()})
+
+
+def _integer_terms(x: GroupAlgebraElement) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """The (images, c) terms of x with its coefficients scaled to ints by the
+    lcm of their denominators, and that lcm."""
+    coeffs, scale = integer_scaled(list(x.terms.values()))
+    return [(sigma.images, c) for sigma, c in zip(x.terms, coeffs)], scale
 
 
 def _block_permutations(n: int, blocks: Iterable[Iterable[int]]) -> Iterator[Permutation]:

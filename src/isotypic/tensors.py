@@ -8,11 +8,11 @@ index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
 `symgroup._place_action`, and `symmetrize` and `apply_algebra_element`
-add up the moved tensors through one wrapper of `symgroup._moved_sum`,
-`_moved_tensor`.  The n!-term sums walk `characters.character_terms`,
-which skips the permutations where the character vanishes.  Every sum runs in `int`: each row, tensor or coefficient list
-is scaled by the lcm of its denominators on the way in, and the exact
-result divided by those scales on the way out.
+add up the moved tensors in `symgroup._moved_sum`.  The n!-term sums
+walk `characters.character_terms`, which skips the permutations where
+the character vanishes.  Every sum runs in `int`: each row, tensor or
+coefficient list is scaled by the lcm of its denominators on the way
+in, and the exact result divided by those scales on the way out.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .characters import character_terms
 from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
 from .symgroup import GroupAlgebraElement, _normalize
-from .symgroup import _moved_sum, _place_action
+from .symgroup import _integer_terms, _moved_sum, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
@@ -172,23 +172,11 @@ def decomposable(cfg: VectorConfiguration) -> SparseTensor:
     return SparseTensor(cfg.n, cfg.dim, entries)
 
 
-def _moved_tensor(w: SparseTensor, terms, divisor: int) -> SparseTensor:
-    """The sum over the (images, c) terms of c * (w acted on by images),
-    divided by divisor: w's values are scaled to ints once, summed in
-    `_moved_sum` and divided once by the scale times divisor."""
-    values, scale = integer_scaled(list(w.entries.values()))
-    total = _moved_sum(list(zip(w.entries, values)), terms)
-    scale *= divisor
-    return SparseTensor(w.n, w.d, {idx: Fraction(c, scale) for idx, c in total.items()})
-
-
 def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
     if x.n != w.n:
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
-    coeffs, scale = integer_scaled(list(x.terms.values()))
-    terms = [(sigma.images, c) for sigma, c in zip(x.terms, coeffs)]
-    return _moved_tensor(w, terms, scale)
+    return SparseTensor(w.n, w.d, _moved_sum(w.entries, *_integer_terms(x)))
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -202,7 +190,8 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
         raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
     chi_1, terms = character_terms(lam)
     terms = ((images, chi_1 * chi) for images, chi in terms)
-    return _moved_tensor(decomposable(cfg), terms, factorial(cfg.n))
+    entries = _moved_sum(decomposable(cfg).entries, terms, factorial(cfg.n))
+    return SparseTensor(cfg.n, cfg.dim, entries)
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
@@ -263,8 +252,8 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     for idx in itertools.product(range(1, d + 1), repeat=n):
         blocks.setdefault(tuple(sorted(idx)), []).append(idx)
     # rank is unchanged by the nonzero scale that makes the coefficients integers
-    coeffs, _ = integer_scaled(list(x.terms.values()))
-    terms = [(_place_action(perm.images), c) for perm, c in zip(x.terms, coeffs)]
+    terms, _ = _integer_terms(x)
+    terms = [(_place_action(images), c) for images, c in terms]
     total = 0
     for basis in blocks.values():
         index = {idx: i for i, idx in enumerate(basis)}

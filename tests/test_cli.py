@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from isotypic.cli import main
+import isotypic.cli as cli
+from isotypic.cli import build_parser, main
 from isotypic.partitions import Partition
-from isotypic.selfcheck import TrialSpec, run_verification
+from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
 from oracles import character_fault
 
 
@@ -249,6 +254,20 @@ def _with_spec(report, **fields):
     return dict(report, spec=dict(report["spec"], **fields), violations=[_STANDALONE_RECORD])
 
 
+# a trial record of the default spec (n_max 5, dims 1..3, 50 trials per cell)
+_TRIAL_RECORD = {
+    "suite": "four_decider_agreement", "n": 1, "d": 1, "trial_index": 0, "shape": "1",
+    "config": {"dim": 1, "vectors": [["1"]]}, "expected": "", "actual": "",
+}
+
+
+def _with_record(report, **fields):
+    """The default spec with one trial record, changed only in the given fields."""
+    return dict(
+        report, spec=TrialSpec().to_json_obj(), violations=[dict(_TRIAL_RECORD, **fields)]
+    )
+
+
 @pytest.mark.parametrize(
     "mangle, expected",
     [
@@ -270,11 +289,31 @@ def _with_spec(report, **fields):
             "violation #0 is a JSON object with keys suite, n, d, trial_index, shape; "
             "missing: suite",
         ),
+        (lambda report: _with_record(report, n="1"), "n must be an integer in 1..5, got '1'"),
+        (lambda report: _with_record(report, n=6), "n must be an integer in 1..5, got 6"),
+        (lambda report: _with_record(report, d=7), "d must be one of the dims 1, 2, 3, got 7"),
+        (
+            lambda report: _with_record(report, trial_index=-5),
+            "trial_index must be an integer in 0..49, got -5",
+        ),
+        (
+            lambda report: _with_record(report, trial_index=1000000),
+            "trial_index must be an integer in 0..49, got 1000000",
+        ),
+        (lambda report: _with_record(report, suite=5), "unknown suite 5 for a trial record"),
+        (
+            lambda report: _with_record(report, suite="bogus"),
+            "unknown suite 'bogus' for a trial record",
+        ),
+        (lambda report: _with_record(report, shape=5), "shape must be a string or null, got 5"),
     ],
     ids=[
         "list", "no-spec", "no-violations", "spec-no-n_max", "spec-list",
         "entry_range-float", "seed-bool", "n_max-str", "dims-float", "dims-int",
         "p_zero-bool", "violations-int", "violation-int", "violation-no-suite",
+        "record-n-str", "record-n-above-n_max", "record-d-not-in-dims",
+        "record-trial_index-negative", "record-trial_index-too-large", "record-suite-int",
+        "record-suite-bogus", "record-shape-int",
     ],
 )
 def test_malformed_report_is_usage_error(capsys, tmp_path, mangle, expected):
@@ -285,6 +324,35 @@ def test_malformed_report_is_usage_error(capsys, tmp_path, mangle, expected):
     code, out, err = run_cli(capsys, "replay", "--report", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and expected in err
+
+
+def test_selfcheck_defaults_are_the_default_spec(monkeypatch, capsys):
+    specs = []
+
+    def record_spec(spec, jobs):
+        specs.append(spec)
+        return VerificationReport(spec, cells_run=0, trials_run=0)
+
+    monkeypatch.setattr(cli, "run_verification", record_spec)
+    args = build_parser().parse_args(["selfcheck"])
+    assert args.func(args) == 0
+    assert specs == [TrialSpec()]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only selfcheck --jobs N>1 starts a pool, so no other command pays for
+    # importing multiprocessing
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, isotypic.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_selfcheck_report_matches_library(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from collections import Counter
 
@@ -174,7 +175,7 @@ def test_workers_capped_by_cells_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(selfcheck, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     three_cells = TrialSpec(n_max=3, dims=(2,), trials_per_cell=2)
     six_cells = TrialSpec(n_max=3, dims=(1, 2), trials_per_cell=2)
     serial = json.dumps(run_verification(three_cells).to_json_obj())

@@ -12,6 +12,7 @@ from isotypic.symgroup import (
     GroupAlgebraElement,
     Permutation,
     Tableau,
+    _moved_sum,
     algebra_multiply,
     column_antisymmetrizer,
     compose,
@@ -260,3 +261,14 @@ def test_idempotent_products_match_reference():
             for mu in partitions_of(n):
                 x, y = central_idempotent(lam), central_idempotent(mu)
                 assert algebra_multiply(x, y) == reference_algebra_multiply(x, y)
+
+
+def test_moved_sum_returns_only_nonzero_sums():
+    identity, swap = (1, 2), (2, 1)
+    # antisymmetrizing a support that the swap fixes cancels every entry
+    assert _moved_sum({(1, 1): Fraction(1, 2)}, [(identity, 1), (swap, -1)], 1) == {}
+    assert _moved_sum({(1, 2): 1, (2, 1): 1}, [(identity, 3), (swap, -3)], 5) == {}
+    # (1, 1) cancels; the rest is divided by the scale 6 times the divisor 2
+    assert _moved_sum(
+        {(1, 2): Fraction(1, 2), (1, 1): Fraction(2, 3)}, [(identity, 1), (swap, -1)], 2
+    ) == {(1, 2): Fraction(1, 4), (2, 1): Fraction(-1, 4)}

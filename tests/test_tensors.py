@@ -11,6 +11,7 @@ from isotypic.symgroup import (
     GroupAlgebraElement,
     Permutation,
     Tableau,
+    algebra_multiply,
     column_antisymmetrizer,
     compose,
     row_symmetrizer,
@@ -230,6 +231,22 @@ def test_symmetrize_equals_idempotent_application():
                 decomposable(configuration), central_idempotent(lam)
             )
             assert symmetrize(configuration, lam) == via_algebra
+
+
+def test_algebra_multiply_is_the_place_action():
+    # the product x * y is y acting by place permutations on the image
+    # tuples of x: the right regular representation inside the n-th
+    # tensor power of Q^n
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        x = random_algebra_element(rng, n, terms=rng.randint(0, 5))
+        y = random_algebra_element(rng, n, terms=rng.randint(0, 5))
+        w = SparseTensor(n, n, {sigma.images: c for sigma, c in x.terms.items()})
+        moved = apply_algebra_element(w, y).entries
+        assert algebra_multiply(x, y) == GroupAlgebraElement(
+            n, {Permutation(images): c for images, c in moved.items()}
+        )
 
 
 def test_apply_algebra_element_matches_reference_on_rationals():
