@@ -6,6 +6,12 @@ subtracting k from one beta-number so that the result is again a set of
 distinct nonnegative integers; the sign is (-1)^(number of beta-numbers
 jumped over), which equals (-1)^(strip height).  Everything is integer
 arithmetic, memoized by (shape, cycle type).
+
+Every n!-term character sum starts at `character_walk`, one walk over the
+permutations for a list of shapes: it numbers the classes where some
+listed shape's character is nonzero by slot and yields each permutation
+of those classes with its class slot, so a caller sums each class once
+and weights the class sums by every shape's character.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .partitions import Partition, partitions_of
 from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _cycle_lengths
@@ -116,22 +122,46 @@ def permutations_with_class(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((images, index[_cycle_lengths(images)]) for images in perms)
 
 
-def character_terms(lam: Partition) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
-    """chi(1) and the (images, chi(sigma)) pairs with chi(sigma) != 0, in the
-    order of permutations_with_class: the one walk behind every n!-term
-    character sum.  The degree cap is checked by character_table."""
-    row = character_table(lam.size).rows[lam]
-    pairs = permutations_with_class(lam.size)
+def character_walk(
+    shapes: Sequence[Partition],
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], Iterator[tuple[tuple[int, ...], int]]]:
+    """One walk over the permutations for a list of shapes of one size n: the
+    one walk behind every n!-term character sum.
+
+    A class is walked when at least one listed shape has a nonzero character
+    on it, and the walked classes get the slots 0, 1, ... in the order of
+    partitions_of(n).  Returns each shape's chi(1), each shape's chi on the
+    walked classes by slot, and the (images, slot) pairs of the permutations
+    in walked classes, in the order of permutations_with_class.  With one
+    shape, the walk skips exactly the permutations where its character
+    vanishes.  The degree cap is checked by character_table.
+    """
+    if not shapes:
+        raise ValueError("need at least one shape")
+    n = shapes[0].size
+    if any(lam.size != n for lam in shapes):
+        raise ValueError(f"shapes of different sizes: {[lam.parts for lam in shapes]}")
+    table = character_table(n)
+    rows = [table.rows[lam] for lam in shapes]
+    walked = [c for c in range(len(table.classes)) if any(row[c] for row in rows)]
+    slot_of: list[int | None] = [None] * len(table.classes)
+    for s, c in enumerate(walked):
+        slot_of[c] = s
     # class (1,...,1) is last in reverse-lex order
-    return row[-1], ((images, row[c]) for images, c in pairs if row[c])
+    degrees = tuple(row[-1] for row in rows)
+    values = tuple(tuple(row[c] for c in walked) for row in rows)
+    pairs = permutations_with_class(n)
+    return degrees, values, (
+        (images, s) for images, c in pairs if (s := slot_of[c]) is not None
+    )
 
 
 @lru_cache(maxsize=None)
 def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
     lam-isotypic two-sided ideal of the rational group algebra."""
-    chi_1, terms = character_terms(lam)
+    (chi_1,), (row,), pairs = character_walk([lam])
     scale = Fraction(chi_1, factorial(lam.size))
     return GroupAlgebraElement(
-        lam.size, {Permutation(images): scale * chi for images, chi in terms}
+        lam.size, {Permutation(images): scale * row[s] for images, s in pairs}
     )

@@ -42,11 +42,11 @@ from .tensors import (
     VectorConfiguration,
     apply_algebra_element,
     decomposable,
-    generalized_matrix_function,
     gram_matrix,
+    matrix_function_sums,
     nonzero_after_symmetrize,
     operator_rank,
-    symmetrize,
+    symmetrized_sums,
 )
 
 _MASK = (1 << 64) - 1
@@ -238,8 +238,9 @@ def _violation(suite, n, d, trial_index, shape, cfg, expected, actual, detail=No
 
 def check_record(spec: TrialSpec, i: int, record) -> None:
     """Raise ValueError, naming the field, unless record has the keys and
-    shape type that `_violation` writes and, if it is a trial record (one
-    with a config), a per-trial suite and a cell and trial of the spec."""
+    shape type that `_violation` writes and either, if it is a trial record
+    (one with a config), a per-trial suite and a cell and trial of the spec,
+    or else a standalone suite."""
     keys = record.keys() if isinstance(record, dict) else ()
     missing = [key for key in _RECORD_KEYS if key not in keys]
     if missing:
@@ -250,7 +251,13 @@ def check_record(spec: TrialSpec, i: int, record) -> None:
     if record["shape"] is not None and not isinstance(record["shape"], str):
         raise ValueError(f"violation #{i}: shape must be a string or null, got {record['shape']!r}")
     if record.get("config") is None:
-        return  # a standalone record: run_standalone_suite checks its suite
+        # a standalone record; its suite may be any JSON value, hashable or not
+        if not isinstance(record["suite"], str) or record["suite"] not in STANDALONE_SUITES:
+            raise ValueError(
+                f"violation #{i}: unknown suite {record['suite']!r} for a standalone record; "
+                f"known: {', '.join(STANDALONE_SUITES)}"
+            )
+        return
     if record["suite"] not in TRIAL_SUITES:
         raise ValueError(
             f"violation #{i}: unknown suite {record['suite']!r} for a trial record; "
@@ -314,47 +321,50 @@ def check_trial(
                 )
 
     rho_conjugate = rho.as_partition().conjugate()
-    gram = gram_matrix(cfg)
-    shapes = partitions_of(n) if run(agreement_suite) or run(gram_suite) else []
-    for lam in shapes:
-        symmetrized = symmetrize(cfg, lam)
-        gmf_value = generalized_matrix_function(gram, lam)
-        if run(agreement_suite):
-            certificate = gamas_condition(cfg, lam)
-            answers = {
-                "brute": not symmetrized.is_zero(),
-                "gram": gmf_value != 0,
-                "gamas": certificate is not None,
-                "dominance": lam.dominates(rho_conjugate),
-            }
-            if len(set(answers.values())) != 1:
-                detail = dict(answers)
-                detail["certificate"] = (
-                    certificate.to_json_obj() if certificate else None
-                )
-                out.append(
-                    _violation(
-                        agreement_suite, n, d, trial_index, lam, cfg,
-                        "all four deciders agree", str(answers), detail,
+    if run(agreement_suite) or run(gram_suite):
+        # one walk per route serves every shape; the tensors and values come
+        # as integers over one divisor per route
+        shapes = partitions_of(n)
+        symmetrized, tensor_divisor = symmetrized_sums(cfg, shapes)
+        values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
+        for lam, entries, value in zip(shapes, symmetrized, values):
+            gmf_value = Fraction(value, value_divisor)
+            if run(agreement_suite):
+                certificate = gamas_condition(cfg, lam)
+                answers = {
+                    "brute": bool(entries),
+                    "gram": value != 0,
+                    "gamas": certificate is not None,
+                    "dominance": lam.dominates(rho_conjugate),
+                }
+                if len(set(answers.values())) != 1:
+                    detail = dict(answers)
+                    detail["certificate"] = (
+                        certificate.to_json_obj() if certificate else None
                     )
-                )
-        if run(gram_suite):
-            lhs = symmetrized.inner(symmetrized)
-            rhs = Fraction(syt_count(lam), factorial(n)) * gmf_value
-            if lhs != rhs:
-                out.append(
-                    _violation(
-                        gram_suite, n, d, trial_index, lam, cfg,
-                        f"<wT,wT> = {rhs}", str(lhs),
+                    out.append(
+                        _violation(
+                            agreement_suite, n, d, trial_index, lam, cfg,
+                            "all four deciders agree", str(answers), detail,
+                        )
                     )
-                )
-            if gmf_value < 0:
-                out.append(
-                    _violation(
-                        gram_suite, n, d, trial_index, lam, cfg,
-                        "gmf of a Gram matrix is nonnegative", str(gmf_value),
+            if run(gram_suite):
+                lhs = Fraction(sum(c * c for c in entries.values()), tensor_divisor**2)
+                rhs = Fraction(syt_count(lam), factorial(n)) * gmf_value
+                if lhs != rhs:
+                    out.append(
+                        _violation(
+                            gram_suite, n, d, trial_index, lam, cfg,
+                            f"<wT,wT> = {rhs}", str(lhs),
+                        )
                     )
-                )
+                if gmf_value < 0:
+                    out.append(
+                        _violation(
+                            gram_suite, n, d, trial_index, lam, cfg,
+                            "gmf of a Gram matrix is nonnegative", str(gmf_value),
+                        )
+                    )
 
     if run(column_suite):
         rng = SplitMix64(_mix(spec.seed, 0xC0111, n, d, trial_index))

@@ -139,19 +139,29 @@ def _place_action(images: tuple[int, ...]):
     return itemgetter(*(i - 1 for i in images))
 
 
-def _moved_sum(support: Mapping, terms, divisor: int) -> dict[tuple, Fraction]:
-    """The sum over the integer (images, c) terms of c * (the support moved by
-    the place action of images), divided by divisor: the support's values are
-    scaled to ints once, summed in int and divided once by the scale times
-    divisor.  Only the nonzero sums are returned."""
+def _moved_sums(support: Mapping, terms, slots: int) -> tuple[list[dict[tuple, int]], int]:
+    """Slot by slot, the sum over the integer (images, slot, c) terms of c *
+    (the support moved by the place action of images): the support's values
+    are scaled to ints once and summed in int.  Returns the slots' sums,
+    zeros included, and that scale."""
     values, scale = integer_scaled(list(support.values()))
     pairs = list(zip(support, values))
-    acc: dict[tuple, int] = {}
-    for images, c in terms:
+    sums: list[dict[tuple, int]] = [{} for _ in range(slots)]
+    for images, s, c in terms:
+        acc = sums[s]
         move = _place_action(images)
         for idx, val in pairs:
             moved = move(idx)
             acc[moved] = acc.get(moved, 0) + c * val
+    return sums, scale
+
+
+def _moved_sum(support: Mapping, terms, divisor: int) -> dict[tuple, Fraction]:
+    """The sum over the integer (images, c) terms of c * (the support moved by
+    the place action of images), divided by divisor: summed in one slot of
+    _moved_sums and divided once by the scale times divisor.  Only the
+    nonzero sums are returned."""
+    (acc,), scale = _moved_sums(support, ((images, 0, c) for images, c in terms), 1)
     scale *= divisor
     return {idx: Fraction(c, scale) for idx, c in acc.items() if c}
 

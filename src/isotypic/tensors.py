@@ -7,12 +7,19 @@ v_{sigma(n)}, and the general action is the linear extension (entry at
 index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
-`symgroup._place_action`, and `symmetrize` and `apply_algebra_element`
-add up the moved tensors in `symgroup._moved_sum`.  The n!-term sums
-walk `characters.character_terms`, which skips the permutations where
-the character vanishes.  Every sum runs in `int`: each row, tensor or
-coefficient list is scaled by the lcm of its denominators on the way
-in, and the exact result divided by those scales on the way out.
+`symgroup._place_action`, and the moved tensors are added up in
+`symgroup._moved_sums`.  The n!-term character sums take a list of
+shapes and walk `characters.character_walk` once for all of them: the
+brute route sums the moved pure tensor over each walked class
+(`symmetrized_sums`) and the gram route the products
+prod_i a[i][sigma(i)] (`matrix_function_sums`), and each shape is the
+combination of those class sums weighted by its character.  The two
+routes share only the walk.  `symmetrize` and
+`generalized_matrix_function` are their one-shape views, whose walk
+skips the classes where the character vanishes.  Every sum runs in
+`int`: each row, tensor or coefficient list is scaled by the lcm of its
+denominators on the way in, and the exact result divided by those
+scales on the way out.
 """
 
 from __future__ import annotations
@@ -20,13 +27,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .characters import character_terms
+from .characters import character_walk
 from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
 from .symgroup import GroupAlgebraElement, _normalize
-from .symgroup import _integer_terms, _moved_sum, _place_action
+from .symgroup import _integer_terms, _moved_sum, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
@@ -179,19 +186,46 @@ def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTens
     return SparseTensor(w.n, w.d, _moved_sum(w.entries, *_integer_terms(x)))
 
 
+def symmetrized_sums(
+    cfg: VectorConfiguration, shapes: Sequence[Partition]
+) -> tuple[list[dict[tuple[int, ...], int]], int]:
+    """The character projectors of the shapes applied to the pure tensor of
+    cfg, from one walk: for each shape its nonzero integer entries, and one
+    divisor common to all, so that entries / divisor is the shape's
+    symmetrized tensor.
+
+    Each walked class C gets its class sum T_C of the moved pure tensor, and
+    a shape's tensor is chi(1)/n! * sum over C of chi(C) * T_C.
+    """
+    for lam in shapes:
+        if lam.size != cfg.n:
+            raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    degrees, values, walk = character_walk(shapes)
+    class_sums, scale = _moved_sums(
+        decomposable(cfg).entries, ((images, s, 1) for images, s in walk), len(values[0])
+    )
+    out = []
+    for chi_1, row in zip(degrees, values):
+        total: dict[tuple[int, ...], int] = {}
+        for chi, sums in zip(row, class_sums):
+            if chi:
+                for idx, c in sums.items():
+                    total[idx] = total.get(idx, 0) + chi * c
+        out.append({idx: chi_1 * c for idx, c in total.items() if c})
+    return out, factorial(cfg.n) * scale
+
+
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     """Apply the character projector for lam to the pure tensor of cfg.
 
     Equals apply_algebra_element(decomposable(cfg), central_idempotent(lam));
-    computed directly from the character sum, skipping classes where the
-    character vanishes.
+    the one-shape view of symmetrized_sums, whose walk skips the classes
+    where the character vanishes.
     """
-    if lam.size != cfg.n:
-        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
-    chi_1, terms = character_terms(lam)
-    terms = ((images, chi_1 * chi) for images, chi in terms)
-    entries = _moved_sum(decomposable(cfg).entries, terms, factorial(cfg.n))
-    return SparseTensor(cfg.n, cfg.dim, entries)
+    (entries,), divisor = symmetrized_sums(cfg, [lam])
+    return SparseTensor(
+        cfg.n, cfg.dim, {idx: Fraction(c, divisor) for idx, c in entries.items()}
+    )
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
@@ -207,30 +241,46 @@ def gram_matrix(cfg: VectorConfiguration) -> Matrix:
     )
 
 
-def generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
-    """The character-weighted permanent-like sum over all permutations.
+def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[int], int]:
+    """The generalized matrix functions of the shapes at a square matrix, from
+    one walk: for each shape an integer, and one divisor common to all, so
+    that integer / divisor is the shape's value.
 
-    Specializes to the determinant for the single-column shape and the
-    permanent for the single-row shape.
+    Each walked class C gets its class sum P_C of prod_i a[i][sigma(i)], and
+    a shape's value is the sum over C of chi(C) * P_C.
     """
     n = a.nrows
     if a.ncols != n:
         raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
-    if lam.size != n:
-        raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
-    _, terms = character_terms(lam)
+    for lam in shapes:
+        if lam.size != n:
+            raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
+    _, values, walk = character_walk(shapes)
     # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
     # entry from every row; a leading 0 makes columns 1-based like images
     scaled = [integer_scaled(r) for r in a.rows]
     rows = [(0, *ints) for ints, _ in scaled]
-    total = 0
-    for images, term in terms:
+    class_sums = [0] * len(values[0])
+    for images, s in walk:
+        term = 1
         for r, img in zip(rows, images):
+            term *= r[img]
             if not term:
                 break
-            term *= r[img]
-        total += term
-    return Fraction(total, prod(scale for _, scale in scaled))
+        class_sums[s] += term
+    divisor = prod(scale for _, scale in scaled)
+    return [sum(chi * p for chi, p in zip(row, class_sums)) for row in values], divisor
+
+
+def generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
+    """The character-weighted permanent-like sum over all permutations.
+
+    Specializes to the determinant for the single-column shape and the
+    permanent for the single-row shape.  The one-shape view of
+    matrix_function_sums.
+    """
+    (total,), divisor = matrix_function_sums(a, [lam])
+    return Fraction(total, divisor)
 
 
 def operator_rank(x: GroupAlgebraElement, d: int) -> int:

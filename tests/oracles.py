@@ -6,6 +6,9 @@ elimination instead of fraction-free pivoting.  `reference_algebra_multiply`,
 `reference_generalized_matrix_function` and `reference_apply_algebra_element`
 are the library's earlier routes, kept as references: they sum `Fraction`
 values, where the library scales to integers, sums in `int` and divides once.
+`per_shape_symmetrize` and `per_shape_generalized_matrix_function` are
+the earlier one-shape-per-walk routes, walking `character_terms`, which
+the library's class sums shared by every shape are checked against.
 `reference_rank_partition` is the earlier matroid-partition route, which
 explores the whole exchange graph on every augmenting search, and
 `reference_gamas_condition` the earlier backtracking search for Gamas's
@@ -23,14 +26,16 @@ from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial, prod
 from typing import Optional
 
 import isotypic.characters as characters
 import isotypic.matroid as matroid_module
+from isotypic.linalg import Matrix, integer_scaled
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition
-from isotypic.symgroup import GroupAlgebraElement, Permutation, compose
-from isotypic.tensors import SparseTensor, VectorConfiguration
+from isotypic.symgroup import GroupAlgebraElement, Permutation, _moved_sum, compose
+from isotypic.tensors import SparseTensor, VectorConfiguration, decomposable
 
 
 def brute_partitions(n):
@@ -242,6 +247,57 @@ def reference_apply_algebra_element(w, x):
             moved = tuple(idx[i - 1] for i in sigma.images)
             total[moved] = total.get(moved, 0) + coeff * val
     return SparseTensor(w.n, w.d, total)
+
+
+def character_terms(lam):
+    """chi(1) and the (images, chi(sigma)) pairs with chi(sigma) != 0, in the
+    order of permutations_with_class: the one-shape walk of the per-shape
+    routes below."""
+    row = characters.character_table(lam.size).rows[lam]
+    pairs = characters.permutations_with_class(lam.size)
+    # class (1,...,1) is last in reverse-lex order
+    return row[-1], ((images, row[c]) for images, c in pairs if row[c])
+
+
+def per_shape_symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
+    """Apply the character projector for lam to the pure tensor of cfg.
+
+    Equals apply_algebra_element(decomposable(cfg), central_idempotent(lam));
+    computed directly from the character sum, skipping classes where the
+    character vanishes.
+    """
+    if lam.size != cfg.n:
+        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    chi_1, terms = character_terms(lam)
+    terms = ((images, chi_1 * chi) for images, chi in terms)
+    entries = _moved_sum(decomposable(cfg).entries, terms, factorial(cfg.n))
+    return SparseTensor(cfg.n, cfg.dim, entries)
+
+
+def per_shape_generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
+    """The character-weighted permanent-like sum over all permutations.
+
+    Specializes to the determinant for the single-column shape and the
+    permanent for the single-row shape.
+    """
+    n = a.nrows
+    if a.ncols != n:
+        raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
+    if lam.size != n:
+        raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
+    _, terms = character_terms(lam)
+    # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
+    # entry from every row; a leading 0 makes columns 1-based like images
+    scaled = [integer_scaled(r) for r in a.rows]
+    rows = [(0, *ints) for ints, _ in scaled]
+    total = 0
+    for images, term in terms:
+        for r, img in zip(rows, images):
+            if not term:
+                break
+            term *= r[img]
+        total += term
+    return Fraction(total, prod(scale for _, scale in scaled))
 
 
 def _reference_augment(matroid, classes, e):

@@ -8,7 +8,7 @@ import isotypic.characters as characters
 from isotypic.characters import (
     central_idempotent,
     character_table,
-    character_terms,
+    character_walk,
     character_value,
     class_size,
     permutations_with_class,
@@ -187,14 +187,33 @@ def test_permutations_with_class_order_and_cap():
         permutations_with_class(DEGREE_CAP + 1)
 
 
-def test_character_terms_is_the_nonzero_class_stream():
+def test_character_walk_is_the_class_slot_stream():
+    rng = random.Random(20)
     for n in range(1, 7):
+        table = character_table(n)
         pairs = permutations_with_class(n)
-        for lam in partitions_of(n):
-            row = character_table(n).rows[lam]
-            chi_1, terms = character_terms(lam)
-            assert chi_1 == syt_count(lam)
-            assert list(terms) == [(images, row[c]) for images, c in pairs if row[c]]
+        shapes = partitions_of(n)
+        lists = [[lam] for lam in shapes] + [shapes, shapes[::-1]]
+        lists += [rng.sample(shapes, rng.randint(1, len(shapes))) for _ in range(4)]
+        for listed in lists:
+            rows = [table.rows[lam] for lam in listed]
+            walked = [c for c in range(len(table.classes)) if any(row[c] for row in rows)]
+            degrees, values, walk = character_walk(listed)
+            assert degrees == tuple(syt_count(lam) for lam in listed)
+            assert values == tuple(tuple(row[c] for c in walked) for row in rows)
+            assert list(walk) == [
+                (images, walked.index(c)) for images, c in pairs if c in walked
+            ]
+        # one shape walks exactly the permutations where its character is nonzero
+        for lam in shapes:
+            _, (row,), walk = character_walk([lam])
+            assert all(row) and len(list(walk)) == sum(
+                size for size, chi in zip(table.class_sizes, table.rows[lam]) if chi
+            )
+    with pytest.raises(ValueError, match="at least one shape"):
+        character_walk([])
+    with pytest.raises(ValueError, match="different sizes"):
+        character_walk([P(2), P(1)])
 
 
 _PAST_CAP = DEGREE_CAP + 1

@@ -244,7 +244,7 @@ def _without(obj, key):
 
 # the form of a standalone suite's record, which replays without a trial
 _STANDALONE_RECORD = {
-    "suite": "character", "n": None, "d": None, "trial_index": None, "shape": None,
+    "suite": "character_orthogonality", "n": None, "d": None, "trial_index": None, "shape": None,
     "config": None, "expected": 0, "actual": 1,
 }
 
@@ -306,6 +306,14 @@ def _with_record(report, **fields):
             "unknown suite 'bogus' for a trial record",
         ),
         (lambda report: _with_record(report, shape=5), "shape must be a string or null, got 5"),
+        (
+            lambda report: dict(report, violations=[dict(_STANDALONE_RECORD, suite=["x"])]),
+            "violation #0: unknown suite ['x'] for a standalone record",
+        ),
+        (
+            lambda report: dict(report, violations=[dict(_STANDALONE_RECORD, suite=7)]),
+            "violation #0: unknown suite 7 for a standalone record",
+        ),
     ],
     ids=[
         "list", "no-spec", "no-violations", "spec-no-n_max", "spec-list",
@@ -313,7 +321,8 @@ def _with_record(report, **fields):
         "p_zero-bool", "violations-int", "violation-int", "violation-no-suite",
         "record-n-str", "record-n-above-n_max", "record-d-not-in-dims",
         "record-trial_index-negative", "record-trial_index-too-large", "record-suite-int",
-        "record-suite-bogus", "record-shape-int",
+        "record-suite-bogus", "record-shape-int", "standalone-suite-list",
+        "standalone-suite-int",
     ],
 )
 def test_malformed_report_is_usage_error(capsys, tmp_path, mangle, expected):

@@ -5,13 +5,18 @@ from collections import Counter
 import pytest
 
 import isotypic.selfcheck as selfcheck
-from isotypic.partitions import Partition
+import isotypic.tensors as tensors
+import oracles
+from isotypic.characters import character_table
+from isotypic.partitions import Partition, partitions_of
 from isotypic.selfcheck import (
     SplitMix64,
     TrialSpec,
+    check_trial,
     generate_configuration,
     run_verification,
 )
+from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
 from oracles import character_fault, engine_fault
 
 
@@ -256,3 +261,54 @@ def test_spec_json_round_trip():
             TrialSpec.from_json_obj({k: v for k, v in obj.items() if k != key})
     with pytest.raises(ValueError, match="missing: seed, n_max, dims"):
         TrialSpec.from_json_obj([obj])
+
+
+def _counted(pairs, counts):
+    counts.append(0)
+    for pair in pairs:
+        counts[-1] += 1
+        yield pair
+
+
+def test_one_walk_per_route_per_configuration(monkeypatch):
+    # the permutations each character sum walks: the library's class-slot
+    # walk, and the one-shape walk of the per-shape oracles
+    walk, terms = tensors.character_walk, oracles.character_terms
+    walked, per_shape = [], []
+
+    def counting_walk(shapes):
+        degrees, values, pairs = walk(shapes)
+        return degrees, values, _counted(pairs, walked)
+
+    def counting_terms(lam):
+        chi_1, pairs = terms(lam)
+        return chi_1, _counted(pairs, per_shape)
+
+    monkeypatch.setattr(tensors, "character_walk", counting_walk)
+    monkeypatch.setattr(oracles, "character_terms", counting_terms)
+    n, d = 5, 2
+    spec = TrialSpec(n_max=n, dims=(d,), trials_per_cell=1)
+    suites = {"four_decider_agreement", "gram_identity"}
+    assert check_trial(spec, n, d, 0, suites) == []
+    assert walked == [120, 120]  # n! for the brute route, then n! for gram
+
+    table = character_table(n)
+    nonzero = {
+        lam: sum(size for size, chi in zip(table.class_sizes, table.rows[lam]) if chi)
+        for lam in partitions_of(n)
+    }
+    cfg = generate_configuration(spec, n, d, 0)
+    gram = gram_matrix(cfg)
+    for lam in partitions_of(n):
+        oracles.per_shape_symmetrize(cfg, lam)
+        oracles.per_shape_generalized_matrix_function(gram, lam)
+    # the per-shape routes walk every shape's nonzero classes again
+    assert sum(per_shape) == 2 * sum(nonzero.values()) == 2 * 622
+
+    # one shape still walks only the classes where its character is nonzero
+    for lam in partitions_of(n):
+        walked.clear()
+        symmetrize(cfg, lam)
+        generalized_matrix_function(gram, lam)
+        assert walked == [nonzero[lam]] * 2
+    assert min(nonzero.values()) < 120

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import isotypic.cli  # noqa: F401  (imports every library module the tracer wraps)
+import isotypic.tensors
+from isotypic.partitions import Partition
 
 REPO = Path(__file__).resolve().parents[1]
 SOURCE_DIR = REPO / "src" / "isotypic"
@@ -34,8 +36,16 @@ def test_benchmark_hooks_resolve():
         spec.loader.exec_module(tracing)
     finally:
         sys.dont_write_bytecode = write_bytecode
-    missing, undo = tracing.install(tracing.Tracer())
+    tracer = tracing.Tracer()
+    missing, undo = tracing.install(tracer)
     try:
         assert missing == []
+        # the after-hook on symmetrize reads its arguments as (cfg, lam): the
+        # character of (2, 1) is nonzero on 3 permutations of degree 3, and
+        # the pure tensor has 1 * 2 * 1 nonzero entries
+        cfg = isotypic.tensors.VectorConfiguration(2, [[1, 0], [1, 1], [0, 1]])
+        assert not isotypic.tensors.symmetrize(cfg, Partition([2, 1])).is_zero()
+        assert tracer.calls["tensors.symmetrize"] == 1
+        assert tracer.counts["tensors.symmetrize.terms"] == 3 * 2
     finally:
         tracing.uninstall(undo)

@@ -13,6 +13,7 @@ from isotypic.symgroup import (
     Permutation,
     Tableau,
     _moved_sum,
+    _moved_sums,
     algebra_multiply,
     column_antisymmetrizer,
     compose,
@@ -272,3 +273,12 @@ def test_moved_sum_returns_only_nonzero_sums():
     assert _moved_sum(
         {(1, 2): Fraction(1, 2), (1, 1): Fraction(2, 3)}, [(identity, 1), (swap, -1)], 2
     ) == {(1, 2): Fraction(1, 4), (2, 1): Fraction(-1, 4)}
+
+
+def test_moved_sums_keep_slots_apart():
+    identity, swap = (1, 2), (2, 1)
+    support = {(1, 2): Fraction(1, 2), (1, 1): Fraction(2, 3)}
+    # the scale is 6; each slot sums only its own terms, zeros included
+    sums, scale = _moved_sums(support, [(identity, 0, 1), (swap, 1, 1), (swap, 0, -1)], 3)
+    assert scale == 6
+    assert sums == [{(1, 2): 3, (1, 1): 0, (2, 1): -3}, {(2, 1): 3, (1, 1): 4}, {}]

@@ -25,13 +25,17 @@ from isotypic.tensors import (
     decomposable,
     generalized_matrix_function,
     gram_matrix,
+    matrix_function_sums,
     nonzero_after_symmetrize,
     operator_rank,
     symmetrize,
+    symmetrized_sums,
 )
 from oracles import (
     all_permutations,
     brute_determinant,
+    per_shape_generalized_matrix_function,
+    per_shape_symmetrize,
     permuted,
     reference_apply_algebra_element,
     reference_generalized_matrix_function,
@@ -541,3 +545,60 @@ def test_character_sum_skips_vanishing_classes_consistently():
                     naive = naive + chi * decomposable(permuted(configuration, sigma))
             naive = Fraction(syt_count(lam), factorial(n)) * naive
             assert symmetrize(configuration, lam) == naive
+
+
+def degenerate_config(rng, n, d):
+    """Rational vectors with zero vectors, repeats and rational multiples of
+    earlier vectors mixed in."""
+    vectors = []
+    for i in range(n):
+        u = rng.random()
+        if u < 0.1:
+            vectors.append([0] * d)
+        elif i and u < 0.4:
+            vectors.append(vectors[rng.randrange(i)])
+        elif i and u < 0.7:
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            vectors.append([c * e for e in vectors[rng.randrange(i)]])
+        else:
+            vectors.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)])
+    return VectorConfiguration(d, vectors)
+
+
+def test_class_sums_match_per_shape_oracles():
+    # one walk for every shape gives each shape's tensor and d_lam exactly
+    # as the one-walk-per-shape routes did
+    rng = random.Random(41)
+    for n in range(1, 7):
+        shapes = partitions_of(n)
+        for d in range(1, 4):
+            for _ in range(4 if n < 6 else 1):
+                configuration = degenerate_config(rng, n, d)
+                gram = gram_matrix(configuration)
+                matrices = [gram, Matrix(random_rational_rows(rng, n))]
+                tensors, divisor = symmetrized_sums(configuration, shapes)
+                for lam, entries in zip(shapes, tensors):
+                    expected = per_shape_symmetrize(configuration, lam)
+                    assert all(entries.values())
+                    assert {idx: Fraction(c, divisor) for idx, c in entries.items()} == (
+                        expected.entries
+                    )
+                    assert symmetrize(configuration, lam) == expected
+                for m in matrices:
+                    values, value_divisor = matrix_function_sums(m, shapes)
+                    for lam, value in zip(shapes, values):
+                        expected = per_shape_generalized_matrix_function(m, lam)
+                        assert Fraction(value, value_divisor) == expected
+                        assert generalized_matrix_function(m, lam) == expected
+    # each listed shape in any order and number gets its own result
+    configuration = degenerate_config(random.Random(3), 4, 2)
+    listed = [P(2, 1, 1), P(4), P(2, 1, 1)]
+    tensors, divisor = symmetrized_sums(configuration, listed)
+    for lam, entries in zip(listed, tensors):
+        assert SparseTensor(4, 2, {i: Fraction(c, divisor) for i, c in entries.items()}) == (
+            per_shape_symmetrize(configuration, lam)
+        )
+    with pytest.raises(ValueError, match="does not match"):
+        symmetrized_sums(configuration, [P(4), P(3)])
+    with pytest.raises(ValueError, match="does not match"):
+        matrix_function_sums(identity_matrix(3), [P(3), P(2)])
