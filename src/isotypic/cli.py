@@ -143,7 +143,10 @@ def _cmd_gmf(args) -> int:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in text.split(","))
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {text!r}") from None
 
 
 def _cmd_selfcheck(args) -> int:

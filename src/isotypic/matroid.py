@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .linalg import _int_rank, integer_scaled, is_independent
+from .linalg import _int_rank, is_independent
 from .partitions import Partition
 from .tensors import VectorConfiguration
 
@@ -48,13 +48,13 @@ ORACLE_SIZE_CAP = 14
 class LinearMatroid:
     """Exact rank oracle over index subsets of a vector configuration.
 
-    Ranks are cached per frozenset; vectors are scaled to integer form
-    once, so subset ranks run in pure integer arithmetic.
+    Ranks are cached per frozenset and run on the configuration's integer
+    rows, in pure integer arithmetic.
     """
 
     def __init__(self, cfg: VectorConfiguration):
         self.n = cfg.n
-        self._rows = {i + 1: integer_scaled(v)[0] for i, v in enumerate(cfg.vectors)}
+        self._rows = dict(enumerate(cfg.rows, 1))
         self.zero_indices = frozenset(
             i for i, row in self._rows.items() if not any(row)
         )

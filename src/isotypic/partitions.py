@@ -32,7 +32,11 @@ class Partition:
         text = text.strip()
         if not text:
             return cls(())
-        return cls(int(p) for p in text.split(","))
+        try:
+            parts = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise ValueError(f"a shape is comma-separated integers, got {text!r}") from None
+        return cls(parts)
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self.parts)

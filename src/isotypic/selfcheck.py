@@ -294,6 +294,8 @@ def check_trial(
     oracle_suite, agreement_suite, gram_suite, column_suite, twist_suite = TRIAL_SUITES
     run = lambda name: suites is None or name in suites
     out: list[dict] = []
+    # the pure tensor, built once for every suite that symmetrizes it
+    w = decomposable(cfg) if suites is None or suites - {oracle_suite} else None
 
     rho = rank_partition(cfg)
     if run(oracle_suite):
@@ -325,7 +327,7 @@ def check_trial(
         # one walk per route serves every shape; the tensors and values come
         # as integers over one divisor per route
         shapes = partitions_of(n)
-        symmetrized, tensor_divisor = symmetrized_sums(cfg, shapes)
+        symmetrized, tensor_divisor = symmetrized_sums(w, shapes)
         values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
         for lam, entries, value in zip(shapes, symmetrized, values):
             gmf_value = Fraction(value, value_divisor)
@@ -379,7 +381,6 @@ def check_trial(
             rows.append(entries[at : at + part])
             at += part
         tableau = Tableau(rows)
-        w = decomposable(cfg)
         symmetrized_nonzero = not apply_algebra_element(
             w, column_antisymmetrizer(tableau)
         ).is_zero()
@@ -398,16 +399,14 @@ def check_trial(
             )
 
     if run(twist_suite) and n >= d and is_independent(cfg.vectors[:d]):
-        w = decomposable(cfg)
         b_first = subset_antisymmetrizer(n, range(1, d + 1))
         wedge = apply_algebra_element(w, b_first)
         rest = VectorConfiguration(d, cfg.vectors[d:])
-        for lam in partitions_of(n):
-            if len(lam) != d:
-                continue
-            lhs = not apply_algebra_element(
-                wedge, central_idempotent(lam)
-            ).is_zero()
+        # one walk applies the central idempotent of every shape with d rows
+        shapes = [lam for lam in partitions_of(n) if len(lam) == d]
+        symmetrized, _ = symmetrized_sums(wedge, shapes)
+        for lam, entries in zip(shapes, symmetrized):
+            lhs = bool(entries)
             reduced = lam.remove_first_column()
             rhs = (
                 True

@@ -224,18 +224,8 @@ class GroupAlgebraElement:
     def one(cls, n: int) -> "GroupAlgebraElement":
         return cls(n, {Permutation.identity(n): 1})
 
-    @classmethod
-    def of(cls, perm: Permutation, coeff=1) -> "GroupAlgebraElement":
-        return cls(perm.n, {perm: Fraction(coeff)})
-
-    def coefficient(self, perm: Permutation) -> Fraction:
-        return Fraction(self.terms.get(perm, 0))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
@@ -243,15 +233,6 @@ class GroupAlgebraElement:
         for perm, coeff in other.terms.items():
             total[perm] = total.get(perm, 0) + coeff
         return GroupAlgebraElement(self.n, total)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GroupAlgebraElement":
-        scalar = Fraction(scalar)
-        return GroupAlgebraElement(
-            self.n, {perm: scalar * coeff for perm, coeff in self.terms.items()}
-        )
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return algebra_multiply(self, other)

@@ -9,17 +9,22 @@ index tuple t moves to the tuple k -> t[sigma(k)]).
 Every function that moves index tuples under sigma gets the move from
 `symgroup._place_action`, and the moved tensors are added up in
 `symgroup._moved_sums`.  The n!-term character sums take a list of
-shapes and walk `characters.character_walk` once for all of them: the
-brute route sums the moved pure tensor over each walked class
-(`symmetrized_sums`) and the gram route the products
-prod_i a[i][sigma(i)] (`matrix_function_sums`), and each shape is the
-combination of those class sums weighted by its character.  The two
-routes share only the walk.  `symmetrize` and
-`generalized_matrix_function` are their one-shape views, whose walk
-skips the classes where the character vanishes.  Every sum runs in
-`int`: each row, tensor or coefficient list is scaled by the lcm of its
-denominators on the way in, and the exact result divided by those
-scales on the way out.
+shapes and walk `characters.character_walk` once for all of them:
+`symmetrized_sums(w, shapes)` sums the moved tensor w over each walked
+class and `matrix_function_sums(a, shapes)` the products
+prod_i a[i][sigma(i)], and each shape is the combination of those class
+sums weighted by its character.  The two share only the walk.
+`symmetrize` (on the pure tensor) and `generalized_matrix_function` are
+their one-shape views, whose walk skips the classes where the character
+vanishes.
+
+A configuration becomes integers in one place, `VectorConfiguration`:
+its `rows` are the vectors scaled by the lcm of their denominators, its
+`scales`.  `decomposable` multiplies the rows and `gram_matrix` takes
+their dot products, each dividing once by the scales.  Every sum runs in
+`int`: each tensor or matrix row is scaled by the lcm of its
+denominators on the way in, and the exact result divided by that scale
+on the way out.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
-from .characters import character_walk
+from .characters import character_table, character_walk
 from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
 from .partitions import Partition
 from .symgroup import GroupAlgebraElement, _normalize
@@ -40,9 +45,13 @@ OPERATOR_DIMENSION_CAP = 4096
 
 
 class VectorConfiguration:
-    """An ordered list of vectors in Q^dim; zero vectors are permitted."""
+    """An ordered list of vectors in Q^dim; zero vectors are permitted.
 
-    __slots__ = ("dim", "vectors")
+    The one place where a configuration becomes integers: `rows[i]` is
+    vectors[i] times `scales[i]`, the lcm of its entries' denominators.
+    """
+
+    __slots__ = ("dim", "vectors", "_rows", "_scales")
 
     def __init__(self, dim: int, vectors: Iterable[Iterable]):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
@@ -52,10 +61,21 @@ class VectorConfiguration:
         for v in self.vectors:
             if len(v) != self.dim:
                 raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
+        scaled = [integer_scaled(v) for v in self.vectors]
+        self._rows = tuple(tuple(row) for row, _ in scaled)
+        self._scales = tuple(scale for _, scale in scaled)
 
     @property
     def n(self) -> int:
         return len(self.vectors)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self._rows
+
+    @property
+    def scales(self) -> tuple[int, ...]:
+        return self._scales
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,10 +121,6 @@ class SparseTensor:
                 pruned[idx] = val
         self.entries = pruned
 
-    @classmethod
-    def zero(cls, n: int, d: int) -> "SparseTensor":
-        return cls(n, d, {})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -121,38 +137,6 @@ class SparseTensor:
     def __repr__(self):
         return f"SparseTensor(n={self.n}, d={self.d}, {len(self.entries)} entries)"
 
-    def _check(self, other: "SparseTensor") -> None:
-        if (self.n, self.d) != (other.n, other.d):
-            raise ValueError(
-                f"tensor mismatch: ({self.n},{self.d}) vs ({other.n},{other.d})"
-            )
-
-    def __add__(self, other: "SparseTensor") -> "SparseTensor":
-        self._check(other)
-        total = dict(self.entries)
-        for idx, val in other.entries.items():
-            total[idx] = total.get(idx, 0) + val
-        return SparseTensor(self.n, self.d, total)
-
-    def __sub__(self, other: "SparseTensor") -> "SparseTensor":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "SparseTensor":
-        scalar = Fraction(scalar)
-        return SparseTensor(
-            self.n, self.d, {idx: scalar * val for idx, val in self.entries.items()}
-        )
-
-    def inner(self, other: "SparseTensor") -> Fraction:
-        """Standard dot product extended multiplicatively to tensors."""
-        self._check(other)
-        small, large = self.entries, other.entries
-        if len(small) > len(large):
-            small, large = large, small
-        return Fraction(
-            sum(val * large[idx] for idx, val in small.items() if idx in large)
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -165,18 +149,24 @@ class SparseTensor:
 
 
 def decomposable(cfg: VectorConfiguration) -> SparseTensor:
-    """The pure tensor of the configuration; zero iff some vector is zero."""
+    """The pure tensor of the configuration; zero iff some vector is zero.
+
+    Its entries are products of the integer rows, each divided once by the
+    product of the scales."""
     if cfg.n < 1:
         raise ValueError("need at least one vector")
-    entries: dict[tuple[int, ...], Fraction | int] = {(): 1}
-    for v in cfg.vectors:
-        support = [(i + 1, _normalize(c)) for i, c in enumerate(v) if c]
+    entries: dict[tuple[int, ...], int] = {(): 1}
+    for row in cfg.rows:
+        support = [(i + 1, c) for i, c in enumerate(row) if c]
         if not support:
-            return SparseTensor.zero(cfg.n, cfg.dim)
+            return SparseTensor(cfg.n, cfg.dim)
         entries = {
             idx + (i,): val * c for idx, val in entries.items() for i, c in support
         }
-    return SparseTensor(cfg.n, cfg.dim, entries)
+    scale = prod(cfg.scales)
+    return SparseTensor(
+        cfg.n, cfg.dim, {idx: Fraction(c, scale) for idx, c in entries.items()}
+    )
 
 
 def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
@@ -187,22 +177,22 @@ def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTens
 
 
 def symmetrized_sums(
-    cfg: VectorConfiguration, shapes: Sequence[Partition]
+    w: SparseTensor, shapes: Sequence[Partition]
 ) -> tuple[list[dict[tuple[int, ...], int]], int]:
-    """The character projectors of the shapes applied to the pure tensor of
-    cfg, from one walk: for each shape its nonzero integer entries, and one
-    divisor common to all, so that entries / divisor is the shape's
-    symmetrized tensor.
+    """The central idempotents of the shapes applied to w, from one walk: for
+    each shape its nonzero integer entries, and one divisor common to all,
+    so that entries / divisor is apply_algebra_element(w,
+    central_idempotent(shape)).
 
-    Each walked class C gets its class sum T_C of the moved pure tensor, and
-    a shape's tensor is chi(1)/n! * sum over C of chi(C) * T_C.
+    Each walked class C gets its class sum T_C of the moved tensor, and a
+    shape's tensor is chi(1)/n! * sum over C of chi(C) * T_C.
     """
     for lam in shapes:
-        if lam.size != cfg.n:
-            raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+        if lam.size != w.n:
+            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
     degrees, values, walk = character_walk(shapes)
     class_sums, scale = _moved_sums(
-        decomposable(cfg).entries, ((images, s, 1) for images, s in walk), len(values[0])
+        w.entries, ((images, s, 1) for images, s in walk), len(values[0])
     )
     out = []
     for chi_1, row in zip(degrees, values):
@@ -212,7 +202,7 @@ def symmetrized_sums(
                 for idx, c in sums.items():
                     total[idx] = total.get(idx, 0) + chi * c
         out.append({idx: chi_1 * c for idx, c in total.items() if c})
-    return out, factorial(cfg.n) * scale
+    return out, factorial(w.n) * scale
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -222,7 +212,12 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     the one-shape view of symmetrized_sums, whose walk skips the classes
     where the character vanishes.
     """
-    (entries,), divisor = symmetrized_sums(cfg, [lam])
+    if lam.size != cfg.n:
+        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    # the degree is checked (1..DEGREE_CAP) before the d^n-entry pure tensor
+    # is built
+    character_table(cfg.n)
+    (entries,), divisor = symmetrized_sums(decomposable(cfg), [lam])
     return SparseTensor(
         cfg.n, cfg.dim, {idx: Fraction(c, divisor) for idx, c in entries.items()}
     )
@@ -234,10 +229,17 @@ def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
 
 
 def gram_matrix(cfg: VectorConfiguration) -> Matrix:
-    """Pairwise dot products; symmetric positive semidefinite."""
-    vs = cfg.vectors
+    """Pairwise dot products; symmetric positive semidefinite.  Each is an
+    int dot product of the integer rows, divided by the two rows' scales."""
+    rows, scales = cfg.rows, cfg.scales
     return Matrix(
-        [[sum(a * b for a, b in zip(vs[i], vs[j])) for j in range(cfg.n)] for i in range(cfg.n)]
+        [
+            [
+                Fraction(sum(a * b for a, b in zip(rows[i], rows[j])), scales[i] * scales[j])
+                for j in range(cfg.n)
+            ]
+            for i in range(cfg.n)
+        ]
     )
 
 

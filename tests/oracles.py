@@ -17,6 +17,8 @@ certificate, which the library now gets from the same engine.
 `all_permutations` is the order reference for the library's permutation
 stream, and `permuted` reorders vector lists without the place-action
 kernel, the independent route the action tests compare against.
+`tensor_sum` and `tensor_inner` are the linear combinations and the dot
+product of tensors, which the library no longer offers.
 `character_fault` and `engine_fault` are the deliberate breakages: they
 flip a character value, or take the exchanges out of the matroid-partition
 engine, so tests can see the harness notice.
@@ -153,6 +155,20 @@ def permuted(cfg, sigma):
     if sigma.n != cfg.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {cfg.n}")
     return VectorConfiguration(cfg.dim, (cfg.vectors[j - 1] for j in sigma.images))
+
+
+def tensor_sum(n, d, terms):
+    """The tensor sum of c * t over the (c, t) pairs, entry by entry."""
+    total = {}
+    for c, t in terms:
+        for idx, val in t.entries.items():
+            total[idx] = total.get(idx, 0) + c * val
+    return SparseTensor(n, d, total)
+
+
+def tensor_inner(a, b):
+    """The standard dot product extended multiplicatively to tensors."""
+    return Fraction(sum(val * b.entries.get(idx, 0) for idx, val in a.entries.items()))
 
 
 def fraction_rank(rows):

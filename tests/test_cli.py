@@ -164,6 +164,25 @@ def test_malformed_json_input_is_usage_error(capsys, tmp_path, option, obj, expe
         assert expected in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("selfcheck", "--dims", ""), "--dims must be comma-separated integers, got ''"),
+        (("selfcheck", "--dims", "1,,2"), "--dims must be comma-separated integers, got '1,,2'"),
+        (("decide", "--shape", "a"), "a shape is comma-separated integers, got 'a'"),
+        (("symmetrize", "--shape", "2,x"), "a shape is comma-separated integers, got '2,x'"),
+        (("gmf", "--shape", "1.5"), "a shape is comma-separated integers, got '1.5'"),
+    ],
+    ids=["dims-empty", "dims-empty-item", "decide-shape", "symmetrize-shape", "gmf-shape"],
+)
+def test_malformed_argument_is_usage_error(capsys, config_file, argv, expected):
+    if argv[0] != "selfcheck":
+        argv += ("--config", config_file)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {expected}\n"
+
+
 def test_selfcheck_rejects_nonpositive_jobs(capsys):
     code, _, err = run_cli(capsys, "selfcheck", "--n-max", "1", "--jobs", "0")
     assert code == 2

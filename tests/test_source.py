@@ -49,3 +49,32 @@ def test_benchmark_hooks_resolve():
         assert tracer.counts["tensors.symmetrize.terms"] == 3 * 2
     finally:
         tracing.uninstall(undo)
+
+
+def test_integer_scaled_has_one_home_per_input():
+    # a configuration becomes integers only in VectorConfiguration; the
+    # other callers scale what no configuration holds: rows for the rank,
+    # a tensor's entries, an element's coefficients and a matrix's rows
+    homes = {
+        "linalg.rank_of_rows",
+        "tensors.VectorConfiguration.__init__",
+        "symgroup._moved_sums",
+        "symgroup._integer_terms",
+        "tensors.matrix_function_sums",
+    }
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "integer_scaled":
+                    callers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
+    assert callers == homes

@@ -132,7 +132,7 @@ def test_algebra_identity_element():
 
 def test_algebra_antisymmetrizer_square():
     x = GroupAlgebraElement(2, {Permutation.identity(2): 1, cyc(2, (1, 2)): -1})
-    assert x * x == 2 * x
+    assert x * x == x + x
 
 
 def test_paper_column_antisymmetrizer():
@@ -142,17 +142,17 @@ def test_paper_column_antisymmetrizer():
     right = GroupAlgebraElement(5, {Permutation.identity(5): 1, cyc(5, (3, 5)): -1})
     b = column_antisymmetrizer(tableau)
     assert b == left * right
-    assert len(b) == 4
-    assert b.coefficient(Permutation.identity(5)) == 1
-    assert b.coefficient(cyc(5, (1, 2))) == -1
-    assert b.coefficient(cyc(5, (3, 5))) == -1
-    assert b.coefficient(cyc(5, (1, 2), (3, 5))) == 1
+    assert len(b.terms) == 4
+    assert b.terms.get(Permutation.identity(5), 0) == 1
+    assert b.terms.get(cyc(5, (1, 2)), 0) == -1
+    assert b.terms.get(cyc(5, (3, 5)), 0) == -1
+    assert b.terms.get(cyc(5, (1, 2), (3, 5)), 0) == 1
 
 
 def test_paper_row_symmetrizer():
     tableau = Tableau([[2, 3, 4], [1, 5]])
     a = row_symmetrizer(tableau)
-    assert len(a) == 12
+    assert len(a.terms) == 12
     assert all(coeff == 1 for coeff in a.terms.values())
     top = GroupAlgebraElement(
         5,
@@ -172,10 +172,10 @@ def test_paper_row_symmetrizer():
 def test_symmetrizer_extremes():
     single_column = Tableau([[1], [2], [3]])
     assert row_symmetrizer(single_column) == GroupAlgebraElement.one(3)
-    assert len(column_antisymmetrizer(single_column)) == 6
+    assert len(column_antisymmetrizer(single_column).terms) == 6
     single_row = Tableau([[1, 2, 3]])
     assert column_antisymmetrizer(single_row) == GroupAlgebraElement.one(3)
-    assert len(row_symmetrizer(single_row)) == 6
+    assert len(row_symmetrizer(single_row).terms) == 6
     pair_column = Tableau([[1], [2]])
     assert column_antisymmetrizer(pair_column) == GroupAlgebraElement(
         2, {Permutation.identity(2): 1, cyc(2, (1, 2)): -1}
@@ -207,10 +207,10 @@ def test_symmetrizer_term_counts_and_quasi_idempotence():
         cols_order = 1
         for part in tableau.shape.conjugate():
             cols_order *= factorial(part)
-        assert len(a) == rows_order
-        assert len(b) == cols_order
-        assert a * a == rows_order * a
-        assert b * b == cols_order * b
+        assert len(a.terms) == rows_order
+        assert len(b.terms) == cols_order
+        assert a * a == GroupAlgebraElement(n, {p: rows_order * c for p, c in a.terms.items()})
+        assert b * b == GroupAlgebraElement(n, {p: cols_order * c for p, c in b.terms.items()})
 
 
 def test_subset_antisymmetrizer():
@@ -253,7 +253,7 @@ def test_algebra_multiply_matches_reference_on_rationals():
     half = GroupAlgebraElement(1, {Permutation([1]): Fraction(1, 2)})
     third = GroupAlgebraElement(1, {Permutation([1]): Fraction(-1, 3)})
     assert algebra_multiply(half, third) == reference_algebra_multiply(half, third)
-    assert algebra_multiply(half, third).coefficient(Permutation([1])) == Fraction(-1, 6)
+    assert algebra_multiply(half, third).terms.get(Permutation([1]), 0) == Fraction(-1, 6)
 
 
 def test_idempotent_products_match_reference():

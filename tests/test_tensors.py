@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
+import isotypic.tensors as tensors
 from isotypic.characters import central_idempotent, character_table
 from isotypic.linalg import Matrix, is_independent
 from isotypic.partitions import Partition, partitions_of, syt_count, weyl_dimension
@@ -39,6 +40,8 @@ from oracles import (
     permuted,
     reference_apply_algebra_element,
     reference_generalized_matrix_function,
+    tensor_inner,
+    tensor_sum,
 )
 
 E1 = (1, 0)
@@ -59,7 +62,7 @@ def identity_matrix(n):
 
 def act(w, sigma):
     """The place action of one permutation, through the library's only route."""
-    return apply_algebra_element(w, GroupAlgebraElement.of(sigma))
+    return apply_algebra_element(w, GroupAlgebraElement(sigma.n, {sigma: 1}))
 
 
 def random_vector(rng, d, lo=-3, hi=3):
@@ -170,7 +173,9 @@ def test_paper_wedge_identity():
     rest = [random_vector(rng, 2) for _ in range(3)]
     full = cfg(2, v1, v2, *rest)
     lhs = apply_algebra_element(decomposable(full), subset_antisymmetrizer(5, [1, 2]))
-    rhs = decomposable(cfg(2, v1, v2, *rest)) - decomposable(cfg(2, v2, v1, *rest))
+    rhs = tensor_sum(
+        5, 2, [(1, decomposable(cfg(2, v1, v2, *rest))), (-1, decomposable(cfg(2, v2, v1, *rest)))]
+    )
     assert lhs == rhs
 
 
@@ -190,8 +195,9 @@ def test_module_map_compatibility():
 def test_symmetrize_degree_two():
     v, w = (Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3))
     sym = symmetrize(cfg(2, v, w), P(2))
-    expected = Fraction(1, 2) * (
-        decomposable(cfg(2, v, w)) + decomposable(cfg(2, w, v))
+    half = Fraction(1, 2)
+    expected = tensor_sum(
+        2, 2, [(half, decomposable(cfg(2, v, w))), (half, decomposable(cfg(2, w, v)))]
     )
     assert sym == expected
     assert symmetrize(cfg(2, v, v), P(1, 1)).is_zero()
@@ -267,9 +273,9 @@ def test_apply_algebra_element_matches_reference_on_rationals():
     # the zero tensor and the zero element
     rational = SparseTensor(3, 2, {(1, 2, 1): Fraction(2, 3), (2, 2, 1): Fraction(-1, 5)})
     cases += [
-        (SparseTensor.zero(3, 2), central_idempotent(P(2, 1))),
+        (SparseTensor(3, 2), central_idempotent(P(2, 1))),
         (rational, GroupAlgebraElement(3)),
-        (SparseTensor.zero(3, 2), GroupAlgebraElement(3)),
+        (SparseTensor(3, 2), GroupAlgebraElement(3)),
     ]
     for w, x in cases:
         assert apply_algebra_element(w, x) == reference_apply_algebra_element(w, x)
@@ -321,9 +327,9 @@ def test_isotypic_completeness():
     for _ in range(20):
         n, d = rng.randint(1, 5), rng.randint(1, 3)
         w = random_tensor(rng, n, d)
-        total = SparseTensor.zero(n, d)
-        for lam in partitions_of(n):
-            total = total + apply_algebra_element(w, central_idempotent(lam))
+        total = tensor_sum(
+            n, d, [(1, apply_algebra_element(w, central_idempotent(lam))) for lam in partitions_of(n)]
+        )
         assert total == w
 
 
@@ -399,7 +405,7 @@ def test_gram_identity_randomized():
         for lam in partitions_of(n):
             value = generalized_matrix_function(gram, lam)
             sym = symmetrize(configuration, lam)
-            assert sym.inner(sym) == Fraction(syt_count(lam), factorial(n)) * value
+            assert tensor_inner(sym, sym) == Fraction(syt_count(lam), factorial(n)) * value
             assert value >= 0
 
 
@@ -538,12 +544,12 @@ def test_character_sum_skips_vanishing_classes_consistently():
         configuration = random_config(rng, n, d)
         table = character_table(n)
         for lam in partitions_of(n):
-            naive = SparseTensor.zero(n, d)
+            scale, terms = Fraction(syt_count(lam), factorial(n)), []
             for sigma in all_permutations(n):
                 chi = table.rows[lam][table.classes.index(sigma.cycle_type())]
                 if chi:
-                    naive = naive + chi * decomposable(permuted(configuration, sigma))
-            naive = Fraction(syt_count(lam), factorial(n)) * naive
+                    terms.append((scale * chi, decomposable(permuted(configuration, sigma))))
+            naive = tensor_sum(n, d, terms)
             assert symmetrize(configuration, lam) == naive
 
 
@@ -576,7 +582,7 @@ def test_class_sums_match_per_shape_oracles():
                 configuration = degenerate_config(rng, n, d)
                 gram = gram_matrix(configuration)
                 matrices = [gram, Matrix(random_rational_rows(rng, n))]
-                tensors, divisor = symmetrized_sums(configuration, shapes)
+                tensors, divisor = symmetrized_sums(decomposable(configuration), shapes)
                 for lam, entries in zip(shapes, tensors):
                     expected = per_shape_symmetrize(configuration, lam)
                     assert all(entries.values())
@@ -593,12 +599,62 @@ def test_class_sums_match_per_shape_oracles():
     # each listed shape in any order and number gets its own result
     configuration = degenerate_config(random.Random(3), 4, 2)
     listed = [P(2, 1, 1), P(4), P(2, 1, 1)]
-    tensors, divisor = symmetrized_sums(configuration, listed)
+    tensors, divisor = symmetrized_sums(decomposable(configuration), listed)
     for lam, entries in zip(listed, tensors):
         assert SparseTensor(4, 2, {i: Fraction(c, divisor) for i, c in entries.items()}) == (
             per_shape_symmetrize(configuration, lam)
         )
     with pytest.raises(ValueError, match="does not match"):
-        symmetrized_sums(configuration, [P(4), P(3)])
+        symmetrized_sums(decomposable(configuration), [P(4), P(3)])
     with pytest.raises(ValueError, match="does not match"):
         matrix_function_sums(identity_matrix(3), [P(3), P(2)])
+
+
+def test_configuration_rows_are_the_vectors_over_their_scales():
+    rng = random.Random(42)
+    for _ in range(60):
+        n, d = rng.randint(1, 6), rng.randint(0, 3)
+        configuration = degenerate_config(rng, n, d)
+        rows, scales = configuration.rows, configuration.scales
+        assert len(rows) == len(scales) == n
+        for row, scale, vector in zip(rows, scales, configuration.vectors):
+            assert all(isinstance(c, int) for c in row)
+            assert scale == lcm(*(e.denominator for e in vector))
+            assert [Fraction(c, scale) for c in row] == list(vector)
+
+
+def test_symmetrized_sums_match_idempotent_application():
+    # the twist suite's one walk over many shapes gives each shape what
+    # applying its central idempotent on its own gives, on tensors that are
+    # not pure
+    rng = random.Random(43)
+    for n in range(1, 6):
+        shapes = partitions_of(n)
+        for d in range(1, 4):
+            configuration = degenerate_config(rng, n, d)
+            pure = decomposable(configuration)
+            wedge = apply_algebra_element(
+                pure, subset_antisymmetrizer(n, range(1, min(n, d) + 1))
+            )
+            for w in (random_tensor(rng, n, d, terms=6), wedge, SparseTensor(n, d)):
+                sums, divisor = symmetrized_sums(w, shapes)
+                for lam, entries in zip(shapes, sums):
+                    assert {idx: Fraction(c, divisor) for idx, c in entries.items()} == (
+                        apply_algebra_element(w, central_idempotent(lam)).entries
+                    )
+    with pytest.raises(ValueError, match="does not match degree 3"):
+        symmetrized_sums(SparseTensor(3, 2), [P(2)])
+
+
+def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypatch):
+    def no_tensor(cfg):
+        raise AssertionError("the pure tensor was built before the checks")
+
+    monkeypatch.setattr(tensors, "decomposable", no_tensor)
+    wide = VectorConfiguration(40, [[1] * 40] * 11)  # 40^11 entries if built
+    with pytest.raises(ValueError, match="shape size 10 does not match 11 vectors"):
+        symmetrize(wide, P(10))
+    with pytest.raises(ValueError, match="degree 11 exceeds cap"):
+        symmetrize(wide, P(11))
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        symmetrize(VectorConfiguration(2, []), P())
