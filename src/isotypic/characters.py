@@ -12,6 +12,13 @@ permutations for a list of shapes: it numbers the classes where some
 listed shape's character is nonzero by slot and yields each permutation
 of those classes with its class slot, so a caller sums each class once
 and weights the class sums by every shape's character.
+
+The walk reads the permutations from `permutations_with_class`, which
+checks the degree cap when called and pairs `itertools.permutations`
+with the class of each permutation.  The classes are not found by
+walking cycles: `_lexicographic_classes` builds them by a memoized
+recursion over prefix states (closed cycle lengths and open chains), and
+only that sequence, n! bytes, is cached.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .partitions import Partition, partitions_of
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation, _cycle_lengths
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
 
 @cache
 def _mn(lam_parts: tuple[int, ...], rho_parts: tuple[int, ...]) -> int:
@@ -108,18 +115,60 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, classes, sizes, rows)
 
 
-@lru_cache(maxsize=None)
-def permutations_with_class(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def permutations_with_class(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All permutations of {1..n} as 1-based image tuples, lexicographic by
     image tuple, each paired with the index of its cycle type in
-    partitions_of(n).  No Permutation is built: the n!-term sums only move
-    index tuples and read the class.  Cached, as those sums walk it often.
+    partitions_of(n): a one-pass iterator.  No Permutation is built and no
+    cycle is walked: the n!-term sums only move index tuples and read the
+    class, and the classes come from _lexicographic_classes.  The degree
+    cap is checked at the call.
     """
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
+    return zip(itertools.permutations(range(1, n + 1)), _lexicographic_classes(n))
+
+
+@lru_cache(maxsize=None)
+def _lexicographic_classes(n: int) -> bytes:
+    """The class index of every permutation of {1..n}, in lexicographic
+    order of image tuples, one byte each (p(DEGREE_CAP) < 256).
+
+    Images are chosen position by position, smallest free value first, so
+    the completions of a prefix are one contiguous run of the order.  Their
+    classes depend only on the cycle lengths the prefix has closed and on
+    its open chains: for each free value, in increasing order, the rank
+    among the free positions of the position where its chain ends, and the
+    chain's length.  The next position has rank 0; giving it the free
+    value of its own chain closes a cycle, any other free value joins the
+    two chains.  Each state's run is found once.
+    """
     index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
-    perms = itertools.permutations(range(1, n + 1))
-    return tuple((images, index[_cycle_lengths(images)]) for images in perms)
+
+    @cache
+    def run(closed: tuple[int, ...], chains: tuple[tuple[int, int], ...]) -> bytes:
+        if not chains:
+            return bytes((index[closed],))
+        head = next(i for i, (end, _) in enumerate(chains) if end == 0)
+        head_length = chains[head][1]
+        shifted = [(end - 1, length) for end, length in chains]
+        runs = []
+        for j, (end, length) in enumerate(chains):
+            rest = shifted.copy()
+            if j == head:
+                cycles = tuple(sorted(closed + (length,), reverse=True))
+            else:
+                # the head chain now runs on through chain j, to where j ended
+                cycles = closed
+                rest[head] = (end - 1, head_length + length)
+            del rest[j]
+            runs.append(run(cycles, tuple(rest)))
+        return b"".join(runs)
+
+    classes = run((), tuple((v, 1) for v in range(n)))
+    # run's closure refers to run, so free the memo now, not at the next
+    # garbage collection
+    run.cache_clear()
+    return classes
 
 
 def character_walk(
@@ -132,9 +181,10 @@ def character_walk(
     on it, and the walked classes get the slots 0, 1, ... in the order of
     partitions_of(n).  Returns each shape's chi(1), each shape's chi on the
     walked classes by slot, and the (images, slot) pairs of the permutations
-    in walked classes, in the order of permutations_with_class.  With one
-    shape, the walk skips exactly the permutations where its character
-    vanishes.  The degree cap is checked by character_table.
+    in walked classes, in the order of permutations_with_class, as a
+    one-pass iterator.  With one shape, the walk skips exactly the
+    permutations where its character vanishes.  The degree cap is checked
+    by character_table.
     """
     if not shapes:
         raise ValueError("need at least one shape")

@@ -292,7 +292,7 @@ def validate_certificate(
     if certificate.sizes() != lam.conjugate().parts:
         return False
     return all(
-        is_independent([cfg.vectors[i - 1] for i in block])
+        is_independent([cfg.rows[i - 1] for i in block])
         for block in certificate.blocks
     )
 

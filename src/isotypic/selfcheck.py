@@ -385,7 +385,7 @@ def check_trial(
             w, column_antisymmetrizer(tableau)
         ).is_zero()
         columns_independent = all(
-            is_independent([cfg.vectors[i - 1] for i in column])
+            is_independent([cfg.rows[i - 1] for i in column])
             for column in tableau.columns()
         )
         if symmetrized_nonzero != columns_independent:
@@ -398,7 +398,7 @@ def check_trial(
                 )
             )
 
-    if run(twist_suite) and n >= d and is_independent(cfg.vectors[:d]):
+    if run(twist_suite) and n >= d and is_independent(cfg.rows[:d]):
         b_first = subset_antisymmetrizer(n, range(1, d + 1))
         wedge = apply_algebra_element(w, b_first)
         rest = VectorConfiguration(d, cfg.vectors[d:])

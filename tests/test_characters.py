@@ -191,7 +191,7 @@ def test_character_walk_is_the_class_slot_stream():
     rng = random.Random(20)
     for n in range(1, 7):
         table = character_table(n)
-        pairs = permutations_with_class(n)
+        pairs = tuple(permutations_with_class(n))
         shapes = partitions_of(n)
         lists = [[lam] for lam in shapes] + [shapes, shapes[::-1]]
         lists += [rng.sample(shapes, rng.randint(1, len(shapes))) for _ in range(4)]
