@@ -15,8 +15,11 @@ explores the whole exchange graph on every augmenting search, and
 certificate, which the library now gets from the same engine.
 `vertical_strips` serves the Pieri check of the Weyl dimension,
 `all_permutations` is the order reference for the library's permutation
-stream, and `permuted` reorders vector lists without the place-action
-kernel, the independent route the action tests compare against.
+stream, `reference_permutations_with_class` the earlier route that found
+each permutation's class by walking its cycles, which the library's
+prefix-state recursion is checked against, and `permuted` reorders vector
+lists without the place-action kernel, the independent route the action
+tests compare against.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
 `character_fault` and `engine_fault` are the deliberate breakages: they
@@ -35,8 +38,15 @@ import isotypic.characters as characters
 import isotypic.matroid as matroid_module
 from isotypic.linalg import Matrix, integer_scaled
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
-from isotypic.partitions import Partition
-from isotypic.symgroup import GroupAlgebraElement, Permutation, _moved_sum, compose
+from isotypic.partitions import Partition, partitions_of
+from isotypic.symgroup import (
+    DEGREE_CAP,
+    GroupAlgebraElement,
+    Permutation,
+    _cycle_lengths,
+    _moved_sum,
+    compose,
+)
 from isotypic.tensors import SparseTensor, VectorConfiguration, decomposable
 
 
@@ -148,6 +158,18 @@ def vertical_strips(mu: Partition, k: int, max_rows: int) -> list[Partition]:
 def all_permutations(n):
     """All n! permutations, lexicographic by image tuple."""
     return (Permutation(images) for images in permutations(range(1, n + 1)))
+
+
+def reference_permutations_with_class(n):
+    """All permutations of {1..n} as 1-based image tuples, lexicographic by
+    image tuple, each paired with the index of its cycle type in
+    partitions_of(n): the library's earlier route, one cycle walk per
+    permutation, returned as a tuple (the library cached it)."""
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
+    index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
+    perms = permutations(range(1, n + 1))
+    return tuple((images, index[_cycle_lengths(images)]) for images in perms)
 
 
 def permuted(cfg, sigma):

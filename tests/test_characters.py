@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +23,7 @@ from isotypic.tensors import (
     nonzero_after_symmetrize,
     symmetrize,
 )
-from oracles import all_permutations, character_fault
+from oracles import all_permutations, character_fault, reference_permutations_with_class
 
 
 def P(*parts):
@@ -185,6 +186,29 @@ def test_permutations_with_class_order_and_cap():
         assert images == [perm.images for perm in all_permutations(n)]
     with pytest.raises(ValueError):
         permutations_with_class(DEGREE_CAP + 1)
+
+
+def test_permutations_with_class_matches_cycle_walk_reference():
+    for n in range(0, 9):
+        assert tuple(permutations_with_class(n)) == reference_permutations_with_class(n)
+
+
+def test_permutations_with_class_caches_no_tuples():
+    # only the n!-byte class sequence may stay behind: start from empty
+    # caches, so that a cache of (images, class) pairs would be built here
+    for value in list(vars(characters).values()):
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    character_table(8)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in permutations_with_class(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == factorial(8)
+    # 0.38 MB with the n!-byte sequence; 6.5 MB with 8! cached tuples
+    assert peak < 1.5e6
 
 
 def test_character_walk_is_the_class_slot_stream():

@@ -78,3 +78,25 @@ def test_integer_scaled_has_one_home_per_input():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
     assert callers == homes
+
+
+def test_cycles_are_walked_only_for_one_permutation():
+    # the n!-term walk reads each permutation's class from a cached
+    # sequence; a cycle walk per permutation on that path would be n!
+    # calls of _cycle_lengths
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "_cycle_lengths":
+                    callers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
+    assert callers == {"symgroup.Permutation.cycle_type"}
