@@ -3,6 +3,10 @@
 Subcommands emit JSON on stdout (human-readable text behind --pretty).
 Exit codes: 0 success / all suites pass, 1 violations found, 2 usage or
 input error.
+
+Each command imports the library modules it uses when it runs, so a
+process loads only those: a dominance or gamas decide and
+`rank-partition` never load the character, tensor or harness code.
 """
 
 from __future__ import annotations
@@ -11,24 +15,8 @@ import argparse
 import json
 import sys
 
-from .characters import character_table
-from .linalg import Matrix
-from .matroid import decide_appears, gamas_condition, rank_partition
+from .linalg import Matrix, VectorConfiguration
 from .partitions import Partition
-from .selfcheck import (
-    TrialSpec,
-    check_record,
-    check_trial,
-    run_standalone_suite,
-    run_verification,
-)
-from .tensors import (
-    VectorConfiguration,
-    generalized_matrix_function,
-    gram_matrix,
-    nonzero_after_symmetrize,
-    symmetrize,
-)
 
 _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
 
@@ -47,6 +35,8 @@ def _load_config(path: str) -> VectorConfiguration:
 
 
 def _cmd_character_table(args) -> int:
+    from .characters import character_table
+
     table = character_table(args.n)
     if args.pretty:
         classes = [rho.to_text() for rho in table.classes]
@@ -65,6 +55,8 @@ def _cmd_character_table(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
+    from .tensors import symmetrize
+
     cfg = _load_config(args.config)
     lam = Partition.from_text(args.shape)
     tensor = symmetrize(cfg, lam)
@@ -89,13 +81,21 @@ def _cmd_decide(args) -> int:
     certificate = None
     for method in methods:
         if method == "brute":
+            from .tensors import nonzero_after_symmetrize
+
             answers[method] = nonzero_after_symmetrize(cfg, lam)
         elif method == "gram":
+            from .tensors import generalized_matrix_function, gram_matrix
+
             answers[method] = generalized_matrix_function(gram_matrix(cfg), lam) != 0
         elif method == "gamas":
+            from .matroid import gamas_condition
+
             certificate = gamas_condition(cfg, lam)
             answers[method] = certificate is not None
         elif method == "dominance":
+            from .matroid import decide_appears
+
             answers[method] = decide_appears(cfg, lam)
     agreed = len(set(answers.values())) == 1
     appears = answers[methods[0]]
@@ -117,6 +117,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_rank_partition(args) -> int:
+    from .matroid import rank_partition
+
     cfg = _load_config(args.config)
     rho = rank_partition(cfg)
     if args.pretty:
@@ -127,6 +129,8 @@ def _cmd_rank_partition(args) -> int:
 
 
 def _cmd_gmf(args) -> int:
+    from .tensors import generalized_matrix_function, gram_matrix
+
     if (args.matrix is None) == (args.config is None):
         raise ValueError("gmf needs exactly one of --matrix or --config")
     if args.matrix:
@@ -150,16 +154,20 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_selfcheck(args) -> int:
-    spec = TrialSpec(
-        seed=args.seed,
-        n_max=args.n_max,
-        dims=_parse_dims(args.dims),
-        trials_per_cell=args.trials,
-        entry_range=args.entry_range,
-        p_duplicate=args.p_dup,
-        p_scale=args.p_scale,
-        p_zero=args.p_zero,
-    )
+    from .selfcheck import TrialSpec, run_verification
+
+    # options left unset take the TrialSpec defaults
+    given = {
+        "seed": args.seed,
+        "n_max": args.n_max,
+        "dims": None if args.dims is None else _parse_dims(args.dims),
+        "trials_per_cell": args.trials,
+        "entry_range": args.entry_range,
+        "p_duplicate": args.p_dup,
+        "p_scale": args.p_scale,
+        "p_zero": args.p_zero,
+    }
+    spec = TrialSpec(**{name: value for name, value in given.items() if value is not None})
     report = run_verification(spec, jobs=args.jobs)
     if args.pretty:
         print(
@@ -177,6 +185,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from .selfcheck import TrialSpec, check_record, check_trial, run_standalone_suite
+
     report = _load_json(args.report)
     if not isinstance(report, dict) or not {"spec", "violations"} <= report.keys():
         raise ValueError('a report is a JSON object with keys "spec" and "violations"')
@@ -246,15 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gmf)
 
     p = sub.add_parser("selfcheck", help="run the verification harness")
-    default = TrialSpec()
-    p.add_argument("--seed", type=int, default=default.seed)
-    p.add_argument("--n-max", type=int, default=default.n_max)
-    p.add_argument("--dims", default=",".join(map(str, default.dims)))
-    p.add_argument("--trials", type=int, default=default.trials_per_cell)
-    p.add_argument("--entry-range", type=int, default=default.entry_range)
-    p.add_argument("--p-dup", type=float, default=default.p_duplicate)
-    p.add_argument("--p-scale", type=float, default=default.p_scale)
-    p.add_argument("--p-zero", type=float, default=default.p_zero)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--dims")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--entry-range", type=int)
+    p.add_argument("--p-dup", type=float)
+    p.add_argument("--p-scale", type=float)
+    p.add_argument("--p-zero", type=float)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_selfcheck)

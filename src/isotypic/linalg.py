@@ -3,7 +3,9 @@
 Scalars are `fractions.Fraction`, matrices are immutable, and rank is
 computed by fraction-free (Bareiss) elimination on integer-scaled rows.
 Every zero test in the package ultimately reduces to this module, so
-nothing here is allowed to be approximate.
+nothing here is allowed to be approximate.  `VectorConfiguration`, the
+input of every decider, lives here too, so that the matroid deciders
+load no tensor or character code.
 """
 
 from __future__ import annotations
@@ -83,6 +85,65 @@ def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row], scale
+
+
+class VectorConfiguration:
+    """An ordered list of vectors in Q^dim; zero vectors are permitted.
+
+    The one place where a configuration becomes integers: `rows[i]` is
+    vectors[i] times `scales[i]`, the lcm of its entries' denominators.
+    """
+
+    __slots__ = ("dim", "vectors", "_rows", "_scales")
+
+    def __init__(self, dim: int, vectors: Iterable[Iterable]):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
+        self.dim = dim
+        self.vectors = tuple(as_vector(v) for v in vectors)
+        for v in self.vectors:
+            if len(v) != self.dim:
+                raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
+        scaled = [integer_scaled(v) for v in self.vectors]
+        self._rows = tuple(tuple(row) for row, _ in scaled)
+        self._scales = tuple(scale for _, scale in scaled)
+
+    @property
+    def n(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self._rows
+
+    @property
+    def scales(self) -> tuple[int, ...]:
+        return self._scales
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, VectorConfiguration)
+            and self.dim == other.dim
+            and self.vectors == other.vectors
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.vectors))
+
+    def __repr__(self):
+        return f"VectorConfiguration(dim={self.dim}, n={self.n})"
+
+    def to_json_obj(self) -> dict:
+        return {
+            "dim": self.dim,
+            "vectors": [[str(Fraction(e)) for e in v] for v in self.vectors],
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
+        if not isinstance(obj, dict) or not {"dim", "vectors"} <= obj.keys():
+            raise ValueError('a configuration is a JSON object with keys "dim" and "vectors"')
+        return cls(obj["dim"], obj["vectors"])
 
 
 def _int_rank(rows: list[list[int]]) -> int:

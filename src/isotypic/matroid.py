@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .linalg import _int_rank, is_independent
+from .linalg import VectorConfiguration, _int_rank, is_independent
 from .partitions import Partition
-from .tensors import VectorConfiguration
 
 # the 2^n min-formula oracle refuses past this ground-set size
 ORACLE_SIZE_CAP = 14

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import central_idempotent, character_table
-from .linalg import is_independent
+from .linalg import VectorConfiguration, is_independent
 from .matroid import (
     gamas_condition,
     rank_partition,
@@ -39,7 +39,6 @@ from .symgroup import (
 )
 from .tensors import (
     OPERATOR_DIMENSION_CAP,
-    VectorConfiguration,
     apply_algebra_element,
     decomposable,
     gram_matrix,

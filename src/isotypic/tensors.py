@@ -18,7 +18,7 @@ sums weighted by its character.  The two share only the walk.
 their one-shape views, whose walk skips the classes where the character
 vanishes.
 
-A configuration becomes integers in one place, `VectorConfiguration`:
+A configuration becomes integers in one place, `linalg.VectorConfiguration`:
 its `rows` are the vectors scaled by the lcm of their denominators, its
 `scales`.  `decomposable` multiplies the rows and `gram_matrix` takes
 their dot products, each dividing once by the scales.  Every sum runs in
@@ -32,75 +32,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .characters import character_table, character_walk
-from .linalg import Matrix, as_vector, integer_scaled, rank_of_rows
+from .linalg import Matrix, VectorConfiguration, integer_scaled, rank_of_rows
 from .partitions import Partition
 from .symgroup import GroupAlgebraElement, _normalize
 from .symgroup import _integer_terms, _moved_sum, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
-
-
-class VectorConfiguration:
-    """An ordered list of vectors in Q^dim; zero vectors are permitted.
-
-    The one place where a configuration becomes integers: `rows[i]` is
-    vectors[i] times `scales[i]`, the lcm of its entries' denominators.
-    """
-
-    __slots__ = ("dim", "vectors", "_rows", "_scales")
-
-    def __init__(self, dim: int, vectors: Iterable[Iterable]):
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
-        self.dim = dim
-        self.vectors = tuple(as_vector(v) for v in vectors)
-        for v in self.vectors:
-            if len(v) != self.dim:
-                raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
-        scaled = [integer_scaled(v) for v in self.vectors]
-        self._rows = tuple(tuple(row) for row, _ in scaled)
-        self._scales = tuple(scale for _, scale in scaled)
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    @property
-    def scales(self) -> tuple[int, ...]:
-        return self._scales
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorConfiguration)
-            and self.dim == other.dim
-            and self.vectors == other.vectors
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.vectors))
-
-    def __repr__(self):
-        return f"VectorConfiguration(dim={self.dim}, n={self.n})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "vectors": [[str(Fraction(e)) for e in v] for v in self.vectors],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
-        if not isinstance(obj, dict) or not {"dim", "vectors"} <= obj.keys():
-            raise ValueError('a configuration is a JSON object with keys "dim" and "vectors"')
-        return cls(obj["dim"], obj["vectors"])
 
 
 class SparseTensor:

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import isotypic.cli as cli
 from isotypic.cli import build_parser, main
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
@@ -361,7 +360,7 @@ def test_selfcheck_defaults_are_the_default_spec(monkeypatch, capsys):
         specs.append(spec)
         return VerificationReport(spec, cells_run=0, trials_run=0)
 
-    monkeypatch.setattr(cli, "run_verification", record_spec)
+    monkeypatch.setattr("isotypic.selfcheck.run_verification", record_spec)
     args = build_parser().parse_args(["selfcheck"])
     assert args.func(args) == 0
     assert specs == [TrialSpec()]
@@ -381,6 +380,43 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        ("decide --shape 2,1 --method dominance", {"matroid"},
+         {"characters", "symgroup", "tensors", "selfcheck"}),
+        ("decide --shape 2,1 --method gamas", {"matroid"},
+         {"characters", "symgroup", "tensors", "selfcheck"}),
+        ("rank-partition", {"matroid"}, {"characters", "symgroup", "tensors", "selfcheck"}),
+        ("decide --shape 2,1 --method brute", {"tensors"}, {"selfcheck", "matroid"}),
+        ("decide --shape 2,1 --method gram", {"tensors"}, {"selfcheck", "matroid"}),
+        ("symmetrize --shape 2,1", {"tensors"}, {"selfcheck", "matroid"}),
+        ("gmf --shape 2,1", {"tensors"}, {"selfcheck", "matroid"}),
+        ("character-table 3", {"characters"}, {"tensors", "matroid", "selfcheck"}),
+    ],
+)
+def test_command_loads_only_its_modules(config_file, argv, used, unused):
+    # a decide process spends about half its time starting up, so each
+    # command imports only the library modules it calls
+    argv = argv.split() + ([] if argv.startswith("character-table") else ["--config", config_file])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import contextlib, io, json, sys; from isotypic.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m.partition('.')[2] for m in sys.modules "
+        "if m.startswith('isotypic.'))]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    exit_code, loaded = json.loads(result.stdout)
+    assert exit_code == 0
+    assert used <= set(loaded)
+    assert unused.isdisjoint(loaded)
 
 
 def test_selfcheck_report_matches_library(capsys):

@@ -1,9 +1,14 @@
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-import isotypic.cli  # noqa: F401  (imports every library module the tracer wraps)
+import pytest
+
+import isotypic.selfcheck  # noqa: F401  (imports every library module the tracer wraps)
 import isotypic.tensors
 from isotypic.partitions import Partition
 
@@ -57,7 +62,7 @@ def test_integer_scaled_has_one_home_per_input():
     # a tensor's entries, an element's coefficients and a matrix's rows
     homes = {
         "linalg.rank_of_rows",
-        "tensors.VectorConfiguration.__init__",
+        "linalg.VectorConfiguration.__init__",
         "symgroup._moved_sums",
         "symgroup._integer_terms",
         "tensors.matrix_function_sums",
@@ -100,3 +105,68 @@ def test_cycles_are_walked_only_for_one_permutation():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
     assert callers == {"symgroup.Permutation.cycle_type"}
+
+
+# every name `import isotypic` exports, by the module that defines it
+EXPORTS = {
+    "characters": "CharacterTable central_idempotent character_table character_value class_size",
+    "linalg": "Matrix VectorConfiguration is_independent parse_rational",
+    "matroid": "BlockCertificate LinearMatroid RankPartition decide_appears gamas_condition "
+    "rank_partition rank_partition_oracle validate_certificate",
+    "partitions": "Partition partitions_of syt_count weyl_dimension",
+    "selfcheck": "SplitMix64 TrialSpec VerificationReport generate_configuration run_verification",
+    "symgroup": "DEGREE_CAP GroupAlgebraElement Permutation Tableau algebra_multiply "
+    "column_antisymmetrizer compose row_symmetrizer subset_antisymmetrizer",
+    "tensors": "OPERATOR_DIMENSION_CAP SparseTensor apply_algebra_element decomposable "
+    "generalized_matrix_function gram_matrix nonzero_after_symmetrize operator_rank symmetrize",
+}
+
+
+def loaded_submodules(code: str) -> list[str]:
+    """The isotypic submodules in sys.modules after a fresh interpreter runs code."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code + "; import json, sys; "
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('isotypic.'))))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("import isotypic") == []
+
+
+@pytest.mark.parametrize("name", ["VectorConfiguration", "tensors"])
+def test_first_package_lookup_loads_every_library_module(name):
+    # bench/tracing.install wraps only modules already in sys.modules, and
+    # the traced benchmark reaches them through one lookup on the package
+    expected = sorted(f"isotypic.{module}" for module in EXPORTS)
+    assert loaded_submodules(f"import isotypic; isotypic.{name}") == expected
+
+
+def test_exports_are_their_home_module_objects():
+    assert len(isotypic.__all__) == 44
+    assert sorted(isotypic.__all__) == sorted(
+        name for names in EXPORTS.values() for name in names.split()
+    )
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"isotypic.{module}")
+        for name in names.split():
+            assert getattr(isotypic, name) is getattr(home, name), name
+    assert isotypic.tensors.VectorConfiguration is isotypic.linalg.VectorConfiguration
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        isotypic.no_such_name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from isotypic import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {
+        name: getattr(isotypic, name) for name in isotypic.__all__
+    }
