@@ -1,14 +1,11 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from isotypic.cli import build_parser, main
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
+from fresh_process import cli_modules, package_submodules
 from oracles import character_fault
 
 
@@ -368,18 +365,10 @@ def test_selfcheck_defaults_are_the_default_spec(monkeypatch, capsys):
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only selfcheck --jobs N>1 starts a pool, so no other command pays for
-    # importing multiprocessing
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = (
-        "import sys, isotypic.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    # importing multiprocessing; a serial selfcheck loads every library module
+    loaded = cli_modules("selfcheck", "--n-max", "1", "--jobs", "1")
+    assert "isotypic.selfcheck" in loaded
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
 
 @pytest.mark.parametrize(
@@ -401,21 +390,8 @@ def test_command_loads_only_its_modules(config_file, argv, used, unused):
     # a decide process spends about half its time starting up, so each
     # command imports only the library modules it calls
     argv = argv.split() + ([] if argv.startswith("character-table") else ["--config", config_file])
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = (
-        "import contextlib, io, json, sys; from isotypic.cli import main\n"
-        f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
-        "print(json.dumps([code, sorted(m.partition('.')[2] for m in sys.modules "
-        "if m.startswith('isotypic.'))]))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    exit_code, loaded = json.loads(result.stdout)
-    assert exit_code == 0
-    assert used <= set(loaded)
+    loaded = package_submodules(cli_modules(*argv))
+    assert used <= loaded
     assert unused.isdisjoint(loaded)
 
 

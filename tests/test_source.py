@@ -1,8 +1,5 @@
 import ast
 import importlib.util
-import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +8,7 @@ import pytest
 import isotypic.selfcheck  # noqa: F401  (imports every library module the tracer wraps)
 import isotypic.tensors
 from isotypic.partitions import Partition
+from fresh_process import modules_after, package_submodules
 
 REPO = Path(__file__).resolve().parents[1]
 SOURCE_DIR = REPO / "src" / "isotypic"
@@ -122,28 +120,16 @@ EXPORTS = {
 }
 
 
-def loaded_submodules(code: str) -> list[str]:
-    """The isotypic submodules in sys.modules after a fresh interpreter runs code."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", code + "; import json, sys; "
-         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('isotypic.'))))"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
-
-
 def test_package_import_loads_no_submodule():
-    assert loaded_submodules("import isotypic") == []
+    assert package_submodules(modules_after("import isotypic")) == set()
 
 
 @pytest.mark.parametrize("name", ["VectorConfiguration", "tensors"])
 def test_first_package_lookup_loads_every_library_module(name):
     # bench/tracing.install wraps only modules already in sys.modules, and
     # the traced benchmark reaches them through one lookup on the package
-    expected = sorted(f"isotypic.{module}" for module in EXPORTS)
-    assert loaded_submodules(f"import isotypic; isotypic.{name}") == expected
+    loaded = modules_after(f"import isotypic; isotypic.{name}")
+    assert package_submodules(loaded) == set(EXPORTS)
 
 
 def test_exports_are_their_home_module_objects():
