@@ -78,7 +78,13 @@ class Matrix:
     def from_json_obj(cls, obj: dict) -> "Matrix":
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValueError('a matrix is a JSON object with the key "entries"')
-        return cls(obj["entries"])
+        entries = obj["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"entries must be a JSON list of rows, got {entries!r}")
+        for i, row in enumerate(entries):
+            if not isinstance(row, list):
+                raise ValueError(f"entries[{i}] must be a JSON list, got {row!r}")
+        return cls(entries)
 
 
 def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -143,7 +149,13 @@ class VectorConfiguration:
     def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
         if not isinstance(obj, dict) or not {"dim", "vectors"} <= obj.keys():
             raise ValueError('a configuration is a JSON object with keys "dim" and "vectors"')
-        return cls(obj["dim"], obj["vectors"])
+        vectors = obj["vectors"]
+        if not isinstance(vectors, list):
+            raise ValueError(f"vectors must be a JSON list of vectors, got {vectors!r}")
+        for i, v in enumerate(vectors):
+            if not isinstance(v, list):
+                raise ValueError(f"vectors[{i}] must be a JSON list, got {v!r}")
+        return cls(obj["dim"], vectors)
 
 
 def _int_rank(rows: list[list[int]]) -> int:

@@ -23,12 +23,7 @@ from math import factorial
 
 from .characters import central_idempotent, character_table
 from .linalg import VectorConfiguration, is_independent
-from .matroid import (
-    gamas_condition,
-    rank_partition,
-    rank_partition_oracle,
-    validate_certificate,
-)
+from .matroid import gamas_condition, rank_partition, rank_partition_oracle
 from .partitions import Partition, partitions_of, syt_count, weyl_dimension
 from .symgroup import (
     DEGREE_CAP,
@@ -43,7 +38,6 @@ from .tensors import (
     decomposable,
     gram_matrix,
     matrix_function_sums,
-    nonzero_after_symmetrize,
     operator_rank,
     symmetrized_sums,
 )
@@ -293,10 +287,12 @@ def check_trial(
     oracle_suite, agreement_suite, gram_suite, column_suite, twist_suite = TRIAL_SUITES
     run = lambda name: suites is None or name in suites
     out: list[dict] = []
+    shapes = partitions_of(n)
     # the pure tensor, built once for every suite that symmetrizes it
     w = decomposable(cfg) if suites is None or suites - {oracle_suite} else None
 
     rho = rank_partition(cfg)
+    rho_conjugate = rho.as_partition().conjugate()
     if run(oracle_suite):
         oracle = rank_partition_oracle(cfg)
         if rho.rho != oracle.rho:
@@ -307,25 +303,19 @@ def check_trial(
                 )
             )
         has_zero_vector = any(not any(v) for v in cfg.vectors)
-        if not has_zero_vector:
-            achieved = gamas_condition(cfg, rho.as_partition().conjugate())
-            if achieved is None or not validate_certificate(
-                cfg, achieved, rho.as_partition().conjugate()
-            ):
-                out.append(
-                    _violation(
-                        oracle_suite, n, d, trial_index,
-                        rho.as_partition().conjugate(), cfg,
-                        "rank partition achieved by a valid certificate",
-                        "no valid certificate",
-                    )
+        # gamas_condition validates its certificate before returning it
+        if not has_zero_vector and gamas_condition(cfg, rho_conjugate) is None:
+            out.append(
+                _violation(
+                    oracle_suite, n, d, trial_index, rho_conjugate, cfg,
+                    "rank partition achieved by a valid certificate",
+                    "no valid certificate",
                 )
+            )
 
-    rho_conjugate = rho.as_partition().conjugate()
     if run(agreement_suite) or run(gram_suite):
         # one walk per route serves every shape; the tensors and values come
         # as integers over one divisor per route
-        shapes = partitions_of(n)
         symmetrized, tensor_divisor = symmetrized_sums(w, shapes)
         values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
         for lam, entries, value in zip(shapes, symmetrized, values):
@@ -369,7 +359,6 @@ def check_trial(
 
     if run(column_suite):
         rng = SplitMix64(_mix(spec.seed, 0xC0111, n, d, trial_index))
-        shapes = partitions_of(n)
         shape = shapes[rng.randint(0, len(shapes) - 1)]
         entries = list(range(1, n + 1))
         for i in range(n - 1, 0, -1):  # Fisher-Yates on the fixed generator
@@ -398,20 +387,22 @@ def check_trial(
             )
 
     if run(twist_suite) and n >= d and is_independent(cfg.rows[:d]):
-        b_first = subset_antisymmetrizer(n, range(1, d + 1))
-        wedge = apply_algebra_element(w, b_first)
-        rest = VectorConfiguration(d, cfg.vectors[d:])
-        # one walk applies the central idempotent of every shape with d rows
-        shapes = [lam for lam in partitions_of(n) if len(lam) == d]
-        symmetrized, _ = symmetrized_sums(wedge, shapes)
-        for lam, entries in zip(shapes, symmetrized):
-            lhs = bool(entries)
-            reduced = lam.remove_first_column()
-            rhs = (
-                True
-                if rest.n == 0
-                else nonzero_after_symmetrize(rest, reduced)
+        wedge = apply_algebra_element(w, subset_antisymmetrizer(n, range(1, d + 1)))
+        # one walk per side applies the central idempotent of every shape
+        # with d rows: to the wedge, and with its first column removed to the
+        # pure tensor of the other vectors (nothing is left when n = d)
+        d_row_shapes = [lam for lam in shapes if len(lam) == d]
+        wedged, _ = symmetrized_sums(wedge, d_row_shapes)
+        if n == d:
+            reduced = [True] * len(d_row_shapes)
+        else:
+            rest = VectorConfiguration(d, cfg.vectors[d:])
+            sums, _ = symmetrized_sums(
+                decomposable(rest), [lam.remove_first_column() for lam in d_row_shapes]
             )
+            reduced = [bool(entries) for entries in sums]
+        for lam, entries, rhs in zip(d_row_shapes, wedged, reduced):
+            lhs = bool(entries)
             if lhs != rhs:
                 out.append(
                     _violation(

@@ -22,9 +22,10 @@ lists without the place-action kernel, the independent route the action
 tests compare against.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
-`character_fault` and `engine_fault` are the deliberate breakages: they
-flip a character value, or take the exchanges out of the matroid-partition
-engine, so tests can see the harness notice.
+`character_fault`, `engine_fault` and `class_sum_fault` are the deliberate
+breakages: they flip a character value, take the exchanges out of the
+matroid-partition engine, or drop a class sum from the brute route, so
+tests can see the harness notice.
 """
 
 from collections import deque
@@ -36,6 +37,7 @@ from typing import Optional
 
 import isotypic.characters as characters
 import isotypic.matroid as matroid_module
+import isotypic.tensors as tensors_module
 from isotypic.linalg import Matrix, integer_scaled
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition, partitions_of
@@ -503,3 +505,29 @@ def engine_fault():
         yield
     finally:
         matroid_module._augment = clean
+
+
+@contextmanager
+def class_sum_fault():
+    """Empty the last class sum of every walk over two or more classes, for
+    the duration of the block.
+
+    Patches isotypic.tensors._moved_sums, which symmetrized_sums looks up at
+    call time, so the brute route leaves one walked class out of every
+    shape's tensor.  The one-slot symgroup._moved_sum, behind
+    apply_algebra_element and algebra_multiply, calls symgroup's own
+    _moved_sums and is untouched; in-process only, like character_fault.
+    """
+    clean = tensors_module._moved_sums
+
+    def dropped(support, terms, slots):
+        sums, scale = clean(support, terms, slots)
+        if len(sums) >= 2:
+            sums[-1] = {}
+        return sums, scale
+
+    tensors_module._moved_sums = dropped
+    try:
+        yield
+    finally:
+        tensors_module._moved_sums = clean

@@ -144,8 +144,22 @@ def test_bad_dimension_is_usage_error(capsys, tmp_path):
         ("--config", {"dim": 2}, 'keys "dim" and "vectors"'),
         ("--matrix", {"rows": [["1"]]}, 'the key "entries"'),
         ("--matrix", [["1"]], 'the key "entries"'),
+        ("--config", {"dim": 1, "vectors": "1"}, "vectors must be a JSON list of vectors, got '1'"),
+        ("--config", {"dim": 2, "vectors": ["12"]}, "vectors[0] must be a JSON list, got '12'"),
+        (
+            "--config",
+            {"dim": 2, "vectors": [{"1": 0, "0": 1}]},
+            "vectors[0] must be a JSON list, got {'1': 0, '0': 1}",
+        ),
+        ("--config", {"dim": 1, "vectors": [None]}, "vectors[0] must be a JSON list, got None"),
+        ("--matrix", {"entries": ["1"]}, "entries[0] must be a JSON list, got '1'"),
+        ("--matrix", {"entries": [None]}, "entries[0] must be a JSON list, got None"),
     ],
-    ids=["config-list", "config-no-dim", "config-no-vectors", "matrix-no-entries", "matrix-list"],
+    ids=[
+        "config-list", "config-no-dim", "config-no-vectors", "matrix-no-entries", "matrix-list",
+        "config-vectors-string", "config-vector-string", "config-vector-object",
+        "config-vector-null", "matrix-row-string", "matrix-row-null",
+    ],
 )
 def test_malformed_json_input_is_usage_error(capsys, tmp_path, option, obj, expected):
     path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import isotypic.matroid as matroid_module
 from isotypic.linalg import is_independent
 from isotypic.matroid import (
     ORACLE_SIZE_CAP,
@@ -205,6 +206,13 @@ def test_gamas_condition_examples():
     assert gamas_condition(configuration, P(1, 1, 1)) is None
     for lam in partitions_of(3):
         assert gamas_condition(cfg(2, E1, (0, 0), E2), lam) is None
+
+
+def test_gamas_condition_raises_on_a_certificate_that_fails_validation(monkeypatch):
+    # the engine's own check is the only one: selfcheck trusts what it returns
+    monkeypatch.setattr(matroid_module, "validate_certificate", lambda *args: False)
+    with pytest.raises(RuntimeError, match="invalid certificate"):
+        gamas_condition(cfg(2, E1, E1, E2), P(2, 1))  # the README example
 
 
 def test_gamas_condition_size_mismatch():

@@ -17,7 +17,7 @@ from isotypic.selfcheck import (
     run_verification,
 )
 from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
-from oracles import character_fault, engine_fault
+from oracles import character_fault, class_sum_fault, engine_fault
 
 
 def test_splitmix_reference_stream():
@@ -227,6 +227,20 @@ def test_engine_fault_is_detected():
     assert suites["matroid_oracle"] >= 1
 
 
+def test_class_sum_fault_is_detected():
+    # every brute answer of the harness comes from symmetrized_sums, so a
+    # dropped class sum shows as a brute-gram disagreement and a wrong
+    # <wT, wT>; the det-twist decides both of its sides from symmetrized_sums,
+    # which shift alike, so it reports nothing
+    with class_sum_fault():
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites["four_decider_agreement"] == 939
+    assert suites["gram_identity"] == 1775
+    assert suites["det_twist"] == 0
+    assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
+
+
 def test_violations_sorted():
     spec = TrialSpec(n_max=3, dims=(2,), trials_per_cell=6)
     with character_fault(Partition([2, 1]), Partition([1, 1, 1])):
@@ -312,3 +326,27 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
         generalized_matrix_function(gram, lam)
         assert walked == [nonzero[lam]] * 2
     assert min(nonzero.values()) < 120
+
+
+def test_one_walk_per_tensor_per_trial(monkeypatch):
+    # every suite of a trial whose det-twist runs: one n! walk each for the
+    # brute route, gram and the wedge, and one (n - d)! walk for the reduced
+    # side, over the pure tensors of all n vectors and of the last n - d
+    walk, pure = tensors.character_walk, tensors.decomposable
+    walked, built = [], []
+
+    def counting_walk(shapes):
+        degrees, values, pairs = walk(shapes)
+        return degrees, values, _counted(pairs, walked)
+
+    def counting_pure(cfg):
+        built.append(cfg.n)
+        return pure(cfg)
+
+    monkeypatch.setattr(tensors, "character_walk", counting_walk)
+    for module in (selfcheck, tensors):
+        monkeypatch.setattr(module, "decomposable", counting_pure)
+    spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
+    assert check_trial(spec, 5, 2, 0) == []
+    assert walked == [120, 120, 120, 6]
+    assert built == [5, 3]
