@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
 from .partitions import Partition, partitions_of
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
+from .symgroup import DEGREE_CAP, GroupAlgebraElement
 
 @cache
 def _mn(lam_parts: tuple[int, ...], rho_parts: tuple[int, ...]) -> int:
@@ -211,7 +210,6 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
     lam-isotypic two-sided ideal of the rational group algebra."""
     (chi_1,), (row,), pairs = character_walk([lam])
-    scale = Fraction(chi_1, factorial(lam.size))
-    return GroupAlgebraElement(
-        lam.size, {Permutation(images): scale * row[s] for images, s in pairs}
+    return GroupAlgebraElement._from_integers(
+        lam.size, {images: chi_1 * row[s] for images, s in pairs}, factorial(lam.size)
     )

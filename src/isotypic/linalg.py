@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -91,6 +91,13 @@ def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row], scale
+
+
+def lowest_terms(numerators: dict, divisor: int) -> tuple[dict, int]:
+    """numerators / divisor (divisor > 0) with the zeros pruned and the common
+    gcd divided out: equal rational maps get equal forms, zero gets divisor 1."""
+    g = gcd(divisor, *numerators.values())  # a zero leaves the gcd as it is
+    return {key: c // g for key, c in numerators.items() if c}, divisor // g
 
 
 class VectorConfiguration:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, fields
+from functools import cache
 from fractions import Fraction
 from math import factorial
 
@@ -293,6 +294,8 @@ def check_trial(
 
     rho = rank_partition(cfg)
     rho_conjugate = rho.as_partition().conjugate()
+    # the oracle and agreement suites share one engine run per shape
+    certificate_of = cache(lambda lam: gamas_condition(cfg, lam))
     if run(oracle_suite):
         oracle = rank_partition_oracle(cfg)
         if rho.rho != oracle.rho:
@@ -304,7 +307,7 @@ def check_trial(
             )
         has_zero_vector = any(not any(v) for v in cfg.vectors)
         # gamas_condition validates its certificate before returning it
-        if not has_zero_vector and gamas_condition(cfg, rho_conjugate) is None:
+        if not has_zero_vector and certificate_of(rho_conjugate) is None:
             out.append(
                 _violation(
                     oracle_suite, n, d, trial_index, rho_conjugate, cfg,
@@ -321,7 +324,7 @@ def check_trial(
         for lam, entries, value in zip(shapes, symmetrized, values):
             gmf_value = Fraction(value, value_divisor)
             if run(agreement_suite):
-                certificate = gamas_condition(cfg, lam)
+                certificate = certificate_of(lam)
                 answers = {
                     "brute": bool(entries),
                     "gram": value != 0,

@@ -8,16 +8,21 @@ With the place-permutation action in `tensors`, this makes the group act
 on tensors on the right: acting by sigma and then by tau equals acting by
 sigma * tau.  Every order-sensitive identity is tested under this single
 convention.
+
+An element keeps the integer form its sums use, integer `numerators` by
+image tuple over one `divisor`; `_moved_sums`, the one place-action kernel,
+sums such integers, and `algebra_multiply` multiplies the divisors.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .linalg import integer_scaled
+from .linalg import as_vector, integer_scaled, lowest_terms
 from .partitions import Partition
 
 # n! enumerations (permutation streams, central idempotents, full symmetrizations)
@@ -139,13 +144,11 @@ def _place_action(images: tuple[int, ...]):
     return itemgetter(*(i - 1 for i in images))
 
 
-def _moved_sums(support: Mapping, terms, slots: int) -> tuple[list[dict[tuple, int]], int]:
+def _moved_sums(support: Mapping[tuple, int], terms, slots: int) -> list[dict[tuple, int]]:
     """Slot by slot, the sum over the integer (images, slot, c) terms of c *
-    (the support moved by the place action of images): the support's values
-    are scaled to ints once and summed in int.  Returns the slots' sums,
-    zeros included, and that scale."""
-    values, scale = integer_scaled(list(support.values()))
-    pairs = list(zip(support, values))
+    (the integer support moved by the place action of images), summed in
+    int.  Returns the slots' sums, zeros included."""
+    pairs = list(support.items())
     sums: list[dict[tuple, int]] = [{} for _ in range(slots)]
     for images, s, c in terms:
         acc = sums[s]
@@ -153,17 +156,7 @@ def _moved_sums(support: Mapping, terms, slots: int) -> tuple[list[dict[tuple, i
         for idx, val in pairs:
             moved = move(idx)
             acc[moved] = acc.get(moved, 0) + c * val
-    return sums, scale
-
-
-def _moved_sum(support: Mapping, terms, divisor: int) -> dict[tuple, Fraction]:
-    """The sum over the integer (images, c) terms of c * (the support moved by
-    the place action of images), divided by divisor: summed in one slot of
-    _moved_sums and divided once by the scale times divisor.  Only the
-    nonzero sums are returned."""
-    (acc,), scale = _moved_sums(support, ((images, 0, c) for images, c in terms), 1)
-    scale *= divisor
-    return {idx: Fraction(c, scale) for idx, c in acc.items() if c}
+    return sums
 
 
 class Tableau:
@@ -201,38 +194,47 @@ class Tableau:
 
 
 class GroupAlgebraElement:
-    """A finite formal rational combination of permutations of {1..n}.
+    """A finite formal rational combination of permutations of {1..n}: the
+    nonzero coefficients as int `numerators` by image tuple over one positive
+    `divisor`, in lowest terms; `terms` is the rational view by Permutation."""
 
-    Terms with coefficient zero are pruned; integral coefficients are
-    stored as int (exact, and much faster in hot loops).
-    """
-
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "numerators", "divisor")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction] | None = None):
-        self.n = n
-        pruned: dict[Permutation, Fraction | int] = {}
-        for perm, coeff in (terms or {}).items():
+        terms = terms or {}
+        for perm in terms:
             if perm.n != n:
                 raise ValueError(f"term degree {perm.n} does not match {n}")
-            coeff = _normalize(coeff)
-            if coeff:
-                pruned[perm] = coeff
-        self.terms = pruned
+        coeffs, scale = integer_scaled(as_vector(terms.values()))
+        self.n = n
+        images = (perm.images for perm in terms)
+        self.numerators, self.divisor = lowest_terms(dict(zip(images, coeffs)), scale)
+
+    @classmethod
+    def _from_integers(cls, n: int, numerators: dict, divisor: int) -> "GroupAlgebraElement":
+        """The element with the coefficients numerators / divisor by image tuple."""
+        x = cls(n)
+        x.numerators, x.divisor = lowest_terms(numerators, divisor)
+        return x
 
     @classmethod
     def one(cls, n: int) -> "GroupAlgebraElement":
         return cls(n, {Permutation.identity(n): 1})
 
+    @property
+    def terms(self) -> dict[Permutation, Fraction]:
+        return {Permutation(im): Fraction(c, self.divisor) for im, c in self.numerators.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
-        total = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            total[perm] = total.get(perm, 0) + coeff
-        return GroupAlgebraElement(self.n, total)
+        divisor = lcm(self.divisor, other.divisor)
+        total = {im: c * (divisor // self.divisor) for im, c in self.numerators.items()}
+        for im, c in other.numerators.items():
+            total[im] = total.get(im, 0) + c * (divisor // other.divisor)
+        return GroupAlgebraElement._from_integers(self.n, total, divisor)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return algebra_multiply(self, other)
@@ -240,12 +242,12 @@ class GroupAlgebraElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupAlgebraElement)
-            and self.n == other.n
-            and self.terms == other.terms
+            and (self.n, self.divisor) == (other.n, other.divisor)
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.divisor, frozenset(self.numerators.items())))
 
     def __repr__(self):
         body = " + ".join(
@@ -260,26 +262,14 @@ class GroupAlgebraElement:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
 
 
-def _normalize(x):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def algebra_multiply(
     x: GroupAlgebraElement, y: GroupAlgebraElement
 ) -> GroupAlgebraElement:
     """Convolution product: the coefficient of pi collects x(s)*y(t) over s*t = pi,
     the place action of y on the image tuples of x."""
     x._check(y)
-    total = _moved_sum({sigma.images: a for sigma, a in x.terms.items()}, *_integer_terms(y))
-    return GroupAlgebraElement(x.n, {Permutation(pi): c for pi, c in total.items()})
-
-
-def _integer_terms(x: GroupAlgebraElement) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """The (images, c) terms of x with its coefficients scaled to ints by the
-    lcm of their denominators, and that lcm."""
-    coeffs, scale = integer_scaled(list(x.terms.values()))
-    return [(sigma.images, c) for sigma, c in zip(x.terms, coeffs)], scale
+    (total,) = _moved_sums(x.numerators, ((im, 0, c) for im, c in y.numerators.items()), 1)
+    return GroupAlgebraElement._from_integers(x.n, total, x.divisor * y.divisor)
 
 
 def _block_permutations(n: int, blocks: Iterable[Iterable[int]]) -> Iterator[Permutation]:

@@ -20,11 +20,10 @@ vanishes.
 
 A configuration becomes integers in one place, `linalg.VectorConfiguration`:
 its `rows` are the vectors scaled by the lcm of their denominators, its
-`scales`.  `decomposable` multiplies the rows and `gram_matrix` takes
-their dot products, each dividing once by the scales.  Every sum runs in
-`int`: each tensor or matrix row is scaled by the lcm of its
-denominators on the way in, and the exact result divided by that scale
-on the way out.
+`scales`.  A tensor keeps the integer form its sums use, as an algebra
+element does: `decomposable` multiplies the rows over the product of the
+scales, and the kernels sum numerators in `int` and multiply divisors.
+Only `gram_matrix` divides, and `matrix_function_sums` scales back.
 """
 
 from __future__ import annotations
@@ -35,65 +34,72 @@ from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .characters import character_table, character_walk
-from .linalg import Matrix, VectorConfiguration, integer_scaled, rank_of_rows
+from .linalg import Matrix, VectorConfiguration, as_vector, integer_scaled, lowest_terms
+from .linalg import rank_of_rows
 from .partitions import Partition
-from .symgroup import GroupAlgebraElement, _normalize
-from .symgroup import _integer_terms, _moved_sum, _moved_sums, _place_action
+from .symgroup import GroupAlgebraElement, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
 
 
 class SparseTensor:
-    """Element of the n-th tensor power of Q^d, as a pruned index->value map."""
+    """Element of the n-th tensor power of Q^d: the nonzero entries as int
+    `numerators` by index tuple over one positive `divisor`, in lowest
+    terms; `entries` is the rational view."""
 
-    __slots__ = ("n", "d", "entries")
+    __slots__ = ("n", "d", "numerators", "divisor")
 
     def __init__(self, n: int, d: int, entries: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.n = n
-        self.d = d
-        pruned: dict[tuple[int, ...], Fraction | int] = {}
-        for idx, val in (entries or {}).items():
-            idx = tuple(idx)
+        entries = entries or {}
+        keys = [tuple(idx) for idx in entries]
+        for idx in keys:
             if len(idx) != n or any(not 1 <= i <= d for i in idx):
                 raise ValueError(f"bad index {idx} for degree {n}, dimension {d}")
-            val = _normalize(val)
-            if val:
-                pruned[idx] = val
-        self.entries = pruned
+        values, scale = integer_scaled(as_vector(entries.values()))
+        self.n, self.d = n, d
+        self.numerators, self.divisor = lowest_terms(dict(zip(keys, values)), scale)
+
+    @classmethod
+    def _from_integers(cls, n: int, d: int, numerators: dict, divisor: int) -> "SparseTensor":
+        """The tensor with the entries numerators / divisor by index tuple."""
+        w = cls(n, d)
+        w.numerators, w.divisor = lowest_terms(numerators, divisor)
+        return w
+
+    @property
+    def entries(self) -> dict[tuple[int, ...], Fraction]:
+        return {idx: Fraction(c, self.divisor) for idx, c in self.numerators.items()}
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.numerators
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseTensor)
-            and (self.n, self.d) == (other.n, other.d)
-            and self.entries == other.entries
+            and (self.n, self.d, self.divisor) == (other.n, other.d, other.divisor)
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash((self.n, self.d, frozenset(self.entries.items())))
+        return hash((self.n, self.d, self.divisor, frozenset(self.numerators.items())))
 
     def __repr__(self):
-        return f"SparseTensor(n={self.n}, d={self.d}, {len(self.entries)} entries)"
+        return f"SparseTensor(n={self.n}, d={self.d}, {len(self.numerators)} entries)"
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "dim": self.d,
             "entries": [
-                {"index": list(idx), "value": str(Fraction(val))}
-                for idx, val in sorted(self.entries.items())
+                {"index": list(idx), "value": str(val)} for idx, val in sorted(self.entries.items())
             ],
         }
 
 
 def decomposable(cfg: VectorConfiguration) -> SparseTensor:
-    """The pure tensor of the configuration; zero iff some vector is zero.
-
-    Its entries are products of the integer rows, each divided once by the
-    product of the scales."""
+    """The pure tensor of the configuration, zero iff some vector is zero: the
+    products of the integer rows over the product of the scales."""
     if cfg.n < 1:
         raise ValueError("need at least one vector")
     entries: dict[tuple[int, ...], int] = {(): 1}
@@ -104,17 +110,15 @@ def decomposable(cfg: VectorConfiguration) -> SparseTensor:
         entries = {
             idx + (i,): val * c for idx, val in entries.items() for i, c in support
         }
-    scale = prod(cfg.scales)
-    return SparseTensor(
-        cfg.n, cfg.dim, {idx: Fraction(c, scale) for idx, c in entries.items()}
-    )
+    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, prod(cfg.scales))
 
 
 def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
     if x.n != w.n:
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
-    return SparseTensor(w.n, w.d, _moved_sum(w.entries, *_integer_terms(x)))
+    (total,) = _moved_sums(w.numerators, ((im, 0, c) for im, c in x.numerators.items()), 1)
+    return SparseTensor._from_integers(w.n, w.d, total, w.divisor * x.divisor)
 
 
 def symmetrized_sums(
@@ -132,8 +136,8 @@ def symmetrized_sums(
         if lam.size != w.n:
             raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
     degrees, values, walk = character_walk(shapes)
-    class_sums, scale = _moved_sums(
-        w.entries, ((images, s, 1) for images, s in walk), len(values[0])
+    class_sums = _moved_sums(
+        w.numerators, ((images, s, 1) for images, s in walk), len(values[0])
     )
     out = []
     for chi_1, row in zip(degrees, values):
@@ -143,7 +147,7 @@ def symmetrized_sums(
                 for idx, c in sums.items():
                     total[idx] = total.get(idx, 0) + chi * c
         out.append({idx: chi_1 * c for idx, c in total.items() if c})
-    return out, factorial(w.n) * scale
+    return out, factorial(w.n) * w.divisor
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -159,9 +163,7 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     # is built
     character_table(cfg.n)
     (entries,), divisor = symmetrized_sums(decomposable(cfg), [lam])
-    return SparseTensor(
-        cfg.n, cfg.dim, {idx: Fraction(c, divisor) for idx, c in entries.items()}
-    )
+    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor)
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
@@ -244,9 +246,8 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for idx in itertools.product(range(1, d + 1), repeat=n):
         blocks.setdefault(tuple(sorted(idx)), []).append(idx)
-    # rank is unchanged by the nonzero scale that makes the coefficients integers
-    terms, _ = _integer_terms(x)
-    terms = [(_place_action(images), c) for images, c in terms]
+    # rank is unchanged by the positive divisor of the integer coefficients
+    terms = [(_place_action(images), c) for images, c in x.numerators.items()]
     total = 0
     for basis in blocks.values():
         index = {idx: i for i, idx in enumerate(basis)}

@@ -5,7 +5,7 @@ code paths: enumeration instead of formulas, plain rational Gaussian
 elimination instead of fraction-free pivoting.  `reference_algebra_multiply`,
 `reference_generalized_matrix_function` and `reference_apply_algebra_element`
 are the library's earlier routes, kept as references: they sum `Fraction`
-values, where the library scales to integers, sums in `int` and divides once.
+values, where the library sums integer numerators in `int` over one divisor.
 `per_shape_symmetrize` and `per_shape_generalized_matrix_function` are
 the earlier one-shape-per-walk routes, walking `character_terms`, which
 the library's class sums shared by every shape are checked against.
@@ -46,7 +46,7 @@ from isotypic.symgroup import (
     GroupAlgebraElement,
     Permutation,
     _cycle_lengths,
-    _moved_sum,
+    _moved_sums,
     compose,
 )
 from isotypic.tensors import SparseTensor, VectorConfiguration, decomposable
@@ -309,9 +309,10 @@ def per_shape_symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTens
     if lam.size != cfg.n:
         raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
     chi_1, terms = character_terms(lam)
-    terms = ((images, chi_1 * chi) for images, chi in terms)
-    entries = _moved_sum(decomposable(cfg).entries, terms, factorial(cfg.n))
-    return SparseTensor(cfg.n, cfg.dim, entries)
+    w = decomposable(cfg)
+    (entries,) = _moved_sums(w.numerators, ((images, 0, chi_1 * chi) for images, chi in terms), 1)
+    divisor = factorial(cfg.n) * w.divisor
+    return SparseTensor(cfg.n, cfg.dim, {idx: Fraction(c, divisor) for idx, c in entries.items()})
 
 
 def per_shape_generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
@@ -514,17 +515,17 @@ def class_sum_fault():
 
     Patches isotypic.tensors._moved_sums, which symmetrized_sums looks up at
     call time, so the brute route leaves one walked class out of every
-    shape's tensor.  The one-slot symgroup._moved_sum, behind
-    apply_algebra_element and algebra_multiply, calls symgroup's own
-    _moved_sums and is untouched; in-process only, like character_fault.
+    shape's tensor.  apply_algebra_element sums in one slot there and is
+    untouched, and algebra_multiply calls symgroup's own _moved_sums;
+    in-process only, like character_fault.
     """
     clean = tensors_module._moved_sums
 
     def dropped(support, terms, slots):
-        sums, scale = clean(support, terms, slots)
+        sums = clean(support, terms, slots)
         if len(sums) >= 2:
             sums[-1] = {}
-        return sums, scale
+        return sums
 
     tensors_module._moved_sums = dropped
     try:

@@ -350,3 +350,18 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
     assert check_trial(spec, 5, 2, 0) == []
     assert walked == [120, 120, 120, 6]
     assert built == [5, 3]
+
+
+def test_one_certificate_per_trial_and_shape(monkeypatch):
+    # the oracle suite's certificate of rho' is the one the agreement suite
+    # reads for lam = rho'; a default run asked 3275 questions, 575 of them
+    # repeats, when each suite asked the engine on its own
+    engine, asked = selfcheck.gamas_condition, []
+
+    def counted(cfg, lam):
+        asked.append((cfg, lam))
+        return engine(cfg, lam)
+
+    monkeypatch.setattr(selfcheck, "gamas_condition", counted)
+    assert run_verification(TrialSpec(), jobs=1).ok
+    assert len(asked) == 2700

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import isotypic.selfcheck  # noqa: F401  (imports every library module the tracer wraps)
 import isotypic.tensors
 from isotypic.partitions import Partition
+from isotypic.symgroup import GroupAlgebraElement, Permutation, subset_antisymmetrizer
 from fresh_process import modules_after, package_submodules
 
 REPO = Path(__file__).resolve().parents[1]
@@ -50,21 +52,20 @@ def test_benchmark_hooks_resolve():
         assert not isotypic.tensors.symmetrize(cfg, Partition([2, 1])).is_zero()
         assert tracer.calls["tensors.symmetrize"] == 1
         assert tracer.counts["tensors.symmetrize.terms"] == 3 * 2
+        # the after-hook on algebra_multiply reads the terms views: 2 * 6
+        # pairs of terms
+        x = GroupAlgebraElement(
+            3, {Permutation([1, 2, 3]): 1, Permutation([2, 1, 3]): Fraction(1, 2)}
+        )
+        assert not (x * subset_antisymmetrizer(3, [1, 2, 3])).is_zero()
+        assert tracer.calls["symgroup.algebra_multiply"] == 1
+        assert tracer.counts["symgroup.algebra_multiply.pairs"] == 2 * 6
     finally:
         tracing.uninstall(undo)
 
 
-def test_integer_scaled_has_one_home_per_input():
-    # a configuration becomes integers only in VectorConfiguration; the
-    # other callers scale what no configuration holds: rows for the rank,
-    # a tensor's entries, an element's coefficients and a matrix's rows
-    homes = {
-        "linalg.rank_of_rows",
-        "linalg.VectorConfiguration.__init__",
-        "symgroup._moved_sums",
-        "symgroup._integer_terms",
-        "tensors.matrix_function_sums",
-    }
+def _callers(function: str, paths) -> set[str]:
+    """The dotted scopes (module.class.function) that call function by name."""
     callers = set()
 
     def visit(node, scope):
@@ -74,13 +75,43 @@ def test_integer_scaled_has_one_home_per_input():
                 continue
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name == "integer_scaled":
+                if name == function:
                     callers.add(".".join(scope))
             visit(child, scope)
 
-    for path in sorted(SOURCE_DIR.glob("*.py")):
+    for path in paths:
         visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
-    assert callers == homes
+    return callers
+
+
+def test_integer_scaled_has_one_home_per_input():
+    # a configuration becomes integers only in VectorConfiguration; the
+    # other callers scale what no configuration holds: rows for the rank,
+    # a tensor's entries, an element's coefficients and a matrix's rows
+    homes = {
+        "linalg.rank_of_rows",
+        "linalg.VectorConfiguration.__init__",
+        "symgroup.GroupAlgebraElement.__init__",
+        "tensors.SparseTensor.__init__",
+        "tensors.matrix_function_sums",
+    }
+    assert _callers("integer_scaled", sorted(SOURCE_DIR.glob("*.py"))) == homes
+
+
+def test_tensor_and_element_kernels_build_no_fraction():
+    # tensors and group-algebra elements keep integer numerators over one
+    # divisor, and the kernels pass those on; a rational appears only at
+    # the public constructors, the rational views and the Gram route
+    allowed = {
+        "symgroup.GroupAlgebraElement.__init__",
+        "symgroup.GroupAlgebraElement.terms",
+        "tensors.SparseTensor.__init__",
+        "tensors.SparseTensor.entries",
+        "tensors.gram_matrix",
+        "tensors.generalized_matrix_function",
+    }
+    paths = [SOURCE_DIR / f"{stem}.py" for stem in ("symgroup", "tensors", "characters")]
+    assert _callers("Fraction", paths) <= allowed
 
 
 def test_cycles_are_walked_only_for_one_permutation():

@@ -287,6 +287,82 @@ def test_apply_algebra_element_matches_reference_on_rationals():
     assert apply_algebra_element(w, x) == reference_apply_algebra_element(w, x) == want
 
 
+def test_apply_algebra_element_returns_only_nonzero_entries():
+    identity, swap = Permutation([1, 2]), Permutation([2, 1])
+
+    def antisymmetric(c):
+        return GroupAlgebraElement(2, {identity: c, swap: -c})
+
+    # antisymmetrizing a support that the swap fixes cancels every entry
+    w = SparseTensor(2, 2, {(1, 1): Fraction(1, 2)})
+    cancelled = apply_algebra_element(w, antisymmetric(1))
+    assert cancelled.numerators == {}
+    cancelled = apply_algebra_element(
+        SparseTensor(2, 2, {(1, 2): 1, (2, 1): 1}), antisymmetric(Fraction(3, 5))
+    )
+    assert cancelled.numerators == {}
+    # (1, 1) cancels; the rest is halved
+    w = SparseTensor(2, 2, {(1, 2): Fraction(1, 2), (1, 1): Fraction(2, 3)})
+    assert apply_algebra_element(w, antisymmetric(Fraction(1, 2))).entries == {
+        (1, 2): Fraction(1, 4), (2, 1): Fraction(-1, 4)
+    }
+
+
+def test_equal_values_have_one_integer_form():
+    # a tensor and an element keep integer numerators over one divisor in
+    # lowest terms, so the same value built any way compares and hashes
+    # alike: here (e1 x e2 - e2 x e1) / 2 and (id - swap) / 2
+    identity, swap = Permutation([1, 2]), Permutation([2, 1])
+    half_wedge = GroupAlgebraElement(2, {identity: Fraction(3, 6), swap: Fraction(-2, 4)})
+    tensors_built = [
+        SparseTensor(2, 2, {(1, 2): Fraction(2, 4), (2, 1): Fraction(-3, 6)}),
+        apply_algebra_element(decomposable(cfg(2, E1, E2)), half_wedge),
+        symmetrize(cfg(2, E1, E2), P(1, 1)),
+    ]
+    elements_built = [
+        half_wedge,
+        central_idempotent(P(1, 1)),
+        algebra_multiply(half_wedge, half_wedge),
+        algebra_multiply(
+            subset_antisymmetrizer(2, [1, 2]), GroupAlgebraElement(2, {identity: Fraction(2, 4)})
+        ),
+    ]
+    for built in (tensors_built, elements_built):
+        for value in built:
+            assert value.numerators == {(1, 2): 1, (2, 1): -1}
+            assert value.divisor == 2
+            assert value == built[0]
+            assert hash(value) == hash(built[0])
+
+
+def test_zero_tensor_and_zero_element_have_divisor_one():
+    identity, swap = Permutation([1, 2]), Permutation([2, 1])
+    zeros = [
+        SparseTensor(3, 2),
+        SparseTensor(2, 2, {(1, 2): Fraction(0, 5)}),
+        decomposable(cfg(2, E1, (0, 0))),
+        apply_algebra_element(
+            SparseTensor(2, 2, {(1, 1): Fraction(1, 3)}), subset_antisymmetrizer(2, [1, 2])
+        ),
+        GroupAlgebraElement(2),
+        GroupAlgebraElement(2, {identity: 0, swap: Fraction(0, 7)}),
+        algebra_multiply(central_idempotent(P(2)), central_idempotent(P(1, 1))),
+    ]
+    for zero in zeros:
+        assert zero.is_zero()
+        assert (zero.numerators, zero.divisor) == ({}, 1)
+
+
+def test_tensors_and_elements_take_exact_scalars_only():
+    # a float would be stored as its binary fraction, and a bool as 0 or 1
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        SparseTensor(1, 1, {(1,): 0.1})
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        SparseTensor(1, 1, {(1,): True})
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        GroupAlgebraElement(1, {Permutation([1]): 0.5})
+
+
 def test_symmetrize_size_mismatch():
     with pytest.raises(ValueError):
         symmetrize(cfg(2, E1, E2), P(3))
