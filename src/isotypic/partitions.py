@@ -12,13 +12,23 @@ from math import factorial
 from typing import Iterable, Iterator
 
 
+def _integers(entries: Iterable) -> tuple[int, ...]:
+    """The entries as a tuple of ints; a float or a bool raises ValueError
+    rather than being truncated or read as 0 or 1."""
+    entries = tuple(entries)
+    for e in entries:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"not an integer entry: {e!r}")
+    return entries
+
+
 class Partition:
     """A weakly decreasing tuple of positive integers; () is the empty partition."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = _integers(parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")

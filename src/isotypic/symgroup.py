@@ -11,7 +11,9 @@ convention.
 
 An element keeps the integer form its sums use, integer `numerators` by
 image tuple over one `divisor`; `_moved_sums`, the one place-action kernel,
-sums such integers, and `algebra_multiply` multiplies the divisors.
+sums such integers, and `algebra_multiply` multiplies the divisors.  The
+symmetrizers are one signed block walk over image tuples, `_block_sum`; only
+`inverse`, `compose` and the rational `terms` view build a `Permutation`.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import itertools
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .linalg import as_vector, integer_scaled, lowest_terms
-from .partitions import Partition
+from .partitions import Partition, _integers
 
 # n! enumerations (permutation streams, central idempotents, full symmetrizations)
 # refuse to run past this degree rather than silently truncating.
@@ -36,7 +38,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(i) for i in images)
+        images = _integers(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         self.images = images
@@ -165,7 +167,7 @@ class Tableau:
     __slots__ = ("shape", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(_integers(row) for row in rows)
         shape = Partition(len(row) for row in rows)
         n = shape.size
         if sorted(e for row in rows for e in row) != list(range(1, n + 1)):
@@ -219,7 +221,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def one(cls, n: int) -> "GroupAlgebraElement":
-        return cls(n, {Permutation.identity(n): 1})
+        return cls._from_integers(n, {tuple(range(1, n + 1)): 1}, 1)
 
     @property
     def terms(self) -> dict[Permutation, Fraction]:
@@ -272,35 +274,36 @@ def algebra_multiply(
     return GroupAlgebraElement._from_integers(x.n, total, x.divisor * y.divisor)
 
 
-def _block_permutations(n: int, blocks: Iterable[Iterable[int]]) -> Iterator[Permutation]:
-    """All permutations of {1..n} preserving each given block setwise."""
-    blocks = [tuple(b) for b in blocks if len(tuple(b)) >= 2]
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+def _block_sum(n: int, blocks: Iterable[Iterable[int]], signed: bool) -> GroupAlgebraElement:
+    """Sum over the permutations of {1..n} preserving each disjoint block, with
+    coefficient 1 or, if signed, the sign: the parity of the blocks' inversions."""
+    blocks = [b for b in map(tuple, blocks) if len(b) >= 2]
+    numerators = {}
+    for orders in itertools.product(*(itertools.permutations(range(len(b))) for b in blocks)):
         images = list(range(1, n + 1))
-        for block, perm in zip(blocks, choice):
-            for src, dst in zip(block, perm):
-                images[src - 1] = dst
-        yield Permutation(images)
+        inversions = 0
+        for block, order in zip(blocks, orders):
+            for src, k in zip(block, order):
+                images[src - 1] = block[k]
+            if signed:
+                inversions += sum(a > b for a, b in itertools.combinations(order, 2))
+        numerators[tuple(images)] = -1 if inversions % 2 else 1
+    return GroupAlgebraElement._from_integers(n, numerators, 1)
 
 
 def row_symmetrizer(tableau: Tableau) -> GroupAlgebraElement:
     """Sum, coefficient 1, over permutations preserving each row setwise."""
-    n = tableau.n
-    return GroupAlgebraElement(
-        n, {perm: 1 for perm in _block_permutations(n, tableau.rows)}
-    )
+    return _block_sum(tableau.n, tableau.rows, signed=False)
 
 
 def column_antisymmetrizer(tableau: Tableau) -> GroupAlgebraElement:
     """Signed sum over permutations preserving each column setwise."""
-    n = tableau.n
-    return GroupAlgebraElement(
-        n, {perm: perm.sign for perm in _block_permutations(n, tableau.columns())}
-    )
+    return _block_sum(tableau.n, tableau.columns(), signed=True)
 
 
 def subset_antisymmetrizer(n: int, block: Iterable[int]) -> GroupAlgebraElement:
     """Signed sum over permutations of the given block, fixing everything else."""
-    return GroupAlgebraElement(
-        n, {perm: perm.sign for perm in _block_permutations(n, [tuple(block)])}
-    )
+    block = _integers(block)
+    if len(set(block)) < len(block) or not all(1 <= i <= n for i in block):
+        raise ValueError(f"block {list(block)} is not a set of distinct entries of 1..{n}")
+    return _block_sum(n, [block], signed=True)

@@ -20,6 +20,9 @@ each permutation's class by walking its cycles, which the library's
 prefix-state recursion is checked against, and `permuted` reorders vector
 lists without the place-action kernel, the independent route the action
 tests compare against.
+`reference_block_sum` is the earlier route of the row, column and subset
+symmetrizers: a `Permutation` per block permutation, its sign read by
+`perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
 `character_fault`, `engine_fault` and `class_sum_fault` are the deliberate
@@ -31,7 +34,7 @@ tests can see the harness notice.
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Optional
 
@@ -172,6 +175,22 @@ def reference_permutations_with_class(n):
     index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
     perms = permutations(range(1, n + 1))
     return tuple((images, index[_cycle_lengths(images)]) for images in perms)
+
+
+def reference_block_sum(n, blocks, signed):
+    """The sum over the permutations of {1..n} preserving each block
+    setwise, with coefficient 1 or perm.sign, through the rational
+    constructor."""
+    blocks = [tuple(b) for b in blocks if len(tuple(b)) >= 2]
+    terms = {}
+    for choice in product(*(permutations(b) for b in blocks)):
+        images = list(range(1, n + 1))
+        for block, dsts in zip(blocks, choice):
+            for src, dst in zip(block, dsts):
+                images[src - 1] = dst
+        perm = Permutation(images)
+        terms[perm] = perm.sign if signed else 1
+    return GroupAlgebraElement(n, terms)
 
 
 def permuted(cfg, sigma):

@@ -118,22 +118,22 @@ def test_cycles_are_walked_only_for_one_permutation():
     # the n!-term walk reads each permutation's class from a cached
     # sequence; a cycle walk per permutation on that path would be n!
     # calls of _cycle_lengths
-    callers = set()
+    sources = sorted(SOURCE_DIR.glob("*.py"))
+    assert _callers("_cycle_lengths", sources) == {"symgroup.Permutation.cycle_type"}
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name == "_cycle_lengths":
-                    callers.add(".".join(scope))
-            visit(child, scope)
 
-    for path in sorted(SOURCE_DIR.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
-    assert callers == {"symgroup.Permutation.cycle_type"}
+def test_permutations_are_built_only_where_one_is_returned():
+    # the symmetrizers and GroupAlgebraElement.one write image tuples and
+    # integer signs; a Permutation is built only by the methods that return
+    # one and by the rational terms view
+    sources = sorted(SOURCE_DIR.glob("*.py"))
+    assert _callers("Permutation", sources) == {
+        "symgroup.Permutation.inverse",
+        "symgroup.compose",
+        "symgroup.GroupAlgebraElement.terms",
+    }
+    assert _callers("identity", sources) == set()
+    assert _callers("from_cycles", sources) == set()
 
 
 # every name `import isotypic` exports, by the module that defines it

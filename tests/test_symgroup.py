@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -19,7 +20,7 @@ from isotypic.symgroup import (
     row_symmetrizer,
     subset_antisymmetrizer,
 )
-from oracles import all_permutations, reference_algebra_multiply
+from oracles import all_permutations, reference_algebra_multiply, reference_block_sum
 
 
 def perm_strategy(n):
@@ -183,8 +184,11 @@ def test_symmetrizer_extremes():
 
 def _random_tableau(rng, n):
     shapes = partitions_of(n)
-    shape = shapes[rng.randrange(len(shapes))]
-    entries = list(range(1, n + 1))
+    return _random_filling(rng, shapes[rng.randrange(len(shapes))])
+
+
+def _random_filling(rng, shape):
+    entries = list(range(1, shape.size + 1))
     rng.shuffle(entries)
     rows, at = [], 0
     for part in shape:
@@ -218,6 +222,42 @@ def test_subset_antisymmetrizer():
         4, {Permutation.identity(4): 1, cyc(4, (1, 2)): -1}
     )
     assert subset_antisymmetrizer(4, [3]) == GroupAlgebraElement.one(4)
+    # a repeated entry or one outside 1..n is named, not walked
+    for n, block in [(3, [1, 1]), (3, [1, 5]), (2, [1, 2, 3]), (3, [0, 1])]:
+        with pytest.raises(ValueError, match=re.escape(f"block {block}")):
+            subset_antisymmetrizer(n, block)
+
+
+def test_symmetrizers_match_reference_block_sum():
+    rng = random.Random(20261018)
+    for n in range(8):
+        for shape in partitions_of(n):
+            tableau = _random_filling(rng, shape)
+            block = rng.sample(range(1, n + 1), rng.randint(0, n))
+            pairs = [
+                (row_symmetrizer(tableau), reference_block_sum(n, tableau.rows, False)),
+                (column_antisymmetrizer(tableau), reference_block_sum(n, tableau.columns(), True)),
+                (subset_antisymmetrizer(n, block), reference_block_sum(n, [block], True)),
+            ]
+            for got, want in pairs:
+                assert got == want
+                # the same terms in the same order, so every later sum over
+                # them accumulates as before
+                assert list(got.numerators.items()) == list(want.numerators.items())
+
+
+def test_entries_are_integers_not_truncated():
+    for build in [
+        lambda: Partition([2.5, 1]),
+        lambda: Partition([True]),
+        lambda: Permutation([1.5, 2]),
+        lambda: Permutation([True]),
+        lambda: Tableau([[1.9, 2]]),
+        lambda: Tableau([[1], [False]]),
+        lambda: subset_antisymmetrizer(3, [1.0, 2]),
+    ]:
+        with pytest.raises(ValueError, match="not an integer"):
+            build()
 
 
 def test_tableau_validation():
