@@ -11,7 +11,10 @@ Every n!-term character sum starts at `character_walk`, one walk over the
 permutations for a list of shapes: it numbers the classes where some
 listed shape's character is nonzero by slot and yields each permutation
 of those classes with its class slot, so a caller sums each class once
-and weights the class sums by every shape's character.
+and weights the class sums by every shape's character.  Its readers are
+the generalized matrix functions (`tensors.matrix_function_sums`) and
+`central_idempotent`; the brute route projects tensors with
+Jucys-Murphy elements and reads no character.
 
 The walk reads the permutations from `permutations_with_class`, which
 checks the degree cap when called and pairs `itertools.permutations`

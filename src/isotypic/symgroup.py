@@ -27,8 +27,9 @@ from typing import Iterable, Mapping
 from .linalg import as_vector, integer_scaled, lowest_terms
 from .partitions import Partition, _integers
 
-# n! enumerations (permutation streams, central idempotents, full symmetrizations)
-# refuse to run past this degree rather than silently truncating.
+# n! enumerations (permutation streams, central idempotents, block symmetrizers)
+# and full symmetrizations refuse to run past this degree rather than
+# silently truncating.
 DEGREE_CAP = 10
 
 
@@ -146,19 +147,17 @@ def _place_action(images: tuple[int, ...]):
     return itemgetter(*(i - 1 for i in images))
 
 
-def _moved_sums(support: Mapping[tuple, int], terms, slots: int) -> list[dict[tuple, int]]:
-    """Slot by slot, the sum over the integer (images, slot, c) terms of c *
-    (the integer support moved by the place action of images), summed in
-    int.  Returns the slots' sums, zeros included."""
+def _moved_sums(support: Mapping[tuple, int], terms) -> dict[tuple, int]:
+    """The sum over the integer (images, c) terms of c * (the integer support
+    moved by the place action of images), summed in int, zeros included."""
     pairs = list(support.items())
-    sums: list[dict[tuple, int]] = [{} for _ in range(slots)]
-    for images, s, c in terms:
-        acc = sums[s]
+    acc: dict[tuple, int] = {}
+    for images, c in terms:
         move = _place_action(images)
         for idx, val in pairs:
             moved = move(idx)
             acc[moved] = acc.get(moved, 0) + c * val
-    return sums
+    return acc
 
 
 class Tableau:
@@ -270,13 +269,15 @@ def algebra_multiply(
     """Convolution product: the coefficient of pi collects x(s)*y(t) over s*t = pi,
     the place action of y on the image tuples of x."""
     x._check(y)
-    (total,) = _moved_sums(x.numerators, ((im, 0, c) for im, c in y.numerators.items()), 1)
+    total = _moved_sums(x.numerators, y.numerators.items())
     return GroupAlgebraElement._from_integers(x.n, total, x.divisor * y.divisor)
 
 
 def _block_sum(n: int, blocks: Iterable[Iterable[int]], signed: bool) -> GroupAlgebraElement:
     """Sum over the permutations of {1..n} preserving each disjoint block, with
     coefficient 1 or, if signed, the sign: the parity of the blocks' inversions."""
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
     blocks = [b for b in map(tuple, blocks) if len(b) >= 2]
     numerators = {}
     for orders in itertools.product(*(itertools.permutations(range(len(b))) for b in blocks)):

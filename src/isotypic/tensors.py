@@ -8,15 +8,21 @@ index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
 `symgroup._place_action`, and the moved tensors are added up in
-`symgroup._moved_sums`.  The n!-term character sums take a list of
-shapes and walk `characters.character_walk` once for all of them:
-`symmetrized_sums(w, shapes)` sums the moved tensor w over each walked
-class and `matrix_function_sums(a, shapes)` the products
-prod_i a[i][sigma(i)], and each shape is the combination of those class
-sums weighted by its character.  The two share only the walk.
-`symmetrize` (on the pure tensor) and `generalized_matrix_function` are
-their one-shape views, whose walk skips the classes where the character
-vanishes.
+`symgroup._moved_sums`.  `symmetrized_sums(w, shapes)` applies the
+central idempotents of a list of shapes to w without walking the
+permutations: the power sums p_m(X_2, ..., X_n) of the Jucys-Murphy
+elements X_k = sum over i < k of (i k) are central and act on the
+lam-isotypic part by p_m(contents of lam), and the contents determine
+lam.  w is split into weight blocks (one sorted index tuple each), whose
+shapes are those that dominate the weight (Young's rule), and each block
+is split into its isotypic parts by Lagrange combinations of the Krylov
+vectors v, Zv, Z^2 v, ... for Z = p_1(X), then p_2(X), ..., until every
+listed shape stands alone; every move is a transposition.
+`matrix_function_sums(a, shapes)` walks `characters.character_walk`
+once for all shapes, summing the products prod_i a[i][sigma(i)] over
+each walked class and weighting the class sums by every shape's
+character.  The two routes share no code.  `symmetrize` (on the pure
+tensor) and `generalized_matrix_function` are their one-shape views.
 
 A configuration becomes integers in one place, `linalg.VectorConfiguration`:
 its `rows` are the vectors scaled by the lcm of their denominators, its
@@ -29,15 +35,17 @@ Only `gram_matrix` divides, and `matrix_function_sums` scales back.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from functools import cache
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from .characters import character_table, character_walk
+from .characters import character_walk
 from .linalg import Matrix, VectorConfiguration, as_vector, integer_scaled, lowest_terms
 from .linalg import rank_of_rows
-from .partitions import Partition
-from .symgroup import GroupAlgebraElement, _moved_sums, _place_action
+from .partitions import Partition, partitions_of
+from .symgroup import DEGREE_CAP, GroupAlgebraElement, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
@@ -117,58 +125,188 @@ def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTens
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
     if x.n != w.n:
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
-    (total,) = _moved_sums(w.numerators, ((im, 0, c) for im, c in x.numerators.items()), 1)
+    total = _moved_sums(w.numerators, x.numerators.items())
     return SparseTensor._from_integers(w.n, w.d, total, w.divisor * x.divisor)
 
 
 def symmetrized_sums(
     w: SparseTensor, shapes: Sequence[Partition]
 ) -> tuple[list[dict[tuple[int, ...], int]], int]:
-    """The central idempotents of the shapes applied to w, from one walk: for
-    each shape its nonzero integer entries, and one divisor common to all,
-    so that entries / divisor is apply_algebra_element(w,
-    central_idempotent(shape)).
+    """The central idempotents of the shapes applied to w: for each shape its
+    nonzero integer entries, and one divisor common to all, so that entries
+    / divisor is apply_algebra_element(w, central_idempotent(shape)).
 
-    Each walked class C gets its class sum T_C of the moved tensor, and a
-    shape's tensor is chi(1)/n! * sum over C of chi(C) * T_C.
+    Each weight block of w is split into its isotypic parts by
+    _weight_block_parts, and each shape's parts are brought to one divisor.
     """
     for lam in shapes:
         if lam.size != w.n:
             raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
-    degrees, values, walk = character_walk(shapes)
-    class_sums = _moved_sums(
-        w.numerators, ((images, s, 1) for images, s in walk), len(values[0])
-    )
+    blocks = list(_weight_block_parts(w, shapes))
+    divisor = lcm(*(q for parts in blocks for _, q in parts))
+    out: list[dict[tuple[int, ...], int]] = [{} for _ in shapes]
+    for parts in blocks:
+        for total, (entries, q) in zip(out, parts):
+            scale = divisor // q
+            for idx, c in entries.items():
+                total[idx] = c * scale
+    return out, divisor * w.divisor
+
+
+def _weight_block_parts(w: SparseTensor, shapes: Sequence[Partition]):
+    """For each weight block of w (its entries with one sorted index tuple)
+    where some listed shape can occur, each listed shape's part of the
+    block's numerators as nonzero integer entries over a positive divisor.
+
+    The place action keeps a block, the permutation module of its weight mu,
+    whose shapes are those that dominate mu (Young's rule).  Blocks where
+    no listed shape can occur are skipped; the parts are found by
+    _separate, level by level.
+    """
+    listed = set(shapes)
+    blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for idx, c in w.numerators.items():
+        blocks.setdefault(tuple(sorted(idx)), {})[idx] = c
+    for weight, block in blocks.items():
+        candidates = _young_candidates(weight)
+        wanted = listed.intersection(candidates)
+        if wanted:
+            parts: dict[Partition, tuple[dict, int]] = {}
+            _separate(block, candidates, wanted, 1, 1, parts)
+            yield [parts.get(lam, ({}, 1)) for lam in shapes]
+
+
+@cache
+def _young_candidates(weight: tuple[int, ...]) -> tuple[Partition, ...]:
+    """The shapes of the permutation module of a sorted index tuple: those
+    that dominate its multiplicities (Young's rule), so at most d rows."""
+    mu = Partition(sorted(Counter(weight).values(), reverse=True))
+    return tuple(lam for lam in partitions_of(len(weight)) if lam.dominates(mu))
+
+
+def _separate(v: dict, group: tuple[Partition, ...], wanted: set, m: int, divisor: int,
+              out: dict) -> None:
+    """Put in out, for each wanted shape of group, its part of v / divisor as
+    (entries, divisor), where v lies in the isotypic parts of the shapes of
+    group, which share their content power sums p_1, ..., p_(m-1).
+
+    p_m(X_2, ..., X_n), for the Jucys-Murphy elements X_k = sum over i < k
+    of (i k), is central and acts on the lam-isotypic part by
+    p_m(contents of lam).  With k distinct values z_j on group, the part of
+    value z_j is prod over i != j of (Z - z_i) / (z_j - z_i) applied to v,
+    a combination of the Krylov vectors v, Zv, ..., Z^(k-1)v.  A value held
+    by two or more shapes is split again at level m + 1.
+    """
+    if len(group) == 1:
+        out[group[0]] = (v, divisor)
+        return
+    steps = _lagrange(group, m)
+    if steps is None:
+        _separate(v, group, wanted, m + 1, divisor, out)
+        return
+    n = group[0].size
+    krylov = [v]
+    for _ in steps[1:]:
+        krylov.append(_power_sum_action(krylov[-1], m, n))
+    for shapes, coefficients, q in steps:
+        if wanted.isdisjoint(shapes):
+            continue
+        part: dict[tuple[int, ...], int] = {}
+        for a, x in zip(coefficients, krylov):
+            if a:
+                for idx, c in x.items():
+                    part[idx] = part.get(idx, 0) + a * c
+        part = {idx: c for idx, c in part.items() if c}
+        if part:
+            _separate(part, shapes, wanted, m + 1, divisor * q, out)
+
+
+def _content_power_sum(lam: Partition, m: int) -> int:
+    """p_m of the contents j - i of the boxes (i, j) of lam."""
+    return sum((j - i) ** m for i, part in enumerate(lam) for j in range(part))
+
+
+@cache
+def _lagrange(group: tuple[Partition, ...], m: int):
+    """The level-m split of a group of shapes of n: None when p_m is one
+    value on all of them, else for each value z_j, in order of first
+    appearance, its shapes, the coefficients (lowest degree first) of
+    prod over i != j of (x - z_i) and their positive common divisor,
+    prod over i != j of (z_j - z_i), both divided by their gcd."""
+    by_value: dict[int, list[Partition]] = {}
+    for lam in group:
+        by_value.setdefault(_content_power_sum(lam, m), []).append(lam)
+    if len(by_value) == 1:
+        if m > group[0].size:
+            # p_1, ..., p_n of the n contents determine them, and so the shape
+            raise RuntimeError(f"shapes {[lam.parts for lam in group]} share {m} power sums")
+        return None
+    steps = []
+    for z, shapes in by_value.items():
+        coefficients, q = [1], 1
+        for y in by_value:
+            if y != z:
+                coefficients = [a - y * b for a, b in zip([0, *coefficients], [*coefficients, 0])]
+                q *= z - y
+        g = gcd(q, *coefficients) * (1 if q > 0 else -1)
+        steps.append((tuple(shapes), tuple(a // g for a in coefficients), q // g))
+    return tuple(steps)
+
+
+@cache
+def _jucys_murphy(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """For k = 2, ..., n, the terms of X_k: the image tuple of each
+    transposition (i k), i < k, with coefficient 1."""
     out = []
-    for chi_1, row in zip(degrees, values):
-        total: dict[tuple[int, ...], int] = {}
-        for chi, sums in zip(row, class_sums):
-            if chi:
-                for idx, c in sums.items():
-                    total[idx] = total.get(idx, 0) + chi * c
-        out.append({idx: chi_1 * c for idx, c in total.items() if c})
-    return out, factorial(w.n) * w.divisor
+    for k in range(2, n + 1):
+        terms = []
+        for i in range(1, k):
+            images = list(range(1, n + 1))
+            images[i - 1], images[k - 1] = k, i
+            terms.append((tuple(images), 1))
+        out.append(tuple(terms))
+    return tuple(out)
+
+
+def _power_sum_action(v: dict, m: int, n: int) -> dict:
+    """v acted on by p_m(X_2, ..., X_n), nonzero entries only: m moves of v
+    by X_k for each k."""
+    total = {}
+    for terms in _jucys_murphy(n):
+        x = v
+        for _ in range(m):
+            x = _moved_sums(x, terms)
+        for idx, c in x.items():
+            total[idx] = total.get(idx, 0) + c
+    return {idx: c for idx, c in total.items() if c}
+
+
+def _pure_tensor(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
+    """decomposable(cfg), after the shape size and the degree (1..DEGREE_CAP)
+    are checked, before the d^n-entry tensor is built."""
+    if lam.size != cfg.n:
+        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    if cfg.n < 1:
+        raise ValueError("n must be at least 1")
+    if cfg.n > DEGREE_CAP:
+        raise ValueError(f"degree {cfg.n} exceeds cap {DEGREE_CAP}")
+    return decomposable(cfg)
 
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     """Apply the character projector for lam to the pure tensor of cfg.
 
     Equals apply_algebra_element(decomposable(cfg), central_idempotent(lam));
-    the one-shape view of symmetrized_sums, whose walk skips the classes
-    where the character vanishes.
+    the one-shape view of symmetrized_sums.
     """
-    if lam.size != cfg.n:
-        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
-    # the degree is checked (1..DEGREE_CAP) before the d^n-entry pure tensor
-    # is built
-    character_table(cfg.n)
-    (entries,), divisor = symmetrized_sums(decomposable(cfg), [lam])
+    (entries,), divisor = symmetrized_sums(_pure_tensor(cfg, lam), [lam])
     return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor)
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
-    """Exact zero test of the symmetrized pure tensor (the brute-force decider)."""
-    return not symmetrize(cfg, lam).is_zero()
+    """Exact zero test of the symmetrized pure tensor (the brute-force
+    decider): True at the first weight block with a nonzero part."""
+    return any(entries for (entries, _), in _weight_block_parts(_pure_tensor(cfg, lam), [lam]))
 
 
 def gram_matrix(cfg: VectorConfiguration) -> Matrix:

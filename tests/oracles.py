@@ -9,6 +9,11 @@ values, where the library sums integer numerators in `int` over one divisor.
 `per_shape_symmetrize` and `per_shape_generalized_matrix_function` are
 the earlier one-shape-per-walk routes, walking `character_terms`, which
 the library's class sums shared by every shape are checked against.
+`reference_symmetrized_sums` is the earlier brute route for every shape at
+once: one n!-term walk of `character_walk`, a class sum of the moved
+tensor per walked class (the multi-slot loop `_slot_sums`), weighted by
+each shape's character; the library now projects each weight block with
+Jucys-Murphy elements instead.
 `reference_rank_partition` is the earlier matroid-partition route, which
 explores the whole exchange graph on every augmenting search, and
 `reference_gamas_condition` the earlier backtracking search for Gamas's
@@ -25,10 +30,10 @@ symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
-`character_fault`, `engine_fault` and `class_sum_fault` are the deliberate
+`character_fault`, `engine_fault` and `content_fault` are the deliberate
 breakages: they flip a character value, take the exchanges out of the
-matroid-partition engine, or drop a class sum from the brute route, so
-tests can see the harness notice.
+matroid-partition engine, or put one shape's content power sums off by
+one in the brute route's projector, so tests can see the harness notice.
 """
 
 from collections import deque
@@ -50,6 +55,7 @@ from isotypic.symgroup import (
     Permutation,
     _cycle_lengths,
     _moved_sums,
+    _place_action,
     compose,
 )
 from isotypic.tensors import SparseTensor, VectorConfiguration, decomposable
@@ -329,9 +335,45 @@ def per_shape_symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTens
         raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
     chi_1, terms = character_terms(lam)
     w = decomposable(cfg)
-    (entries,) = _moved_sums(w.numerators, ((images, 0, chi_1 * chi) for images, chi in terms), 1)
+    entries = _moved_sums(w.numerators, ((images, chi_1 * chi) for images, chi in terms))
     divisor = factorial(cfg.n) * w.divisor
     return SparseTensor(cfg.n, cfg.dim, {idx: Fraction(c, divisor) for idx, c in entries.items()})
+
+
+def _slot_sums(support, terms, slots):
+    """Slot by slot, the sum over the integer (images, slot, c) terms of c *
+    (the integer support moved by the place action of images), summed in
+    int, zeros included."""
+    pairs = list(support.items())
+    sums = [{} for _ in range(slots)]
+    for images, s, c in terms:
+        acc = sums[s]
+        move = _place_action(images)
+        for idx, val in pairs:
+            moved = move(idx)
+            acc[moved] = acc.get(moved, 0) + c * val
+    return sums
+
+
+def reference_symmetrized_sums(w, shapes):
+    """The central idempotents of the shapes applied to w from one n!-term
+    walk, as integer entries per shape over one divisor: each walked class
+    C gets its class sum T_C of the moved tensor, and a shape's tensor is
+    chi(1)/n! * sum over C of chi(C) * T_C."""
+    for lam in shapes:
+        if lam.size != w.n:
+            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
+    degrees, values, walk = characters.character_walk(shapes)
+    class_sums = _slot_sums(w.numerators, ((images, s, 1) for images, s in walk), len(values[0]))
+    out = []
+    for chi_1, row in zip(degrees, values):
+        total = {}
+        for chi, sums in zip(row, class_sums):
+            if chi:
+                for idx, c in sums.items():
+                    total[idx] = total.get(idx, 0) + chi * c
+        out.append({idx: chi_1 * c for idx, c in total.items() if c})
+    return out, factorial(w.n) * w.divisor
 
 
 def per_shape_generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
@@ -528,26 +570,26 @@ def engine_fault():
 
 
 @contextmanager
-def class_sum_fault():
-    """Empty the last class sum of every walk over two or more classes, for
-    the duration of the block.
+def content_fault(lam):
+    """Put lam's content power sums p_m off by one at every level m, for the
+    duration of the block.
 
-    Patches isotypic.tensors._moved_sums, which symmetrized_sums looks up at
-    call time, so the brute route leaves one walked class out of every
-    shape's tensor.  apply_algebra_element sums in one slot there and is
-    untouched, and algebra_multiply calls symgroup's own _moved_sums;
-    in-process only, like character_fault.
+    The brute route's projector then takes the wrong eigenvalue of
+    p_m(X_2, ..., X_n) for lam, so the parts it splits off every weight
+    block where lam can occur are wrong.  Patches
+    isotypic.tensors._content_power_sum, which the projector's cached
+    _lagrange looks up at call time, and clears that cache on entry and
+    exit; in-process only, like character_fault.
     """
-    clean = tensors_module._moved_sums
+    clean = tensors_module._content_power_sum
 
-    def dropped(support, terms, slots):
-        sums = clean(support, terms, slots)
-        if len(sums) >= 2:
-            sums[-1] = {}
-        return sums
+    def shifted(mu, m):
+        return clean(mu, m) + (mu == lam)
 
-    tensors_module._moved_sums = dropped
+    tensors_module._content_power_sum = shifted
+    tensors_module._lagrange.cache_clear()
     try:
         yield
     finally:
-        tensors_module._moved_sums = clean
+        tensors_module._content_power_sum = clean
+        tensors_module._lagrange.cache_clear()

@@ -17,7 +17,7 @@ from isotypic.selfcheck import (
     run_verification,
 )
 from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
-from oracles import character_fault, class_sum_fault, engine_fault
+from oracles import character_fault, content_fault, engine_fault
 
 
 def test_splitmix_reference_stream():
@@ -227,17 +227,14 @@ def test_engine_fault_is_detected():
     assert suites["matroid_oracle"] >= 1
 
 
-def test_class_sum_fault_is_detected():
+def test_projector_fault_is_detected():
     # every brute answer of the harness comes from symmetrized_sums, so a
-    # dropped class sum shows as a brute-gram disagreement and a wrong
-    # <wT, wT>; the det-twist decides both of its sides from symmetrized_sums,
-    # which shift alike, so it reports nothing
-    with class_sum_fault():
+    # wrong eigenvalue in its projector shows as a brute-gram disagreement
+    # and a wrong <wT, wT>; gram walks the characters and does not see it
+    with content_fault(Partition([2, 1])):
         broken = run_verification(TrialSpec())
     suites = Counter(v["suite"] for v in broken.violations)
-    assert suites["four_decider_agreement"] == 939
-    assert suites["gram_identity"] == 1775
-    assert suites["det_twist"] == 0
+    assert suites == {"four_decider_agreement": 19, "gram_identity": 158}
     assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
 
 
@@ -286,7 +283,8 @@ def _counted(pairs, counts):
 
 def test_one_walk_per_route_per_configuration(monkeypatch):
     # the permutations each character sum walks: the library's class-slot
-    # walk, and the one-shape walk of the per-shape oracles
+    # walk, which only gram takes (brute projects with Jucys-Murphy
+    # elements), and the one-shape walk of the per-shape oracles
     walk, terms = tensors.character_walk, oracles.character_terms
     walked, per_shape = [], []
 
@@ -304,7 +302,7 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
     spec = TrialSpec(n_max=n, dims=(d,), trials_per_cell=1)
     suites = {"four_decider_agreement", "gram_identity"}
     assert check_trial(spec, n, d, 0, suites) == []
-    assert walked == [120, 120]  # n! for the brute route, then n! for gram
+    assert walked == [120]  # n! for gram, none for the brute route
 
     table = character_table(n)
     nonzero = {
@@ -324,14 +322,14 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
         walked.clear()
         symmetrize(cfg, lam)
         generalized_matrix_function(gram, lam)
-        assert walked == [nonzero[lam]] * 2
+        assert walked == [nonzero[lam]]
     assert min(nonzero.values()) < 120
 
 
 def test_one_walk_per_tensor_per_trial(monkeypatch):
-    # every suite of a trial whose det-twist runs: one n! walk each for the
-    # brute route, gram and the wedge, and one (n - d)! walk for the reduced
-    # side, over the pure tensors of all n vectors and of the last n - d
+    # every suite of a trial whose det-twist runs: one n! walk for gram, and
+    # none for the brute route, the wedge or the reduced side, over the pure
+    # tensors of all n vectors and of the last n - d
     walk, pure = tensors.character_walk, tensors.decomposable
     walked, built = [], []
 
@@ -348,7 +346,7 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
         monkeypatch.setattr(module, "decomposable", counting_pure)
     spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
     assert check_trial(spec, 5, 2, 0) == []
-    assert walked == [120, 120, 120, 6]
+    assert walked == [120]
     assert built == [5, 3]
 
 

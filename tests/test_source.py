@@ -122,6 +122,16 @@ def test_cycles_are_walked_only_for_one_permutation():
     assert _callers("_cycle_lengths", sources) == {"symgroup.Permutation.cycle_type"}
 
 
+def test_character_walk_serves_only_gram_and_idempotents():
+    # the brute route projects with Jucys-Murphy elements, so a fault in the
+    # class sequence moves only the gram side of the gram identity
+    sources = sorted(SOURCE_DIR.glob("*.py"))
+    assert _callers("character_walk", sources) == {
+        "tensors.matrix_function_sums",
+        "characters.central_idempotent",
+    }
+
+
 def test_permutations_are_built_only_where_one_is_returned():
     # the symmetrizers and GroupAlgebraElement.one write image tuples and
     # integer signs; a Permutation is built only by the methods that return

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isotypic.symgroup as symgroup
 from isotypic.characters import central_idempotent
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
+    DEGREE_CAP,
     GroupAlgebraElement,
     Permutation,
     Tableau,
@@ -303,9 +305,31 @@ def test_idempotent_products_match_reference():
                 assert algebra_multiply(x, y) == reference_algebra_multiply(x, y)
 
 
-def test_moved_sums_keep_slots_apart():
+def test_moved_sums_sum_every_term_in_one_dict():
     identity, swap = (1, 2), (2, 1)
     support = {(1, 2): 3, (1, 1): 4}
-    # each slot sums only its own terms in int, zeros included
-    sums = _moved_sums(support, [(identity, 0, 1), (swap, 1, 1), (swap, 0, -1)], 3)
-    assert sums == [{(1, 2): 3, (1, 1): 0, (2, 1): -3}, {(2, 1): 3, (1, 1): 4}, {}]
+    # every term's moved support is summed in int into one dict, zeros included
+    sums = _moved_sums(support, [(identity, 1), (swap, 2), (swap, -1)])
+    assert sums == {(1, 2): 3, (1, 1): 8, (2, 1): 3}
+    assert _moved_sums(support, [(identity, 1), (identity, -1)]) == {(1, 2): 0, (1, 1): 0}
+    assert _moved_sums(support, []) == {}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: row_symmetrizer(Tableau([range(1, n + 1)])),
+        lambda n: column_antisymmetrizer(Tableau([[i] for i in range(1, n + 1)])),
+        lambda n: subset_antisymmetrizer(n, range(1, n + 1)),
+    ],
+    ids=["row", "column", "subset"],
+)
+def test_block_sums_stop_past_the_degree_cap(monkeypatch, call):
+    # a one-row tableau past the cap would be (DEGREE_CAP + 1)! terms; the
+    # check comes before the first one is built
+    def no_terms(*blocks):
+        raise AssertionError("a block permutation was built past the cap")
+
+    monkeypatch.setattr(symgroup.itertools, "product", no_terms)
+    with pytest.raises(ValueError, match=f"degree {DEGREE_CAP + 1} exceeds cap {DEGREE_CAP}"):
+        call(DEGREE_CAP + 1)

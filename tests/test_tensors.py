@@ -4,6 +4,7 @@ from math import factorial, lcm
 
 import pytest
 
+import isotypic.characters as characters
 import isotypic.tensors as tensors
 from isotypic.characters import central_idempotent, character_table
 from isotypic.linalg import Matrix, is_independent
@@ -40,6 +41,7 @@ from oracles import (
     permuted,
     reference_apply_algebra_element,
     reference_generalized_matrix_function,
+    reference_symmetrized_sums,
     tensor_inner,
     tensor_sum,
 )
@@ -734,3 +736,108 @@ def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypat
         symmetrize(wide, P(11))
     with pytest.raises(ValueError, match="n must be at least 1"):
         symmetrize(VectorConfiguration(2, []), P())
+
+
+def _rational_parts(sums, divisor):
+    return [{idx: Fraction(c, divisor) for idx, c in entries.items()} for entries in sums]
+
+
+def test_projector_matches_reference_symmetrized_sums():
+    # the Jucys-Murphy projector gives every shape the tensor of the n!-term
+    # walk, on pure tensors with zero vectors, repeats and rational
+    # multiples, on the det-twist wedge, which is not pure, and on zero
+    rng = random.Random(47)
+    for n in range(1, 8):
+        shapes = partitions_of(n)
+        for d in range(1, 4):
+            # configurations until two (at n = 7 one) have a nonzero pure tensor
+            nonzero = 0
+            while nonzero < (2 if n < 7 else 1):
+                configuration = degenerate_config(rng, n, d)
+                pure = decomposable(configuration)
+                nonzero += not pure.is_zero()
+                wedge = apply_algebra_element(
+                    pure, subset_antisymmetrizer(n, range(1, min(n, d) + 1))
+                )
+                for w in (pure, wedge, SparseTensor(n, d)):
+                    sums, divisor = symmetrized_sums(w, shapes)
+                    assert all(all(entries.values()) for entries in sums)
+                    assert _rational_parts(sums, divisor) == _rational_parts(
+                        *reference_symmetrized_sums(w, shapes)
+                    )
+    # listed shapes in any order and number, and a divisor shared by all
+    w = decomposable(degenerate_config(random.Random(5), 5, 3))
+    listed = [P(3, 1, 1), P(5), P(3, 1, 1), P(2, 2, 1)]
+    sums, divisor = symmetrized_sums(w, listed)
+    assert _rational_parts(sums, divisor) == _rational_parts(
+        *reference_symmetrized_sums(w, listed)
+    )
+
+
+def test_shapes_dominating_no_weight_are_zero():
+    # Young's rule, which lets the projector skip weight blocks: a shape
+    # that dominates no weight (sorted multiplicities of an index tuple) of
+    # the support gets zero from the walk
+    rng = random.Random(48)
+    for n in range(1, 7):
+        shapes = partitions_of(n)
+        for d in range(1, 4):
+            w = random_tensor(rng, n, d, terms=3)
+            weights = {
+                Partition(sorted((idx.count(i) for i in set(idx)), reverse=True))
+                for idx in w.numerators
+            }
+            sums, _ = reference_symmetrized_sums(w, shapes)
+            for lam, entries in zip(shapes, sums):
+                if not any(lam.dominates(mu) for mu in weights):
+                    assert entries == {}
+
+
+def test_projector_moves_a_small_share_of_the_walk(monkeypatch):
+    # 8 dense vectors in Q^3: the walk would move 8! * 3^8 entries; the
+    # projector moves at most 1% of that
+    moved_sums, moved = tensors._moved_sums, []
+
+    def counted(support, terms):
+        terms = list(terms)
+        moved.append(len(support) * len(terms))
+        return moved_sums(support, terms)
+
+    monkeypatch.setattr(tensors, "_moved_sums", counted)
+    rng = random.Random(8)
+    dense = VectorConfiguration(3, [[rng.randint(1, 5) for _ in range(3)] for _ in range(8)])
+    support = len(decomposable(dense).numerators)
+    assert support == 3**8
+    symmetrized = symmetrize(dense, P(4, 2, 2))
+    assert not symmetrized.is_zero()
+    assert 0 < sum(moved) <= factorial(8) * support // 100
+
+
+def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
+    # the pure tensor of e1, e1 + e2, e2, e2 has the weight blocks (1,1,2,2)
+    # and (1,2,2,2), both where (3, 1) can occur; the first block's part is
+    # nonzero, so the decider projects no second block
+    separate, blocks = tensors._separate, []
+
+    def counted(v, group, wanted, m, divisor, out):
+        if m == 1:
+            blocks.append(v)
+        return separate(v, group, wanted, m, divisor, out)
+
+    monkeypatch.setattr(tensors, "_separate", counted)
+    configuration = cfg(2, E1, (1, 1), E2, E2)
+    assert nonzero_after_symmetrize(configuration, P(3, 1))
+    assert len(blocks) == 1
+    blocks.clear()
+    assert not symmetrize(configuration, P(3, 1)).is_zero()
+    assert len(blocks) == 2
+
+
+def test_symmetrize_builds_no_character_table():
+    # the projector reads contents, not characters, and the degree cap is
+    # checked without the table
+    characters.character_table.cache_clear()
+    configuration = cfg(2, E1, (1, 1), E2, E2)
+    symmetrize(configuration, P(3, 1))
+    nonzero_after_symmetrize(configuration, P(3, 1))
+    assert characters.character_table.cache_info().currsize == 0
