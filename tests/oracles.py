@@ -575,8 +575,8 @@ def content_fault(lam):
     duration of the block.
 
     The brute route's projector then takes the wrong eigenvalue of
-    p_m(X_2, ..., X_n) for lam, so the parts it splits off every weight
-    block where lam can occur are wrong.  Patches
+    p_m(X_2, ..., X_n) for lam, and the parts it splits off a weight block
+    where lam can occur leave some of lam's part in the others.  Patches
     isotypic.tensors._content_power_sum, which the projector's cached
     _lagrange looks up at call time, and clears that cache on entry and
     exit; in-process only, like character_fault.
