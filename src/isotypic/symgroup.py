@@ -10,8 +10,11 @@ sigma * tau.  Every order-sensitive identity is tested under this single
 convention.
 
 An element keeps the integer form its sums use, integer `numerators` by
-image tuple over one `divisor`; `_moved_sums`, the one place-action kernel,
-sums such integers, and `algebra_multiply` multiplies the divisors.  The
+image tuple over one `divisor`; `_moved_sums`, the place-action kernel of
+`algebra_multiply` and `tensors.apply_algebra_element`, sums such integers
+by tuple, and `algebra_multiply` multiplies the divisors.  The brute
+route's projector moves positions, not tuples: `tensors` turns each
+transposition's `_place_action` into a position map once per weight.  The
 symmetrizers are one signed block walk over image tuples, `_block_sum`; only
 `inverse`, `compose` and the rational `terms` view build a `Permutation`.
 """

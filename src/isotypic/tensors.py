@@ -7,17 +7,22 @@ v_{sigma(n)}, and the general action is the linear extension (entry at
 index tuple t moves to the tuple k -> t[sigma(k)]).
 
 Every function that moves index tuples under sigma gets the move from
-`symgroup._place_action`, and the moved tensors are added up in
-`symgroup._moved_sums`.  `symmetrized_sums(w, shapes)` applies the
+`symgroup._place_action`.  `apply_algebra_element` adds the moved tensors
+up in `symgroup._moved_sums`.  `symmetrized_sums(w, shapes)` applies the
 central idempotents of a list of shapes to w without walking the
 permutations: the power sums p_m(X_2, ..., X_n) of the Jucys-Murphy
 elements X_k = sum over i < k of (i k) are central and act on the
 lam-isotypic part by p_m(contents of lam), and the contents determine
 lam.  w is split into weight blocks (one sorted index tuple each), whose
-shapes are those that dominate the weight (Young's rule), and each block
-is split into its isotypic parts by Lagrange combinations of the Krylov
-vectors v, Zv, Z^2 v, ... for Z = p_1(X), then p_2(X), ..., until every
-listed shape stands alone; every move is a transposition.
+shapes are those that dominate the weight (Young's rule).  Each block is
+written as an int list over the fixed positions of `_block_space(weight)`,
+the weight's index tuples, and split into its isotypic parts by Lagrange
+combinations of the Krylov vectors v, Zv, Z^2 v, ... for Z = p_1(X), then
+p_2(X), ..., until every listed shape stands alone.  Every move is a
+transposition, applied as a position map that the block space builds
+once, on first use, with `_place_action`; the parts become index-tuple
+entries again only at the end.  `operator_rank` takes its blocks from the
+same block spaces.
 `matrix_function_sums(a, shapes)` walks `characters.character_walk`
 once for all shapes, summing the products prod_i a[i][sigma(i)] over
 each walked class and weighting the class sums by every shape's
@@ -34,11 +39,12 @@ Only `gram_matrix` divides, and `matrix_function_sums` scales back.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from itertools import combinations_with_replacement, compress
 from math import gcd, lcm, prod
+from operator import add
 from typing import Mapping, Sequence
 
 from .characters import character_walk
@@ -160,8 +166,9 @@ def _weight_block_parts(w: SparseTensor, shapes: Sequence[Partition]):
 
     The place action keeps a block, the permutation module of its weight mu,
     whose shapes are those that dominate mu (Young's rule).  Blocks where
-    no listed shape can occur are skipped; the parts are found by
-    _separate, level by level.
+    no listed shape can occur are skipped; the others are written over the
+    positions of _block_space(mu), and the parts are found by _separate,
+    level by level, and read back as index-tuple entries.
     """
     listed = set(shapes)
     blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
@@ -171,9 +178,17 @@ def _weight_block_parts(w: SparseTensor, shapes: Sequence[Partition]):
         candidates = _young_candidates(weight)
         wanted = listed.intersection(candidates)
         if wanted:
-            parts: dict[Partition, tuple[dict, int]] = {}
-            _separate(block, candidates, wanted, 1, 1, parts)
-            yield [parts.get(lam, ({}, 1)) for lam in shapes]
+            space = _block_space(weight)
+            v = [0] * len(space.tuples)
+            for idx, c in block.items():
+                v[space.positions[idx]] = c
+            parts: dict[Partition, tuple[list[int], int]] = {}
+            _separate(v, candidates, wanted, 1, 1, space, parts)
+            entries = {
+                lam: (dict(compress(zip(space.tuples, part), part)), q)
+                for lam, (part, q) in parts.items()
+            }
+            yield [entries.get(lam, ({}, 1)) for lam in shapes]
 
 
 @cache
@@ -184,11 +199,53 @@ def _young_candidates(weight: tuple[int, ...]) -> tuple[Partition, ...]:
     return tuple(lam for lam in partitions_of(len(weight)) if lam.dominates(mu))
 
 
-def _separate(v: dict, group: tuple[Partition, ...], wanted: set, m: int, divisor: int,
-              out: dict) -> None:
+class _BlockSpace:
+    """The index tuples of one weight on fixed positions: `tuples`, the
+    weight's arrangements in lexicographic order, `positions` by tuple,
+    and `maps`, built on first use by _transposition_maps."""
+
+    def __init__(self, weight: tuple[int, ...]):
+        counts = Counter(weight)
+        tuples = [()]
+        for _ in weight:
+            tuples = [t + (i,) for t in tuples for i in counts if t.count(i) < counts[i]]
+        self.tuples = tuples
+        self.positions = {idx: p for p, idx in enumerate(tuples)}
+
+    @cached_property
+    def maps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return _transposition_maps(self.tuples, self.positions)
+
+
+@cache
+def _block_space(weight: tuple[int, ...]) -> _BlockSpace:
+    """The positions of the index tuples of a sorted index tuple's weight."""
+    return _BlockSpace(weight)
+
+
+def _transposition_maps(tuples: list, positions: dict) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For k = 2, ..., n, the position maps of the transpositions (i k),
+    i < k, of X_k: at each position, the position of its tuple moved by
+    the place action (an involution, so either direction)."""
+    n = len(tuples[0])
+    out = []
+    for k in range(2, n + 1):
+        maps = []
+        for i in range(1, k):
+            images = list(range(1, n + 1))
+            images[i - 1], images[k - 1] = k, i
+            moved = map(_place_action(tuple(images)), tuples)
+            maps.append(tuple(map(positions.__getitem__, moved)))
+        out.append(tuple(maps))
+    return tuple(out)
+
+
+def _separate(v: list[int], group: tuple[Partition, ...], wanted: set, m: int, divisor: int,
+              space: _BlockSpace, out: dict) -> None:
     """Put in out, for each wanted shape of group, its part of v / divisor as
-    (entries, divisor), where v lies in the isotypic parts of the shapes of
-    group, which share their content power sums p_1, ..., p_(m-1).
+    (values over the positions of space, divisor), where v lies in the
+    isotypic parts of the shapes of group, which share their content power
+    sums p_1, ..., p_(m-1).
 
     p_m(X_2, ..., X_n), for the Jucys-Murphy elements X_k = sum over i < k
     of (i k), is central and acts on the lam-isotypic part by
@@ -202,23 +259,20 @@ def _separate(v: dict, group: tuple[Partition, ...], wanted: set, m: int, diviso
         return
     steps = _lagrange(group, m)
     if steps is None:
-        _separate(v, group, wanted, m + 1, divisor, out)
+        _separate(v, group, wanted, m + 1, divisor, space, out)
         return
-    n = group[0].size
     krylov = [v]
     for _ in steps[1:]:
-        krylov.append(_power_sum_action(krylov[-1], m, n))
+        krylov.append(_power_sum_action(krylov[-1], m, space.maps))
     for shapes, coefficients, q in steps:
         if wanted.isdisjoint(shapes):
             continue
-        part: dict[tuple[int, ...], int] = {}
+        part = [0] * len(v)
         for a, x in zip(coefficients, krylov):
             if a:
-                for idx, c in x.items():
-                    part[idx] = part.get(idx, 0) + a * c
-        part = {idx: c for idx, c in part.items() if c}
-        if part:
-            _separate(part, shapes, wanted, m + 1, divisor * q, out)
+                part = list(map(add, part, map(a.__mul__, x)))
+        if any(part):
+            _separate(part, shapes, wanted, m + 1, divisor * q, space, out)
 
 
 def _content_power_sum(lam: Partition, m: int) -> int:
@@ -253,32 +307,25 @@ def _lagrange(group: tuple[Partition, ...], m: int):
     return tuple(steps)
 
 
-@cache
-def _jucys_murphy(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-    """For k = 2, ..., n, the terms of X_k: the image tuple of each
-    transposition (i k), i < k, with coefficient 1."""
-    out = []
-    for k in range(2, n + 1):
-        terms = []
-        for i in range(1, k):
-            images = list(range(1, n + 1))
-            images[i - 1], images[k - 1] = k, i
-            terms.append((tuple(images), 1))
-        out.append(tuple(terms))
-    return tuple(out)
-
-
-def _power_sum_action(v: dict, m: int, n: int) -> dict:
-    """v acted on by p_m(X_2, ..., X_n), nonzero entries only: m moves of v
-    by X_k for each k."""
-    total = {}
-    for terms in _jucys_murphy(n):
+def _power_sum_action(v: list[int], m: int, maps) -> list[int]:
+    """v acted on by p_m(X_2, ..., X_n): m moves of v by X_k for each k,
+    given the position maps of each X_k's transpositions."""
+    total = [0] * len(v)
+    for x_k in maps:
         x = v
         for _ in range(m):
-            x = _moved_sums(x, terms)
-        for idx, c in x.items():
-            total[idx] = total.get(idx, 0) + c
-    return {idx: c for idx, c in total.items() if c}
+            x = _transposition_sum(x, x_k)
+        total = list(map(add, total, x))
+    return total
+
+
+def _transposition_sum(x: list[int], maps) -> list[int]:
+    """The sum of x moved by each position map."""
+    get = x.__getitem__
+    total = list(map(get, maps[0]))
+    for g in maps[1:]:
+        total = list(map(add, total, map(get, g)))
+    return total
 
 
 def _pure_tensor(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
@@ -371,7 +418,8 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 
     The position action preserves the multiset of indices, so the operator
     is block-diagonal over index contents; the rank is computed block by
-    block with exact elimination.
+    block, over the positions of each weight's _block_space, with exact
+    elimination.
     """
     n = x.n
     dimension = d**n
@@ -381,17 +429,15 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
         )
     if x.is_zero():
         return 0
-    blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for idx in itertools.product(range(1, d + 1), repeat=n):
-        blocks.setdefault(tuple(sorted(idx)), []).append(idx)
     # rank is unchanged by the positive divisor of the integer coefficients
     terms = [(_place_action(images), c) for images, c in x.numerators.items()]
     total = 0
-    for basis in blocks.values():
-        index = {idx: i for i, idx in enumerate(basis)}
+    for weight in combinations_with_replacement(range(1, d + 1), n):
+        space = _block_space(weight)
+        index = space.positions
         rows = []
-        for idx in basis:
-            dense = [0] * len(basis)
+        for idx in space.tuples:
+            dense = [0] * len(index)
             for move, coeff in terms:
                 dense[index[move(idx)]] += coeff
             rows.append(dense)

@@ -30,10 +30,12 @@ symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
-`character_fault`, `engine_fault` and `content_fault` are the deliberate
-breakages: they flip a character value, take the exchanges out of the
-matroid-partition engine, or put one shape's content power sums off by
-one in the brute route's projector, so tests can see the harness notice.
+`character_fault`, `engine_fault`, `content_fault` and `position_map_fault`
+are the deliberate breakages: they flip a character value, take the
+exchanges out of the matroid-partition engine, put one shape's content
+power sums off by one in the brute route's projector, or give the
+projector the identity's position map for the transposition (1 2), so
+tests can see the harness notice.
 """
 
 from collections import deque
@@ -593,3 +595,30 @@ def content_fault(lam):
     finally:
         tensors_module._content_power_sum = clean
         tensors_module._lagrange.cache_clear()
+
+
+@contextmanager
+def position_map_fault():
+    """Replace the position map of the transposition (1 2) by the identity's
+    in every block space built during the block.
+
+    X_2 = (1 2) then acts as the identity, so the projector takes wrong
+    eigenvalues of p_m(X_2, ..., X_n) on every block it splits, and the
+    parts it splits off leave some of each shape's part in the others.
+    Patches isotypic.tensors._transposition_maps, which the cached
+    _block_space's maps look up at call time, and clears that cache on
+    entry and exit; in-process only, like character_fault.
+    """
+    clean = tensors_module._transposition_maps
+
+    def broken(tuples, positions):
+        (_, *rest), *higher = clean(tuples, positions)
+        return (tuple(range(len(tuples))), *rest), *higher
+
+    tensors_module._transposition_maps = broken
+    tensors_module._block_space.cache_clear()
+    try:
+        yield
+    finally:
+        tensors_module._transposition_maps = clean
+        tensors_module._block_space.cache_clear()

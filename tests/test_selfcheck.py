@@ -17,7 +17,7 @@ from isotypic.selfcheck import (
     run_verification,
 )
 from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
-from oracles import character_fault, content_fault, engine_fault
+from oracles import character_fault, content_fault, engine_fault, position_map_fault
 
 
 def test_splitmix_reference_stream():
@@ -235,6 +235,18 @@ def test_projector_fault_is_detected():
         broken = run_verification(TrialSpec())
     suites = Counter(v["suite"] for v in broken.violations)
     assert suites == {"four_decider_agreement": 19, "gram_identity": 158}
+    assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
+
+
+def test_position_map_fault_is_detected():
+    # with the identity's position map for (1 2), X_2 acts as the identity
+    # and the projector's parts are wrong on every block it splits: brute
+    # disagrees with gram, <wT, wT> is wrong and the det-twist reduction
+    # fails; the harness is clean again outside the fault
+    with position_map_fault():
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites == {"four_decider_agreement": 79, "gram_identity": 495, "det_twist": 44}
     assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, lcm
 
 import pytest
@@ -795,15 +796,15 @@ def test_shapes_dominating_no_weight_are_zero():
 
 def test_projector_moves_a_small_share_of_the_walk(monkeypatch):
     # 8 dense vectors in Q^3: the walk would move 8! * 3^8 entries; the
-    # projector moves at most 1% of that
-    moved_sums, moved = tensors._moved_sums, []
+    # projector moves at most 1% of that, one position per position map
+    # applied
+    position_sum, moved = tensors._transposition_sum, []
 
-    def counted(support, terms):
-        terms = list(terms)
-        moved.append(len(support) * len(terms))
-        return moved_sums(support, terms)
+    def counted(x, maps):
+        moved.append(len(x) * len(maps))
+        return position_sum(x, maps)
 
-    monkeypatch.setattr(tensors, "_moved_sums", counted)
+    monkeypatch.setattr(tensors, "_transposition_sum", counted)
     rng = random.Random(8)
     dense = VectorConfiguration(3, [[rng.randint(1, 5) for _ in range(3)] for _ in range(8)])
     support = len(decomposable(dense).numerators)
@@ -819,18 +820,86 @@ def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
     # nonzero, so the decider projects no second block
     separate, blocks = tensors._separate, []
 
-    def counted(v, group, wanted, m, divisor, out):
+    def counted(v, group, wanted, m, divisor, space, out):
         if m == 1:
-            blocks.append(v)
-        return separate(v, group, wanted, m, divisor, out)
+            blocks.append(space)
+        return separate(v, group, wanted, m, divisor, space, out)
 
     monkeypatch.setattr(tensors, "_separate", counted)
     configuration = cfg(2, E1, (1, 1), E2, E2)
     assert nonzero_after_symmetrize(configuration, P(3, 1))
-    assert len(blocks) == 1
+    assert blocks == [tensors._block_space((1, 1, 2, 2))]
     blocks.clear()
     assert not symmetrize(configuration, P(3, 1)).is_zero()
     assert len(blocks) == 2
+
+
+def _counted_kernel(monkeypatch):
+    # a fresh block-space cache, and a record of the position maps built
+    # and of the position moves made
+    built, moved = [], []
+    build, position_sum = tensors._transposition_maps, tensors._transposition_sum
+
+    def counted_build(tuples, positions):
+        built.append(tuples[0])
+        return build(tuples, positions)
+
+    def counted_sum(x, maps):
+        moved.append(len(x) * len(maps))
+        return position_sum(x, maps)
+
+    monkeypatch.setattr(tensors, "_transposition_maps", counted_build)
+    monkeypatch.setattr(tensors, "_transposition_sum", counted_sum)
+    tensors._block_space.cache_clear()
+    return built, moved
+
+
+def test_blocks_with_one_candidate_shape_build_no_maps(monkeypatch):
+    # a block whose weight is (n), as every block at d = 1 is, has one
+    # candidate shape, (n), and is its own part: no map is built and no
+    # position moved
+    built, moved = _counted_kernel(monkeypatch)
+    for n in range(1, 6):
+        line = cfg(1, *[(k,) for k in range(1, n + 1)])
+        assert nonzero_after_symmetrize(line, P(n))
+        assert symmetrize(line, P(n)) == decomposable(line)
+        single = SparseTensor(n, 3, {(2,) * n: 5, (3,) * n: -1})
+        (entries,), divisor = symmetrized_sums(single, [P(n)])
+        assert SparseTensor._from_integers(n, 3, entries, divisor) == single
+    assert built == [] and moved == []
+    # a block of weight (1, 1, 2), where (3) and (2, 1) can occur, is split
+    symmetrize(cfg(2, E1, E1, E2), P(2, 1))
+    assert built == [(1, 1, 2)] and sum(moved) > 0
+
+
+def test_blocks_with_no_listed_shape_build_no_maps(monkeypatch):
+    # (1, 1, 1) dominates no weight of two letters, and (2, 1) not the weight
+    # (3): the projector skips such blocks before it places them
+    built, moved = _counted_kernel(monkeypatch)
+    configuration = cfg(2, E1, (1, 1), E2)
+    assert symmetrize(configuration, P(1, 1, 1)).is_zero()
+    assert not nonzero_after_symmetrize(configuration, P(1, 1, 1))
+    constant = SparseTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): 3})
+    assert symmetrized_sums(constant, [P(2, 1)]) == ([{}], 1)
+    assert built == [] and moved == []
+    assert tensors._block_space.cache_info().currsize == 0
+
+
+def test_block_space_lists_each_arrangement_once_in_order():
+    for weight in [(), (1,), (1, 1, 2), (1, 2, 2, 3), (2, 2, 2), (1, 1, 2, 2, 3)]:
+        space = tensors._block_space(weight)
+        assert space.tuples == sorted(set(permutations(weight)))
+        assert space.positions == {idx: p for p, idx in enumerate(space.tuples)}
+    # each map is the transposition's place action on positions, an involution
+    space = tensors._block_space((1, 1, 2, 3))
+    assert [len(maps) for maps in space.maps] == [1, 2, 3]
+    for k, maps in enumerate(space.maps, start=2):
+        for i, g in enumerate(maps, start=1):
+            for p, idx in enumerate(space.tuples):
+                moved = list(idx)
+                moved[i - 1], moved[k - 1] = idx[k - 1], idx[i - 1]
+                assert space.tuples[g[p]] == tuple(moved)
+                assert g[g[p]] == p
 
 
 def test_symmetrize_builds_no_character_table():
