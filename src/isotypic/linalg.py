@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction`, matrices are immutable, and rank is
-computed by fraction-free (Bareiss) elimination on integer-scaled rows.
-Every zero test in the package ultimately reduces to this module, so
-nothing here is allowed to be approximate.  `VectorConfiguration`, the
-input of every decider, lives here too, so that the matroid deciders
-load no tensor or character code.
+Scalars are `fractions.Fraction`, ints or rational literals; matrices
+are immutable and keep integer rows over row scales, and rank is computed
+by fraction-free (Bareiss) elimination on integer rows.  Every zero test
+in the package ultimately reduces to this module, so nothing here is
+allowed to be approximate.  `VectorConfiguration`, the input of every
+decider, lives here too, so that the matroid deciders load no tensor or
+character code.
 """
 
 from __future__ import annotations
@@ -32,38 +33,57 @@ def parse_rational(text: str | int) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
+def _exact(e) -> Fraction | int:
+    """An int or a Fraction as it is, a rational literal parsed; a float or a
+    bool raises ValueError."""
+    if isinstance(e, str):
+        return parse_rational(e)
+    if isinstance(e, (Fraction, int)) and not isinstance(e, bool):
+        return e
+    raise ValueError(f"not an exact scalar: {e!r}")
+
+
 def as_vector(entries: Iterable) -> Vector:
     """Coerce entries to Fractions; only exact inputs (no floats) are accepted."""
-    out = []
-    for e in entries:
-        if isinstance(e, str):
-            out.append(parse_rational(e))
-        elif isinstance(e, (Fraction, int)) and not isinstance(e, bool):
-            out.append(Fraction(e))
-        else:
-            raise ValueError(f"not an exact scalar: {e!r}")
-    return tuple(out)
+    return tuple(Fraction(_exact(e)) for e in entries)
 
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable dense rational matrix: row i is the int `numerators[i]` over
+    the positive `scales[i]`, as in a configuration; `rows` is the rational view."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("numerators", "scales")
 
     def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple(as_vector(row) for row in rows)
-        widths = {len(r) for r in grid}
+        scaled = [integer_scaled(as_vector(row)) for row in rows]
+        widths = {len(ints) for ints, _ in scaled}
         if len(widths) > 1:
             raise ValueError("ragged rows in matrix")
-        self.rows = grid
+        self.numerators = tuple(tuple(ints) for ints, _ in scaled)
+        self.scales = tuple(scale for _, scale in scaled)
+
+    @classmethod
+    def _from_integers(cls, numerators, scales) -> "Matrix":
+        """The matrix whose row i is numerators[i] / scales[i] (scales > 0)."""
+        a = cls(())
+        a.numerators = tuple(tuple(row) for row in numerators)
+        a.scales = tuple(scales)
+        return a
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(
+            tuple(Fraction(e, scale) for e in row)
+            for row, scale in zip(self.numerators, self.scales)
+        )
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.numerators[0]) if self.numerators else 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -105,9 +125,11 @@ class VectorConfiguration:
 
     The one place where a configuration becomes integers: `rows[i]` is
     vectors[i] times `scales[i]`, the lcm of its entries' denominators.
+    `rank_memo`, the ranks by frozenset of 1-based indices, is shared by
+    every `matroid.LinearMatroid` on the configuration.
     """
 
-    __slots__ = ("dim", "vectors", "_rows", "_scales")
+    __slots__ = ("dim", "vectors", "rows", "scales", "rank_memo")
 
     def __init__(self, dim: int, vectors: Iterable[Iterable]):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
@@ -118,20 +140,13 @@ class VectorConfiguration:
             if len(v) != self.dim:
                 raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
         scaled = [integer_scaled(v) for v in self.vectors]
-        self._rows = tuple(tuple(row) for row, _ in scaled)
-        self._scales = tuple(scale for _, scale in scaled)
+        self.rows = tuple(tuple(row) for row, _ in scaled)
+        self.scales = tuple(scale for _, scale in scaled)
+        self.rank_memo: dict[frozenset[int], int] = {frozenset(): 0}
 
     @property
     def n(self) -> int:
         return len(self.vectors)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    @property
-    def scales(self) -> tuple[int, ...]:
-        return self._scales
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,13 +221,14 @@ def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
     return _int_rank([integer_scaled(r)[0] for r in rows])
 
 
-def is_independent(vectors: Sequence[Sequence[Fraction]]) -> bool:
+def is_independent(vectors: Sequence[Sequence]) -> bool:
     """True iff the vectors are linearly independent over the rationals.
 
-    The empty family is independent; any family longer than the ambient
-    dimension, or containing the zero vector, is dependent.
+    Entries follow the rule of `as_vector`, but ints and Fractions are kept
+    as they are.  The empty family is independent; any family longer than
+    the ambient dimension, or containing the zero vector, is dependent.
     """
-    vectors = [tuple(v) for v in vectors]
+    vectors = [tuple(map(_exact, v)) for v in vectors]
     if not vectors:
         return True
     dims = {len(v) for v in vectors}

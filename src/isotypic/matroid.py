@@ -13,7 +13,7 @@ the classes as an explicit partition of the indices into independent
 blocks; `decide_appears` is the dominance decider built on the rank
 partition.  `rank_partition_oracle` recomputes rho from the exponential
 min-formula  min over S of (k * rank(S) + |E - S|)  as an independent
-cross-check.
+cross-check.  All of them share the configuration's rank memo.
 
 The augmenting-path search skips work by four exact matroid facts, so it
 finds the same paths and ends with the same color classes as the plain
@@ -47,8 +47,8 @@ ORACLE_SIZE_CAP = 14
 class LinearMatroid:
     """Exact rank oracle over index subsets of a vector configuration.
 
-    Ranks are cached per frozenset and run on the configuration's integer
-    rows, in pure integer arithmetic.
+    Ranks run on the configuration's integer rows, in pure integer
+    arithmetic, and are kept per frozenset in its shared `rank_memo`.
     """
 
     def __init__(self, cfg: VectorConfiguration):
@@ -57,14 +57,14 @@ class LinearMatroid:
         self.zero_indices = frozenset(
             i for i, row in self._rows.items() if not any(row)
         )
-        self._cache: dict[frozenset[int], int] = {frozenset(): 0}
+        self._memo = cfg.rank_memo
 
     def rank(self, subset: Iterable[int]) -> int:
         key = frozenset(subset)
-        cached = self._cache.get(key)
+        cached = self._memo.get(key)
         if cached is None:
             cached = _int_rank([self._rows[i] for i in sorted(key)])
-            self._cache[key] = cached
+            self._memo[key] = cached
         return cached
 
     def is_independent_set(self, subset: Iterable[int]) -> bool:

@@ -54,11 +54,15 @@ class Permutation:
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
         images = list(range(1, n + 1))
+        seen = set()
         for cycle in cycles:
-            cycle = list(cycle)
+            cycle = _integers(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not 1 <= a <= n:
                     raise ValueError(f"cycle entry {a} out of range 1..{n}")
+                if a in seen:
+                    raise ValueError(f"cycle entry {a} repeats")
+                seen.add(a)
                 images[a - 1] = b
         return cls(images)
 
@@ -207,6 +211,8 @@ class GroupAlgebraElement:
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction] | None = None):
         terms = terms or {}
         for perm in terms:
+            if not isinstance(perm, Permutation):
+                raise ValueError(f"a key must be a Permutation, got {perm!r}")
             if perm.n != n:
                 raise ValueError(f"term degree {perm.n} does not match {n}")
         coeffs, scale = integer_scaled(as_vector(terms.values()))

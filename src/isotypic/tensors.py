@@ -31,10 +31,10 @@ tensor) and `generalized_matrix_function` are their one-shape views.
 
 A configuration becomes integers in one place, `linalg.VectorConfiguration`:
 its `rows` are the vectors scaled by the lcm of their denominators, its
-`scales`.  A tensor keeps the integer form its sums use, as an algebra
-element does: `decomposable` multiplies the rows over the product of the
-scales, and the kernels sum numerators in `int` and multiply divisors.
-Only `gram_matrix` divides, and `matrix_function_sums` scales back.
+`scales`.  A tensor, an algebra element and a `linalg.Matrix` keep the
+integer form their sums use: `decomposable` multiplies the rows over the
+product of the scales, `gram_matrix` keeps their int dot products, and
+the kernels sum numerators in `int` and multiply divisors.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 from .characters import character_walk
 from .linalg import Matrix, VectorConfiguration, as_vector, integer_scaled, lowest_terms
 from .linalg import rank_of_rows
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _integers, partitions_of
 from .symgroup import DEGREE_CAP, GroupAlgebraElement, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
@@ -66,7 +66,7 @@ class SparseTensor:
 
     def __init__(self, n: int, d: int, entries: Mapping[tuple[int, ...], Fraction] | None = None):
         entries = entries or {}
-        keys = [tuple(idx) for idx in entries]
+        keys = [_integers(idx) for idx in entries]
         for idx in keys:
             if len(idx) != n or any(not 1 <= i <= d for i in idx):
                 raise ValueError(f"bad index {idx} for degree {n}, dimension {d}")
@@ -357,18 +357,16 @@ def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
 
 
 def gram_matrix(cfg: VectorConfiguration) -> Matrix:
-    """Pairwise dot products; symmetric positive semidefinite.  Each is an
-    int dot product of the integer rows, divided by the two rows' scales."""
+    """Pairwise dot products; symmetric positive semidefinite.  Entry (i, j)
+    is the int dot product of the integer rows i and j over scales[i] *
+    scales[j], so row i is kept over scales[i] times the lcm of the scales."""
     rows, scales = cfg.rows, cfg.scales
-    return Matrix(
-        [
-            [
-                Fraction(sum(a * b for a, b in zip(rows[i], rows[j])), scales[i] * scales[j])
-                for j in range(cfg.n)
-            ]
-            for i in range(cfg.n)
-        ]
-    )
+    common = lcm(*scales)
+    numerators = [
+        [sum(a * b for a, b in zip(u, v)) * (common // scale) for v, scale in zip(rows, scales)]
+        for u in rows
+    ]
+    return Matrix._from_integers(numerators, [scale * common for scale in scales])
 
 
 def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[int], int]:
@@ -388,8 +386,7 @@ def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[i
     _, values, walk = character_walk(shapes)
     # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
     # entry from every row; a leading 0 makes columns 1-based like images
-    scaled = [integer_scaled(r) for r in a.rows]
-    rows = [(0, *ints) for ints, _ in scaled]
+    rows = [(0, *ints) for ints in a.numerators]
     class_sums = [0] * len(values[0])
     for images, s in walk:
         term = 1
@@ -398,7 +395,7 @@ def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[i
             if not term:
                 break
         class_sums[s] += term
-    divisor = prod(scale for _, scale in scaled)
+    divisor = prod(a.scales)
     return [sum(chi * p for chi, p in zip(row, class_sums)) for row in values], divisor
 
 

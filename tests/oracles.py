@@ -30,12 +30,13 @@ symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
-`character_fault`, `engine_fault`, `content_fault` and `position_map_fault`
-are the deliberate breakages: they flip a character value, take the
-exchanges out of the matroid-partition engine, put one shape's content
-power sums off by one in the brute route's projector, or give the
-projector the identity's position map for the transposition (1 2), so
-tests can see the harness notice.
+`character_fault`, `engine_fault`, `rank_fault`, `content_fault` and
+`position_map_fault` are the deliberate breakages: they flip a character
+value, take the exchanges out of the matroid-partition engine, read every
+rank 3 of the engine's rank oracle as 2, put one shape's content power
+sums off by one in the brute route's projector, or give the projector the
+identity's position map for the transposition (1 2), so tests can see the
+harness notice.
 """
 
 from collections import deque
@@ -569,6 +570,33 @@ def engine_fault():
         yield
     finally:
         matroid_module._augment = clean
+
+
+@contextmanager
+def rank_fault():
+    """Read every rank 3 as 2 in the matroid engine's rank oracle, for the
+    duration of the block.
+
+    The engine then never holds three vectors in one class, so it misses
+    the certificates of shapes with a column of three or more and reads
+    rank partitions of rank at most 2.  Patches isotypic.matroid._int_rank,
+    which LinearMatroid.rank looks up at call time, so the engine and the
+    min-formula oracle read the same wrong ranks, while is_independent,
+    which re-checks certificates, does not.  A configuration built inside
+    the block keeps the wrong ranks in its memo; in-process only, like
+    character_fault.
+    """
+    clean = matroid_module._int_rank
+
+    def off_by_one(rows):
+        rank = clean(rows)
+        return 2 if rank == 3 else rank
+
+    matroid_module._int_rank = off_by_one
+    try:
+        yield
+    finally:
+        matroid_module._int_rank = clean
 
 
 @contextmanager

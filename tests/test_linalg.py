@@ -65,6 +65,22 @@ def test_is_independent_dimension_mismatch():
         is_independent([(1, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "vectors", [[[0.5, 1]], [[True, False]], [[1, 0], [0, 1.0]], [["1/2", None]]]
+)
+def test_is_independent_takes_exact_entries_only(vectors):
+    # as in as_vector: a float or a bool is refused, not read as a binary
+    # fraction or as 0 and 1
+    with pytest.raises(ValueError):
+        is_independent(vectors)
+
+
+def test_is_independent_parses_rational_literals():
+    assert is_independent([["1/2", "1"]])
+    assert not is_independent([["1/2", "1"], [1, "2"]])
+    assert is_independent([[Fraction(1, 2), 1], ["0", "-3/4"]])
+
+
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_bounded(rows):

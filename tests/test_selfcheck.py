@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import isotypic.matroid as matroid
 import isotypic.selfcheck as selfcheck
 import isotypic.tensors as tensors
 import oracles
@@ -17,7 +18,13 @@ from isotypic.selfcheck import (
     run_verification,
 )
 from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
-from oracles import character_fault, content_fault, engine_fault, position_map_fault
+from oracles import (
+    character_fault,
+    content_fault,
+    engine_fault,
+    position_map_fault,
+    rank_fault,
+)
 
 
 def test_splitmix_reference_stream():
@@ -227,6 +234,18 @@ def test_engine_fault_is_detected():
     assert suites["matroid_oracle"] >= 1
 
 
+def test_rank_fault_is_detected():
+    # with every rank 3 read as 2 the engine holds no block of three, so
+    # gamas and dominance disagree with brute and gram; the min-formula
+    # oracle reads the same ranks as the engine and the certificates stay
+    # independent, so only the agreement suite sees it
+    with rank_fault():
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites == {"four_decider_agreement": 78}
+    assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
+
+
 def test_projector_fault_is_detected():
     # every brute answer of the harness comes from symmetrized_sums, so a
     # wrong eigenvalue in its projector shows as a brute-gram disagreement
@@ -360,6 +379,30 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
     assert check_trial(spec, 5, 2, 0) == []
     assert walked == [120]
     assert built == [5, 3]
+
+
+def test_each_subset_is_eliminated_once_per_configuration(monkeypatch):
+    # rank_partition, the min-formula oracle and every gamas_condition of a
+    # trial share the configuration's rank memo, so the trial eliminates
+    # each nonempty index subset at most once (1040 here; 3217 when each
+    # built its own matroid)
+    generate, sizes = selfcheck.generate_configuration, []
+
+    def recorded(spec, n, d, trial_index):
+        sizes.append(n)
+        return generate(spec, n, d, trial_index)
+
+    bareiss, eliminations = matroid._int_rank, []
+
+    def counted(rows):
+        eliminations.append(rows)
+        return bareiss(rows)
+
+    monkeypatch.setattr(selfcheck, "generate_configuration", recorded)
+    monkeypatch.setattr(matroid, "_int_rank", counted)
+    assert run_verification(TrialSpec(n_max=4, dims=(2, 3), trials_per_cell=20), jobs=1).ok
+    assert sizes and eliminations
+    assert len(eliminations) <= sum(2**n - 1 for n in sizes)
 
 
 def test_one_certificate_per_trial_and_shape(monkeypatch):

@@ -125,6 +125,23 @@ def test_permutation_validation():
         Permutation([0, 1])
 
 
+def test_from_cycles_refuses_a_repeated_entry():
+    # a repeat within a cycle or across cycles names no permutation
+    for cycles, entry in (([[1, 1]], 1), ([[1, 2], [2, 3]], 2), ([[1, 2, 3, 1]], 1)):
+        with pytest.raises(ValueError, match=f"cycle entry {entry} repeats"):
+            Permutation.from_cycles(3, cycles)
+    with pytest.raises(ValueError, match="out of range"):
+        Permutation.from_cycles(3, [[1, 4]])
+    assert Permutation.from_cycles(3, [[1], [2, 3]]) == Permutation([1, 3, 2])
+
+
+def test_algebra_element_keys_are_permutations():
+    with pytest.raises(ValueError, match="a key must be a Permutation"):
+        GroupAlgebraElement(2, {(1, 2): 1})
+    with pytest.raises(ValueError, match="does not match"):
+        GroupAlgebraElement(2, {Permutation([1, 2, 3]): 1})
+
+
 def test_algebra_identity_element():
     x = GroupAlgebraElement(3, {cyc(3, (1, 2)): Fraction(2), cyc(3, (1, 2, 3)): Fraction(-1, 3)})
     one = GroupAlgebraElement.one(3)

@@ -597,6 +597,12 @@ def test_sparse_tensor_validation():
         SparseTensor(2, 2, {(1, 3): 1})
     with pytest.raises(ValueError):
         SparseTensor(2, 2, {(1,): 1})
+    # a float or a bool index entry would be printed, or summed, as a key
+    for entries in ({(1.5,): 1}, {(True,): 1}, {(2.0,): 1}):
+        with pytest.raises(ValueError, match="not an integer entry"):
+            SparseTensor(1, 2, entries)
+    with pytest.raises(ValueError, match="not an integer entry"):
+        SparseTensor(2, 2, {(1.5, 2): 1, (2, 1): 1})
 
 
 def test_exact_scalars_only():
