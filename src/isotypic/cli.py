@@ -18,8 +18,6 @@ import sys
 from .linalg import Matrix, VectorConfiguration
 from .partitions import Partition
 
-_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
-
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
@@ -282,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import cache
 from fractions import Fraction
@@ -117,6 +118,9 @@ class TrialSpec:
             raise ValueError(f"n_max must be in 1..{DEGREE_CAP}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
+        repeated = sorted({d for d in self.dims if self.dims.count(d) > 1})
+        if repeated:
+            raise ValueError(f"dims must be distinct; repeated: {', '.join(map(str, repeated))}")
         if self.trials_per_cell < 0:
             raise ValueError("trials_per_cell must be nonnegative")
         if not 1 <= self.entry_range < 2**63:
@@ -318,11 +322,10 @@ def check_trial(
 
     if run(agreement_suite) or run(gram_suite):
         # one walk per route serves every shape; the tensors and values come
-        # as integers over one divisor per route
+        # as integers over one positive divisor per route, compared cross-multiplied
         symmetrized, tensor_divisor = symmetrized_sums(w, shapes)
         values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
         for lam, entries, value in zip(shapes, symmetrized, values):
-            gmf_value = Fraction(value, value_divisor)
             if run(agreement_suite):
                 certificate = certificate_of(lam)
                 answers = {
@@ -343,20 +346,22 @@ def check_trial(
                         )
                     )
             if run(gram_suite):
-                lhs = Fraction(sum(c * c for c in entries.values()), tensor_divisor**2)
-                rhs = Fraction(syt_count(lam), factorial(n)) * gmf_value
-                if lhs != rhs:
+                norm = sum(c * c for c in entries.values())
+                if (norm * factorial(n) * value_divisor
+                        != syt_count(lam) * value * tensor_divisor**2):
+                    rhs = Fraction(syt_count(lam) * value, factorial(n) * value_divisor)
                     out.append(
                         _violation(
                             gram_suite, n, d, trial_index, lam, cfg,
-                            f"<wT,wT> = {rhs}", str(lhs),
+                            f"<wT,wT> = {rhs}", str(Fraction(norm, tensor_divisor**2)),
                         )
                     )
-                if gmf_value < 0:
+                if value < 0:
                     out.append(
                         _violation(
                             gram_suite, n, d, trial_index, lam, cfg,
-                            "gmf of a Gram matrix is nonnegative", str(gmf_value),
+                            "gmf of a Gram matrix is nonnegative",
+                            str(Fraction(value, value_divisor)),
                         )
                     )
 
@@ -535,32 +540,31 @@ def run_standalone_suite(suite: str, spec: TrialSpec) -> list[dict]:
     return runner(min(spec.n_max, cap), spec.dims)
 
 
+def _run_task(task: tuple) -> list[dict]:
+    return _run_cell(task) if len(task) == 3 else run_standalone_suite(task[1], task[0])
+
+
 def run_verification(spec: TrialSpec, jobs: int = 1) -> VerificationReport:
     """Run every suite; deterministic given the spec, regardless of jobs.
 
-    At most jobs worker processes run the cells, and never more than there
-    are cells or CPUs, since the pool starts all of its workers at once.
+    One task list, (spec, suite) for each standalone suite and then (spec, n,
+    d) for each cell, goes to at most jobs worker processes, and never more
+    than there are tasks or CPUs, since the pool starts all of them at once.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     cells = [(n, d) for n in range(1, spec.n_max + 1) for d in spec.dims]
-    violations: list[dict] = []
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1 and spec.trials_per_cell > 0:
-        # imported here: multiprocessing costs every other CLI process its import
-        from concurrent.futures import ProcessPoolExecutor
+    tasks = [(spec, suite) for suite in STANDALONE_SUITES] + [(spec, n, d) for n, d in cells]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # imported here: multiprocessing costs every other CLI process its import
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_cell, [(spec, n, d) for n, d in cells]):
-                violations.extend(result)
-    else:
-        for n, d in cells:
-            violations.extend(_run_cell((spec, n, d)))
-
-    for suite in STANDALONE_SUITES:
-        violations.extend(run_standalone_suite(suite, spec))
-
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        violations = [record for result in mapper(_run_task, tasks) for record in result]
     violations.sort(key=_sort_key)
     return VerificationReport(
         spec=spec,

@@ -47,7 +47,6 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .characters import character_walk
 from .linalg import Matrix, VectorConfiguration, as_vector, integer_scaled, lowest_terms
 from .linalg import rank_of_rows
 from .partitions import Partition, _integers, partitions_of
@@ -383,6 +382,8 @@ def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[i
     for lam in shapes:
         if lam.size != n:
             raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
+    from .characters import character_walk  # gram only: brute processes never load it
+
     _, values, walk = character_walk(shapes)
     # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
     # entry from every row; a leading 0 makes columns 1-based like images

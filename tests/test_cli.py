@@ -154,11 +154,28 @@ def test_bad_dimension_is_usage_error(capsys, tmp_path):
         ("--config", {"dim": 1, "vectors": [None]}, "vectors[0] must be a JSON list, got None"),
         ("--matrix", {"entries": ["1"]}, "entries[0] must be a JSON list, got '1'"),
         ("--matrix", {"entries": [None]}, "entries[0] must be a JSON list, got None"),
+        ("--config", {"dim": 2, "vectors": [["1", None]]}, "not an exact scalar: None"),
+        ("--config", {"dim": 2, "vectors": [["1", ["0"]]]}, "not an exact scalar: ['0']"),
+        ("--config", {"dim": 1, "vectors": [[{"1": 0}]]}, "not an exact scalar: {'1': 0}"),
+        (
+            "--config",
+            {"dim": 1, "vectors": [["1/0"]]},
+            "zero denominator in rational literal: '1/0'",
+        ),
+        ("--config", {"dim": 1.5, "vectors": [["1"]]}, "dimension must be a nonnegative integer"),
+        ("--matrix", {"entries": [[None]]}, "not an exact scalar: None"),
+        ("--matrix", {"entries": [[["1"]]]}, "not an exact scalar: ['1']"),
+        ("--matrix", {"entries": [["1/0"]]}, "zero denominator in rational literal: '1/0'"),
+        ("--matrix", {"entries": [[]]}, "matrix must be square, got 1x0"),
+        ("--matrix", {"entries": [["1", "2"]]}, "matrix must be square, got 1x2"),
     ],
     ids=[
         "config-list", "config-no-dim", "config-no-vectors", "matrix-no-entries", "matrix-list",
         "config-vectors-string", "config-vector-string", "config-vector-object",
-        "config-vector-null", "matrix-row-string", "matrix-row-null",
+        "config-vector-null", "matrix-row-string", "matrix-row-null", "config-entry-null",
+        "config-entry-list", "config-entry-object", "config-zero-denominator", "config-dim-float",
+        "matrix-entry-null", "matrix-entry-list", "matrix-zero-denominator", "matrix-empty-row",
+        "matrix-not-square",
     ],
 )
 def test_malformed_json_input_is_usage_error(capsys, tmp_path, option, obj, expected):
@@ -179,11 +196,15 @@ def test_malformed_json_input_is_usage_error(capsys, tmp_path, option, obj, expe
     [
         (("selfcheck", "--dims", ""), "--dims must be comma-separated integers, got ''"),
         (("selfcheck", "--dims", "1,,2"), "--dims must be comma-separated integers, got '1,,2'"),
+        (("selfcheck", "--dims", "2,2"), "dims must be distinct; repeated: 2"),
         (("decide", "--shape", "a"), "a shape is comma-separated integers, got 'a'"),
         (("symmetrize", "--shape", "2,x"), "a shape is comma-separated integers, got '2,x'"),
         (("gmf", "--shape", "1.5"), "a shape is comma-separated integers, got '1.5'"),
     ],
-    ids=["dims-empty", "dims-empty-item", "decide-shape", "symmetrize-shape", "gmf-shape"],
+    ids=[
+        "dims-empty", "dims-empty-item", "dims-repeated", "decide-shape", "symmetrize-shape",
+        "gmf-shape",
+    ],
 )
 def test_malformed_argument_is_usage_error(capsys, config_file, argv, expected):
     if argv[0] != "selfcheck":
@@ -310,6 +331,7 @@ def _with_record(report, **fields):
         (lambda report: _with_spec(report, n_max="3"), "n_max must be an integer"),
         (lambda report: _with_spec(report, dims=[1.5]), "dims must be integers"),
         (lambda report: _with_spec(report, dims=5), "dims must be a list of integers"),
+        (lambda report: _with_spec(report, dims=[2, 2]), "dims must be distinct; repeated: 2"),
         (lambda report: _with_spec(report, p_zero=True), "p_zero must be a number"),
         (lambda report: dict(report, violations=5), "violations must be a list"),
         (lambda report: dict(report, violations=[5]), "violation #0 is a JSON object"),
@@ -347,7 +369,7 @@ def _with_record(report, **fields):
     ids=[
         "list", "no-spec", "no-violations", "spec-no-n_max", "spec-list",
         "entry_range-float", "seed-bool", "n_max-str", "dims-float", "dims-int",
-        "p_zero-bool", "violations-int", "violation-int", "violation-no-suite",
+        "dims-repeated", "p_zero-bool", "violations-int", "violation-int", "violation-no-suite",
         "record-n-str", "record-n-above-n_max", "record-d-not-in-dims",
         "record-trial_index-negative", "record-trial_index-too-large", "record-suite-int",
         "record-suite-bogus", "record-shape-int", "standalone-suite-list",
@@ -393,9 +415,9 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         ("decide --shape 2,1 --method gamas", {"matroid"},
          {"characters", "symgroup", "tensors", "selfcheck"}),
         ("rank-partition", {"matroid"}, {"characters", "symgroup", "tensors", "selfcheck"}),
-        ("decide --shape 2,1 --method brute", {"tensors"}, {"selfcheck", "matroid"}),
+        ("decide --shape 2,1 --method brute", {"tensors"}, {"characters", "selfcheck", "matroid"}),
         ("decide --shape 2,1 --method gram", {"tensors"}, {"selfcheck", "matroid"}),
-        ("symmetrize --shape 2,1", {"tensors"}, {"selfcheck", "matroid"}),
+        ("symmetrize --shape 2,1", {"tensors"}, {"characters", "selfcheck", "matroid"}),
         ("gmf --shape 2,1", {"tensors"}, {"selfcheck", "matroid"}),
         ("character-table 3", {"characters"}, {"tensors", "matroid", "selfcheck"}),
     ],

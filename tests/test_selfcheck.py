@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import isotypic.characters as characters
 import isotypic.matroid as matroid
 import isotypic.selfcheck as selfcheck
 import isotypic.tensors as tensors
@@ -98,6 +99,9 @@ def test_trial_spec_validation():
         TrialSpec(n_max=99)
     with pytest.raises(ValueError):
         TrialSpec(dims=())
+    # a repeated dim would run each of its trials twice and list every violation twice
+    with pytest.raises(ValueError, match="dims must be distinct; repeated: 2, 3$"):
+        TrialSpec(dims=(3, 2, 1, 2, 3))
     with pytest.raises(ValueError):
         TrialSpec(entry_range=0)
     # randint(-r, r) spans 2r + 1 values, which one draw covers up to r = 2**63 - 1
@@ -169,14 +173,15 @@ def test_parallel_run_matches_serial():
     assert json.dumps(serial.to_json_obj()) == json.dumps(parallel.to_json_obj())
 
 
-def test_workers_capped_by_cells_and_cpus(monkeypatch):
-    # the executor starts every worker up front, so the cap must come
-    # before it; a recording stand-in runs the cells without processes
-    requested = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Put in place of the process pool a stand-in that runs the tasks in
+    process and records each pool's max_workers and the tasks of its map."""
+    log = {"requested": [], "mapped": []}
 
     class RecordingPool:
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            log["requested"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -185,9 +190,17 @@ def test_workers_capped_by_cells_and_cpus(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            log["mapped"].extend(items)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return log
+
+
+def test_workers_capped_by_cells_and_cpus(monkeypatch, recording_pool):
+    # the executor starts every worker up front, so the cap must come
+    # before it; the cap counts tasks, the cells and the standalone suites
     three_cells = TrialSpec(n_max=3, dims=(2,), trials_per_cell=2)
     six_cells = TrialSpec(n_max=3, dims=(1, 2), trials_per_cell=2)
     serial = json.dumps(run_verification(three_cells).to_json_obj())
@@ -199,11 +212,23 @@ def test_workers_capped_by_cells_and_cpus(monkeypatch):
     run_verification(six_cells, jobs=5000)
     monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: None)
     run_verification(six_cells, jobs=5000)
-    assert requested == [2, 3, 4]
+    assert recording_pool["requested"] == [2, 4, 4]
 
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             run_verification(three_cells, jobs=jobs)
+
+
+def test_standalone_suites_run_in_the_pool(monkeypatch, recording_pool):
+    # one task list: the standalone suites go through the pool's map first,
+    # then the cells, and the report equals the serial one
+    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
+    spec = TrialSpec(n_max=3, dims=(2,), trials_per_cell=2)
+    serial = json.dumps(run_verification(spec).to_json_obj())
+    assert recording_pool["mapped"] == []
+    assert json.dumps(run_verification(spec, jobs=2).to_json_obj()) == serial
+    suites = [(spec, suite) for suite in selfcheck.STANDALONE_SUITES]
+    assert recording_pool["mapped"] == suites + [(spec, n, 2) for n in (1, 2, 3)]
 
 
 def test_fault_injection_is_detected():
@@ -316,7 +341,7 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
     # the permutations each character sum walks: the library's class-slot
     # walk, which only gram takes (brute projects with Jucys-Murphy
     # elements), and the one-shape walk of the per-shape oracles
-    walk, terms = tensors.character_walk, oracles.character_terms
+    walk, terms = characters.character_walk, oracles.character_terms
     walked, per_shape = [], []
 
     def counting_walk(shapes):
@@ -327,7 +352,7 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
         chi_1, pairs = terms(lam)
         return chi_1, _counted(pairs, per_shape)
 
-    monkeypatch.setattr(tensors, "character_walk", counting_walk)
+    monkeypatch.setattr(characters, "character_walk", counting_walk)
     monkeypatch.setattr(oracles, "character_terms", counting_terms)
     n, d = 5, 2
     spec = TrialSpec(n_max=n, dims=(d,), trials_per_cell=1)
@@ -361,7 +386,7 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
     # every suite of a trial whose det-twist runs: one n! walk for gram, and
     # none for the brute route, the wedge or the reduced side, over the pure
     # tensors of all n vectors and of the last n - d
-    walk, pure = tensors.character_walk, tensors.decomposable
+    walk, pure = characters.character_walk, tensors.decomposable
     walked, built = [], []
 
     def counting_walk(shapes):
@@ -372,7 +397,7 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
         built.append(cfg.n)
         return pure(cfg)
 
-    monkeypatch.setattr(tensors, "character_walk", counting_walk)
+    monkeypatch.setattr(characters, "character_walk", counting_walk)
     for module in (selfcheck, tensors):
         monkeypatch.setattr(module, "decomposable", counting_pure)
     spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
