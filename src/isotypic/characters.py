@@ -27,10 +27,9 @@ only that sequence, n! bytes, is cached.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, partitions_of
 from .symgroup import DEGREE_CAP, GroupAlgebraElement
@@ -84,8 +83,7 @@ def class_size(rho: Partition) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Full character table of S_n; classes and rows in reverse-lex order."""
 
     n: int
@@ -102,7 +100,7 @@ class CharacterTable:
         }
 
 
-@lru_cache(maxsize=None)
+@cache
 def character_table(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -130,7 +128,7 @@ def permutations_with_class(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     return zip(itertools.permutations(range(1, n + 1)), _lexicographic_classes(n))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _lexicographic_classes(n: int) -> bytes:
     """The class index of every permutation of {1..n}, in lexicographic
     order of image tuples, one byte each (p(DEGREE_CAP) < 256).
@@ -208,7 +206,7 @@ def character_walk(
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
     lam-isotypic two-sided ideal of the rational group algebra."""

@@ -120,7 +120,7 @@ def _cmd_rank_partition(args) -> int:
     cfg = _load_config(args.config)
     rho = rank_partition(cfg)
     if args.pretty:
-        print(f"rho = {list(rho.rho)}; covers {rho.covered} of {cfg.n} vectors")
+        print(f"rho = {list(rho.rho)}; covers {rho.size} of {cfg.n} vectors")
     else:
         _emit(rho.to_json_obj())
     return 0

@@ -33,9 +33,8 @@ class's size, so the arcs are those of the uncapped search.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .linalg import VectorConfiguration, _int_rank, is_independent
 from .partitions import Partition
@@ -53,9 +52,9 @@ class LinearMatroid:
 
     def __init__(self, cfg: VectorConfiguration):
         self.n = cfg.n
-        self._rows = dict(enumerate(cfg.rows, 1))
+        self._rows = cfg.rows
         self.zero_indices = frozenset(
-            i for i, row in self._rows.items() if not any(row)
+            i for i, row in enumerate(self._rows, 1) if not any(row)
         )
         self._memo = cfg.rank_memo
 
@@ -63,7 +62,7 @@ class LinearMatroid:
         key = frozenset(subset)
         cached = self._memo.get(key)
         if cached is None:
-            cached = _int_rank([self._rows[i] for i in sorted(key)])
+            cached = _int_rank([self._rows[i - 1] for i in sorted(key)])
             self._memo[key] = cached
         return cached
 
@@ -77,31 +76,22 @@ class LinearMatroid:
         return self.rank(range(1, self.n + 1))
 
 
-@dataclass(frozen=True)
-class RankPartition:
-    """The sequence rho; weakly decreasing by Dias da Silva's theorem."""
+class RankPartition(Partition):
+    """The sequence rho, a partition by Dias da Silva's theorem: its size is
+    the number of nonzero vectors."""
 
-    rho: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a < b for a, b in zip(self.rho, self.rho[1:])) or any(
-            p < 1 for p in self.rho
-        ):
-            raise ValueError(f"rank partition not weakly decreasing: {self.rho}")
+    __slots__ = ()
 
     @property
-    def covered(self) -> int:
-        return sum(self.rho)
-
-    def as_partition(self) -> Partition:
-        return Partition(self.rho)
+    def rho(self) -> tuple[int, ...]:
+        """The parts, under the name that the rank-partition JSON uses."""
+        return self.parts
 
     def to_json_obj(self) -> dict:
-        return {"rho": list(self.rho), "covered": self.covered}
+        return {"rho": list(self.parts), "covered": self.size}
 
 
-@dataclass(frozen=True)
-class BlockCertificate:
+class BlockCertificate(NamedTuple):
     """Disjoint index blocks, each naming an independent set of vectors."""
 
     blocks: tuple[tuple[int, ...], ...]
@@ -302,4 +292,4 @@ def decide_appears(cfg: VectorConfiguration, lam: Partition) -> bool:
     differ)."""
     if lam.size != cfg.n:
         raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
-    return lam.dominates(rank_partition(cfg).as_partition().conjugate())
+    return lam.dominates(rank_partition(cfg).conjugate())

@@ -297,12 +297,12 @@ def check_trial(
     w = decomposable(cfg) if suites is None or suites - {oracle_suite} else None
 
     rho = rank_partition(cfg)
-    rho_conjugate = rho.as_partition().conjugate()
+    rho_conjugate = rho.conjugate()
     # the oracle and agreement suites share one engine run per shape
     certificate_of = cache(lambda lam: gamas_condition(cfg, lam))
     if run(oracle_suite):
         oracle = rank_partition_oracle(cfg)
-        if rho.rho != oracle.rho:
+        if rho != oracle:
             out.append(
                 _violation(
                     oracle_suite, n, d, trial_index, None, cfg,
@@ -548,13 +548,15 @@ def run_verification(spec: TrialSpec, jobs: int = 1) -> VerificationReport:
     """Run every suite; deterministic given the spec, regardless of jobs.
 
     One task list, (spec, suite) for each standalone suite and then (spec, n,
-    d) for each cell, goes to at most jobs worker processes, and never more
-    than there are tasks or CPUs, since the pool starts all of them at once.
+    d) for each cell, costliest first (by n, then d, decreasing), goes to at
+    most jobs worker processes, and never more than there are tasks or CPUs,
+    since the pool starts all of them at once.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
-    cells = [(n, d) for n in range(1, spec.n_max + 1) for d in spec.dims]
+    dims = sorted(spec.dims, reverse=True)
+    cells = [(n, d) for n in range(spec.n_max, 0, -1) for d in dims]
     tasks = [(spec, suite) for suite in STANDALONE_SUITES] + [(spec, n, d) for n, d in cells]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     with ExitStack() as stack:

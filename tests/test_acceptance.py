@@ -239,9 +239,9 @@ def test_criterion_6_matroid_union_correctness():
         assert fast.rho == slow.rho, cfg.to_json_obj()
         assert all(a >= b for a, b in zip(fast.rho, fast.rho[1:]))
         nonzero = sum(1 for v in cfg.vectors if any(v))
-        assert fast.covered == nonzero
+        assert fast.size == nonzero
         if nonzero == cfg.n and cfg.n > 0:
-            lam = fast.as_partition().conjugate()
+            lam = fast.conjugate()
             certificate = gamas_condition(cfg, lam)
             assert certificate is not None
             assert validate_certificate(cfg, certificate, lam)

@@ -7,6 +7,7 @@ import pytest
 
 import isotypic.characters as characters
 from isotypic.characters import (
+    CharacterTable,
     central_idempotent,
     character_table,
     character_walk,
@@ -63,6 +64,21 @@ def test_character_table_small():
     assert t2.rows[P(1, 1)] == (-1, 1)
     t3 = character_table(3)
     assert t3.rows[P(2, 1)] == (-1, 0, 2)
+
+
+def test_character_table_record():
+    # repr and equality are those of the former frozen dataclass, and the
+    # rows dict still makes the table unhashable
+    table = character_table(3)
+    assert repr(table) == (
+        "CharacterTable(n=3, classes=(Partition([3]), Partition([2, 1]), "
+        "Partition([1, 1, 1])), class_sizes=(2, 3, 1), rows={Partition([3]): (1, 1, 1), "
+        "Partition([2, 1]): (-1, 0, 2), Partition([1, 1, 1]): (1, -1, 1)})"
+    )
+    assert table == CharacterTable(3, table.classes, table.class_sizes, dict(table.rows))
+    assert table != character_table(2)
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_character_table_cap_and_validation():

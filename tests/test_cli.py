@@ -424,11 +424,13 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 )
 def test_command_loads_only_its_modules(config_file, argv, used, unused):
     # a decide process spends about half its time starting up, so each
-    # command imports only the library modules it calls
+    # command imports only the library modules it calls, and only the
+    # harness loads dataclasses and with it inspect
     argv = argv.split() + ([] if argv.startswith("character-table") else ["--config", config_file])
-    loaded = package_submodules(cli_modules(*argv))
-    assert used <= loaded
-    assert unused.isdisjoint(loaded)
+    loaded = cli_modules(*argv)
+    assert used <= package_submodules(loaded)
+    assert unused.isdisjoint(package_submodules(loaded))
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def test_selfcheck_report_matches_library(capsys):

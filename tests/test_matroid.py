@@ -63,7 +63,7 @@ def test_rank_partition_mixed():
 def test_rank_partition_with_zero_vector():
     got = rank_partition_oracle(cfg(2, (0, 0), E1))
     assert got.rho == (1,)
-    assert got.covered == 1
+    assert got.size == 1
     assert rank_partition(cfg(2, (0, 0), E1)).rho == (1,)
 
 
@@ -76,7 +76,7 @@ def test_rank_partition_triangle():
 def test_rank_partition_all_zero():
     configuration = cfg(2, (0, 0), (0, 0))
     assert rank_partition(configuration).rho == ()
-    assert rank_partition(configuration).covered == 0
+    assert rank_partition(configuration).size == 0
 
 
 def test_rank_partition_matches_oracle_randomized():
@@ -89,7 +89,7 @@ def test_rank_partition_matches_oracle_randomized():
         slow = rank_partition_oracle(configuration)
         assert fast.rho == slow.rho, configuration.to_json_obj()
         nonzero = sum(1 for v in configuration.vectors if any(v))
-        assert fast.covered == nonzero
+        assert fast.size == nonzero
 
 
 def test_pruned_search_ends_with_reference_classes():
@@ -166,7 +166,7 @@ def test_rank_partition_achievable_by_certificate():
         if any(not any(v) for v in configuration.vectors):
             continue  # a fresh draw can still be the zero vector
         rho = rank_partition(configuration)
-        lam = rho.as_partition().conjugate()
+        lam = rho.conjugate()
         certificate = gamas_condition(configuration, lam)
         assert certificate is not None
         assert validate_certificate(configuration, certificate, lam)
@@ -175,6 +175,26 @@ def test_rank_partition_achievable_by_certificate():
 def test_rank_partition_constructor_rejects_increasing():
     with pytest.raises(ValueError):
         RankPartition((1, 2))
+    with pytest.raises(ValueError):
+        RankPartition((2, 0))
+
+
+def test_rank_partition_is_a_partition():
+    configuration = cfg(2, E1, E1, E2, (1, 1))
+    fast = rank_partition(configuration)
+    slow = rank_partition_oracle(configuration)
+    assert isinstance(fast, Partition) and isinstance(slow, Partition)
+    assert fast == slow == Partition([2, 2])
+    assert fast.rho is fast.parts
+    assert fast.to_json_obj() == {"rho": [2, 2], "covered": 4}
+
+
+def test_block_certificate_record():
+    # repr, equality and hash are those of the former frozen dataclass
+    empty = BlockCertificate(())
+    assert repr(empty) == "BlockCertificate(blocks=())"
+    assert empty == BlockCertificate(()) != BlockCertificate(((1,),))
+    assert hash(empty) == hash(((),))
 
 
 def test_oracle_cap():

@@ -221,14 +221,24 @@ def test_workers_capped_by_cells_and_cpus(monkeypatch, recording_pool):
 
 def test_standalone_suites_run_in_the_pool(monkeypatch, recording_pool):
     # one task list: the standalone suites go through the pool's map first,
-    # then the cells, and the report equals the serial one
+    # then the cells, costliest first, and the report equals the serial one
     monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
     spec = TrialSpec(n_max=3, dims=(2,), trials_per_cell=2)
     serial = json.dumps(run_verification(spec).to_json_obj())
     assert recording_pool["mapped"] == []
     assert json.dumps(run_verification(spec, jobs=2).to_json_obj()) == serial
     suites = [(spec, suite) for suite in selfcheck.STANDALONE_SUITES]
-    assert recording_pool["mapped"] == suites + [(spec, n, 2) for n in (1, 2, 3)]
+    assert recording_pool["mapped"] == suites + [(spec, n, 2) for n in (3, 2, 1)]
+
+
+def test_cells_are_queued_by_decreasing_n_then_d(monkeypatch, recording_pool):
+    # the costliest cells start first, so none is left alone at the end of
+    # a parallel run, whatever the order of the dims
+    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
+    spec = TrialSpec(n_max=2, dims=(1, 3, 2), trials_per_cell=0)
+    run_verification(spec, jobs=2)
+    cells = [task for task in recording_pool["mapped"] if len(task) == 3]
+    assert cells == [(spec, n, d) for n in (2, 1) for d in (3, 2, 1)]
 
 
 def test_fault_injection_is_detected():

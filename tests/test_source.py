@@ -30,6 +30,19 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def test_only_the_harness_imports_dataclasses():
+    # dataclasses costs a cold process its import and that of inspect; the
+    # other records are named tuples or slotted classes
+    importers = {
+        path.name
+        for path in SOURCE_DIR.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    }
+    assert importers == {"selfcheck.py"}
+
+
 def test_benchmark_hooks_resolve():
     # bench/tracing.py wraps library functions by name; a rename or a
     # deletion would otherwise surface only in a traced benchmark run
