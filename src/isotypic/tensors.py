@@ -21,8 +21,9 @@ combinations of the Krylov vectors v, Zv, Z^2 v, ... for Z = p_1(X), then
 p_2(X), ..., until every listed shape stands alone.  Every move is a
 transposition, applied as a position map that the block space builds
 once, on first use, with `_place_action`; the parts become index-tuple
-entries again only at the end.  `operator_rank` takes its blocks from the
-same block spaces.
+entries again only at the end.  `antisymmetrized`, which applies column
+antisymmetrizers as products (1 - X_2) ... (1 - X_h) over each column's
+positions, and `operator_rank` take their blocks from the same spaces.
 `matrix_function_sums(a, shapes)` walks `characters.character_walk`
 once for all shapes, summing the products prod_i a[i][sigma(i)] over
 each walked class and weighting the class sums by every shape's
@@ -44,8 +45,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, compress
 from math import gcd, lcm, prod
-from operator import add
-from typing import Mapping, Sequence
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, VectorConfiguration, as_vector, integer_scaled, lowest_terms
 from .linalg import rank_of_rows
@@ -159,35 +160,57 @@ def symmetrized_sums(
 
 
 def _weight_block_parts(w: SparseTensor, shapes: Sequence[Partition]):
-    """For each weight block of w (its entries with one sorted index tuple)
-    where some listed shape can occur, each listed shape's part of the
-    block's numerators as nonzero integer entries over a positive divisor.
-
-    The place action keeps a block, the permutation module of its weight mu,
-    whose shapes are those that dominate mu (Young's rule).  Blocks where
-    no listed shape can occur are skipped; the others are written over the
-    positions of _block_space(mu), and the parts are found by _separate,
-    level by level, and read back as index-tuple entries.
-    """
+    """For each weight block of w where some listed shape can occur (by
+    _young_candidates), each listed shape's part of the block's numerators,
+    found by _separate level by level, as nonzero integer entries over a
+    positive divisor."""
     listed = set(shapes)
+    occurs = lambda weight: not listed.isdisjoint(_young_candidates(weight))
+    for weight, space, v in _position_blocks(w, occurs):
+        candidates = _young_candidates(weight)
+        parts: dict[Partition, tuple[list[int], int]] = {}
+        _separate(v, candidates, listed.intersection(candidates), 1, 1, space, parts)
+        entries = {
+            lam: (dict(compress(zip(space.tuples, part), part)), q)
+            for lam, (part, q) in parts.items()
+        }
+        yield [entries.get(lam, ({}, 1)) for lam in shapes]
+
+
+def antisymmetrized(w: SparseTensor, blocks: Iterable[Iterable[int]]) -> SparseTensor:
+    """w acted on by the signed sum over the permutations that preserve each
+    of the disjoint blocks of positions, as apply_algebra_element(w,
+    column_antisymmetrizer(T)) is for the columns of a tableau T: for a block
+    b_1 < ... < b_h, (1 - X_2) ... (1 - X_h) with X_k = sum over i < k of
+    (b_i b_k), applied by the position maps of each weight's _block_space."""
+    blocks = [sorted(_integers(block)) for block in blocks]
+    positions = [i for block in blocks for i in block]
+    if len(set(positions)) < len(positions) or not all(1 <= i <= w.n for i in positions):
+        raise ValueError(f"blocks {blocks} are not disjoint sets of entries of 1..{w.n}")
+    total: dict[tuple[int, ...], int] = {}
+    for _, space, v in _position_blocks(w):
+        for block in blocks:
+            for k in range(1, len(block)):
+                x_k = [space.maps[block[k] - 2][a - 1] for a in block[:k]]
+                v = list(map(sub, v, _transposition_sum(v, x_k)))
+        total.update(compress(zip(space.tuples, v), v))
+    return SparseTensor._from_integers(w.n, w.d, total, w.divisor)
+
+
+def _position_blocks(w: SparseTensor, keep=lambda weight: True):
+    """For each weight block of w (its entries with one sorted index tuple)
+    whose weight keep accepts, before its _block_space is built: the weight,
+    the space and the block's numerators as an int list over its positions."""
     blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for idx, c in w.numerators.items():
         blocks.setdefault(tuple(sorted(idx)), {})[idx] = c
     for weight, block in blocks.items():
-        candidates = _young_candidates(weight)
-        wanted = listed.intersection(candidates)
-        if wanted:
+        if keep(weight):
             space = _block_space(weight)
             v = [0] * len(space.tuples)
             for idx, c in block.items():
                 v[space.positions[idx]] = c
-            parts: dict[Partition, tuple[list[int], int]] = {}
-            _separate(v, candidates, wanted, 1, 1, space, parts)
-            entries = {
-                lam: (dict(compress(zip(space.tuples, part), part)), q)
-                for lam, (part, q) in parts.items()
-            }
-            yield [entries.get(lam, ({}, 1)) for lam in shapes]
+            yield weight, space, v
 
 
 @cache

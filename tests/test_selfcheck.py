@@ -6,10 +6,12 @@ import pytest
 
 import isotypic.characters as characters
 import isotypic.matroid as matroid
+import isotypic.symgroup as symgroup
 import isotypic.selfcheck as selfcheck
 import isotypic.tensors as tensors
 import oracles
 from isotypic.characters import character_table
+from isotypic.linalg import is_independent
 from isotypic.partitions import Partition, partitions_of
 from isotypic.selfcheck import (
     SplitMix64,
@@ -205,11 +207,15 @@ def test_workers_capped_by_cells_and_cpus(monkeypatch, recording_pool):
     six_cells = TrialSpec(n_max=3, dims=(1, 2), trials_per_cell=2)
     serial = json.dumps(run_verification(three_cells).to_json_obj())
 
-    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
+    # the CPUs the process may run on cap the workers, not the host's count
+    monkeypatch.setattr(selfcheck.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 64)
     for jobs in (2, 5000):
         report = run_verification(three_cells, jobs=jobs)
         assert json.dumps(report.to_json_obj()) == serial
     run_verification(six_cells, jobs=5000)
+    # where the platform does not tell them, the host's count, at least one
+    monkeypatch.delattr(selfcheck.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: None)
     run_verification(six_cells, jobs=5000)
     assert recording_pool["requested"] == [2, 4, 4]
@@ -222,7 +228,7 @@ def test_workers_capped_by_cells_and_cpus(monkeypatch, recording_pool):
 def test_standalone_suites_run_in_the_pool(monkeypatch, recording_pool):
     # one task list: the standalone suites go through the pool's map first,
     # then the cells, costliest first, and the report equals the serial one
-    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(selfcheck.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     spec = TrialSpec(n_max=3, dims=(2,), trials_per_cell=2)
     serial = json.dumps(run_verification(spec).to_json_obj())
     assert recording_pool["mapped"] == []
@@ -234,7 +240,7 @@ def test_standalone_suites_run_in_the_pool(monkeypatch, recording_pool):
 def test_cells_are_queued_by_decreasing_n_then_d(monkeypatch, recording_pool):
     # the costliest cells start first, so none is left alone at the end of
     # a parallel run, whatever the order of the dims
-    monkeypatch.setattr(selfcheck.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(selfcheck.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     spec = TrialSpec(n_max=2, dims=(1, 3, 2), trials_per_cell=0)
     run_verification(spec, jobs=2)
     cells = [task for task in recording_pool["mapped"] if len(task) == 3]
@@ -283,25 +289,62 @@ def test_rank_fault_is_detected():
 
 def test_projector_fault_is_detected():
     # every brute answer of the harness comes from symmetrized_sums, so a
-    # wrong eigenvalue in its projector shows as a brute-gram disagreement
-    # and a wrong <wT, wT>; gram walks the characters and does not see it
+    # wrong eigenvalue in its projector shows as a brute-gram disagreement,
+    # a wrong <wT, wT> and, at n = 3, three wrong parts of the identity;
+    # gram walks the characters and does not see it
     with content_fault(Partition([2, 1])):
         broken = run_verification(TrialSpec())
     suites = Counter(v["suite"] for v in broken.violations)
-    assert suites == {"four_decider_agreement": 19, "gram_identity": 158}
+    assert suites == {"four_decider_agreement": 19, "gram_identity": 158, "idempotent_system": 3}
     assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
 
 
 def test_position_map_fault_is_detected():
     # with the identity's position map for (1 2), X_2 acts as the identity
     # and the projector's parts are wrong on every block it splits: brute
-    # disagrees with gram, <wT, wT> is wrong and the det-twist reduction
-    # fails; the harness is clean again outside the fault
+    # disagrees with gram, <wT, wT> is wrong, the parts of the identity are
+    # not the central idempotents, and the antisymmetrizers over a column
+    # holding positions 1 and 2 are wrong, so the column criterion and the
+    # det-twist reduction fail; the harness is clean again outside the fault
     with position_map_fault():
         broken = run_verification(TrialSpec())
     suites = Counter(v["suite"] for v in broken.violations)
-    assert suites == {"four_decider_agreement": 79, "gram_identity": 495, "det_twist": 44}
+    assert suites == {
+        "four_decider_agreement": 79,
+        "gram_identity": 495,
+        "det_twist": 114,
+        "column_criterion": 38,
+        "idempotent_system": 17,
+    }
     assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
+
+
+def test_idempotent_suite_names_the_wrong_idempotent():
+    # a flipped character value of (3, 1) makes its central idempotent wrong
+    with character_fault(Partition([3, 1]), Partition([2, 2])):
+        broken = selfcheck.run_standalone_suite("idempotent_system", TrialSpec())
+    assert {v["n"] for v in broken} == {4}
+    assert "3,1" in {v["shape"] for v in broken}
+    assert selfcheck.run_standalone_suite("idempotent_system", TrialSpec()) == []
+
+
+def test_check_trial_builds_no_group_algebra_element(monkeypatch):
+    # the per-trial suites move the pure tensor by the projector's position
+    # maps; the group-algebra routes are only the oracle of that route
+    def refuse(self, *args):
+        raise AssertionError("check_trial built a GroupAlgebraElement")
+
+    monkeypatch.setattr(symgroup.GroupAlgebraElement, "__init__", refuse)
+    spec = TrialSpec(trials_per_cell=4)
+    twisted = 0
+    for n in range(1, spec.n_max + 1):
+        for d in spec.dims:
+            for t in range(spec.trials_per_cell):
+                assert check_trial(spec, n, d, t) == []
+                cfg = generate_configuration(spec, n, d, t)
+                twisted += n >= d and is_independent(cfg.rows[:d])
+    # the det-twist suite, which antisymmetrizes its wedge, ran too
+    assert twisted
 
 
 def test_violations_sorted():

@@ -167,6 +167,25 @@ def test_character_walk_serves_only_gram_and_idempotents():
     }
 
 
+def test_the_harness_moves_tensors_only_by_position_maps():
+    # the harness antisymmetrizes and projects through the brute route's
+    # transposition maps; the group-algebra routes are that route's oracle,
+    # and the dict kernel serves only them
+    harness = [SOURCE_DIR / "selfcheck.py"]
+    for route in (
+        "apply_algebra_element",
+        "algebra_multiply",
+        "column_antisymmetrizer",
+        "subset_antisymmetrizer",
+        "_block_sum",
+    ):
+        assert _callers(route, harness) == set(), route
+    assert _callers("_moved_sums", sorted(SOURCE_DIR.glob("*.py"))) == {
+        "tensors.apply_algebra_element",
+        "symgroup.algebra_multiply",
+    }
+
+
 def test_permutations_are_built_only_where_one_is_returned():
     # the symmetrizers and GroupAlgebraElement.one write image tuples and
     # integer signs; a Permutation is built only by the methods that return

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, lcm
 
 import pytest
@@ -24,6 +24,7 @@ from isotypic.tensors import (
     OPERATOR_DIMENSION_CAP,
     SparseTensor,
     VectorConfiguration,
+    antisymmetrized,
     apply_algebra_element,
     decomposable,
     generalized_matrix_function,
@@ -167,6 +168,57 @@ def test_apply_algebra_antisymmetrizes_repeat_to_zero():
             2, {Permutation.identity(2): 1, Permutation([2, 1]): -1}
         )
         assert apply_algebra_element(w, x).is_zero()
+
+
+def _antisymmetrizer_inputs(rng, n, d):
+    """The zero tensor, a nonzero pure tensor with zero coordinates and a
+    non-pure tensor with rational entries."""
+    vectors = []
+    for _ in range(n):
+        v = [rng.choice((0, 0, 1, -2)) for _ in range(d)]
+        v[rng.randrange(d)] = rng.choice((1, -2, 3))
+        vectors.append(v)
+    return [SparseTensor(n, d), decomposable(cfg(d, *vectors)), random_tensor(rng, n, d, terms=8)]
+
+
+def test_antisymmetrized_matches_subset_antisymmetrizer():
+    # (1 - X_2) ... (1 - X_h) over the positions of a block is its signed
+    # block sum, for every block of positions up to n = 7, in any order
+    rng = random.Random(61)
+    for n in range(1, 8):
+        d = 3 if n <= 4 else 2
+        for w in _antisymmetrizer_inputs(rng, n, d):
+            for h in range(n + 1):
+                for block in combinations(range(1, n + 1), h):
+                    want = apply_algebra_element(w, subset_antisymmetrizer(n, block))
+                    assert antisymmetrized(w, [rng.sample(block, h)]) == want, (n, block)
+
+
+def test_antisymmetrized_matches_column_antisymmetrizer():
+    rng = random.Random(62)
+    for _ in range(30):
+        n, d = rng.randint(1, 6), rng.randint(1, 3)
+        entries = rng.sample(range(1, n + 1), n)
+        rows, at = [], 0
+        for part in rng.choice(partitions_of(n)):
+            rows.append(entries[at : at + part])
+            at += part
+        tableau = Tableau(rows)
+        for w in _antisymmetrizer_inputs(rng, n, d):
+            want = apply_algebra_element(w, column_antisymmetrizer(tableau))
+            assert antisymmetrized(w, tableau.columns()) == want, tableau
+
+
+def test_antisymmetrized_rejects_bad_blocks():
+    w = random_tensor(random.Random(63), 3, 2)
+    for block in ([1, 1], [0, 2], [1, 4]):
+        with pytest.raises(ValueError):
+            subset_antisymmetrizer(3, block)
+        with pytest.raises(ValueError):
+            antisymmetrized(w, [block])
+    # the blocks of a product are disjoint, as the columns of a tableau are
+    with pytest.raises(ValueError):
+        antisymmetrized(w, [[1, 2], [2, 3]])
 
 
 def test_paper_wedge_identity():
