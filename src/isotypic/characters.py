@@ -7,21 +7,16 @@ distinct nonnegative integers; the sign is (-1)^(number of beta-numbers
 jumped over), which equals (-1)^(strip height).  Everything is integer
 arithmetic, memoized by (shape, cycle type).
 
-Every n!-term character sum starts at `character_walk`, one walk over the
-permutations for a list of shapes: it numbers the classes where some
-listed shape's character is nonzero by slot and yields each permutation
-of those classes with its class slot, so a caller sums each class once
-and weights the class sums by every shape's character.  Its readers are
-the generalized matrix functions (`tensors.matrix_function_sums`) and
-`central_idempotent`; the brute route projects tensors with
-Jucys-Murphy elements and reads no character.
-
-The walk reads the permutations from `permutations_with_class`, which
-checks the degree cap when called and pairs `itertools.permutations`
-with the class of each permutation.  The classes are not found by
-walking cycles: `_lexicographic_classes` builds them by a memoized
-recursion over prefix states (closed cycle lengths and open chains), and
-only that sequence, n! bytes, is cached.
+The library's one n!-term walk is `central_idempotent`'s, over
+`permutations_with_class`, which checks the degree cap when called and
+pairs `itertools.permutations` with the class of each permutation.  The
+classes are not found by walking cycles: `_lexicographic_classes` builds
+them by a memoized recursion over prefix states (closed cycle lengths and
+open chains), and only that sequence, n! bytes, is cached.  The
+generalized matrix functions (`tensors.matrix_function_sums`) read only
+`character_table`, to weight class sums they find over subsets of the
+rows, and the brute route projects tensors with Jucys-Murphy elements and
+reads no character.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import factorial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .partitions import Partition, partitions_of
 from .symgroup import DEGREE_CAP, GroupAlgebraElement
@@ -171,46 +166,17 @@ def _lexicographic_classes(n: int) -> bytes:
     return classes
 
 
-def character_walk(
-    shapes: Sequence[Partition],
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], Iterator[tuple[tuple[int, ...], int]]]:
-    """One walk over the permutations for a list of shapes of one size n: the
-    one walk behind every n!-term character sum.
-
-    A class is walked when at least one listed shape has a nonzero character
-    on it, and the walked classes get the slots 0, 1, ... in the order of
-    partitions_of(n).  Returns each shape's chi(1), each shape's chi on the
-    walked classes by slot, and the (images, slot) pairs of the permutations
-    in walked classes, in the order of permutations_with_class, as a
-    one-pass iterator.  With one shape, the walk skips exactly the
-    permutations where its character vanishes.  The degree cap is checked
-    by character_table.
-    """
-    if not shapes:
-        raise ValueError("need at least one shape")
-    n = shapes[0].size
-    if any(lam.size != n for lam in shapes):
-        raise ValueError(f"shapes of different sizes: {[lam.parts for lam in shapes]}")
-    table = character_table(n)
-    rows = [table.rows[lam] for lam in shapes]
-    walked = [c for c in range(len(table.classes)) if any(row[c] for row in rows)]
-    slot_of: list[int | None] = [None] * len(table.classes)
-    for s, c in enumerate(walked):
-        slot_of[c] = s
-    # class (1,...,1) is last in reverse-lex order
-    degrees = tuple(row[-1] for row in rows)
-    values = tuple(tuple(row[c] for c in walked) for row in rows)
-    pairs = permutations_with_class(n)
-    return degrees, values, (
-        (images, s) for images, c in pairs if (s := slot_of[c]) is not None
-    )
-
-
 @cache
 def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
-    lam-isotypic two-sided ideal of the rational group algebra."""
-    (chi_1,), (row,), pairs = character_walk([lam])
+    lam-isotypic two-sided ideal of the rational group algebra, from one walk
+    of permutations_with_class that skips the classes where chi vanishes.
+    The degree cap is checked by character_table."""
+    n = lam.size
+    row = character_table(n).rows[lam]
+    # class (1,...,1) is last in reverse-lex order
+    chi_1 = row[-1]
+    pairs = permutations_with_class(n)
     return GroupAlgebraElement._from_integers(
-        lam.size, {images: chi_1 * row[s] for images, s in pairs}, factorial(lam.size)
+        n, {images: chi_1 * row[c] for images, c in pairs if row[c]}, factorial(n)
     )

@@ -75,9 +75,10 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: column lengths become parts."""
-        if not self.parts:
-            return Partition(())
-        return Partition(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
+        conj = Partition.__new__(Partition)
+        # the conjugate of valid parts is valid, so it is not checked again
+        conj.parts = _conjugate_parts(self.parts)
+        return conj
 
     def dominates(self, other: "Partition") -> bool:
         """True iff sizes agree and every prefix sum of self is >= other's.
@@ -105,6 +106,11 @@ class Partition:
             [self.parts[i] - j + conj[j] - i - 1 for j in range(self.parts[i])]
             for i in range(len(self.parts))
         ]
+
+
+@cache
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
 
 
 @cache

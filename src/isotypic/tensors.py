@@ -24,11 +24,14 @@ once, on first use, with `_place_action`; the parts become index-tuple
 entries again only at the end.  `antisymmetrized`, which applies column
 antisymmetrizers as products (1 - X_2) ... (1 - X_h) over each column's
 positions, and `operator_rank` take their blocks from the same spaces.
-`matrix_function_sums(a, shapes)` walks `characters.character_walk`
-once for all shapes, summing the products prod_i a[i][sigma(i)] over
-each walked class and weighting the class sums by every shape's
-character.  The two routes share no code.  `symmetrize` (on the pure
-tensor) and `generalized_matrix_function` are their one-shape views.
+`matrix_function_sums(a, shapes)` walks no permutations either: it sums
+the products prod_i a[i][sigma(i)] by cycle type from the cycle sums of
+the subsets of the rows (Held-Karp path sums, `_cycle_sums`), combined
+over set partitions (`_class_sums`), in about 2^n n^2 + 3^n integer
+steps, and weights the class sums by every shape's character from
+`characters.character_table`.  The two routes share no code.
+`symmetrize` (on the pure tensor) and `generalized_matrix_function` are
+their one-shape views.
 
 A configuration becomes integers in one place, `linalg.VectorConfiguration`:
 its `rows` are the vectors scaled by the lcm of their denominators, its
@@ -392,12 +395,14 @@ def gram_matrix(cfg: VectorConfiguration) -> Matrix:
 
 
 def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[int], int]:
-    """The generalized matrix functions of the shapes at a square matrix, from
-    one walk: for each shape an integer, and one divisor common to all, so
-    that integer / divisor is the shape's value.
+    """The generalized matrix functions of the shapes at a square matrix: for
+    each shape an integer, and one divisor common to all, so that integer /
+    divisor is the shape's value.
 
-    Each walked class C gets its class sum P_C of prod_i a[i][sigma(i)], and
-    a shape's value is the sum over C of chi(C) * P_C.
+    A shape's value is the sum over the cycle types mu of chi(mu) * P_mu,
+    where P_mu sums prod_i a[i][sigma(i)] over the permutations of type mu;
+    _class_sums gets every P_mu from the cycle sums of _cycle_sums, over
+    subsets of the rows, and no permutation is walked.
     """
     n = a.nrows
     if a.ncols != n:
@@ -405,22 +410,86 @@ def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[i
     for lam in shapes:
         if lam.size != n:
             raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
-    from .characters import character_walk  # gram only: brute processes never load it
+    if not shapes:
+        raise ValueError("need at least one shape")
+    from .characters import character_table  # gram only: brute processes never load it
 
-    _, values, walk = character_walk(shapes)
+    table = character_table(n)
     # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
-    # entry from every row; a leading 0 makes columns 1-based like images
-    rows = [(0, *ints) for ints in a.numerators]
-    class_sums = [0] * len(values[0])
-    for images, s in walk:
-        term = 1
-        for r, img in zip(rows, images):
-            term *= r[img]
-            if not term:
+    # entry from every row
+    class_sums = _class_sums(_cycle_sums(a.numerators))
+    sums = [class_sums.get(rho.parts, 0) for rho in table.classes]
+    values = [sum(chi * p for chi, p in zip(table.rows[lam], sums) if p) for lam in shapes]
+    return values, prod(a.scales)
+
+
+def _cycle_sums(rows: Sequence[Sequence[int]]) -> list[int]:
+    """By bit mask of a nonempty set S of rows, c(S): the sum over the single
+    cycles sigma on S of prod over i in S of rows[i][sigma(i)].
+
+    Each cycle is read from s = min S.  The sums of the paths from s through
+    every element of S, by their last element, are built mask by mask from
+    those of S minus that element (Held-Karp), and each path closes back to s.
+    """
+    paths: list[dict[int, int]] = [{}] * (1 << len(rows))
+    cycles = [0] * len(paths)
+    for mask in range(1, len(paths)):
+        low = mask & -mask
+        s = low.bit_length() - 1
+        ends = {s: 1} if mask == low else {}
+        rest = mask ^ low
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            total = sum(p * rows[u][v] for u, p in paths[mask ^ bit].items())
+            if total:
+                ends[v] = total
+        paths[mask] = ends
+        cycles[mask] = sum(p * rows[v][s] for v, p in ends.items())
+    return cycles
+
+
+def _class_sums(cycles: list[int]) -> dict[tuple[int, ...], int]:
+    """P_mu by cycle type mu (decreasing parts) from the cycle sums by bit
+    mask: the sum over the set partitions of the rows into blocks with sizes
+    mu of the product of the blocks' cycle sums; a type that no product of
+    nonzero cycle sums reaches is missing.
+
+    The partial sums, by covered mask and type so far, are built mask by
+    mask from the empty set; each new block holds the least row not yet
+    covered, so each set partition is built once, and a block whose cycle
+    sum is zero is skipped.
+    """
+    full = len(cycles) - 1
+    states: list[dict | None] = [None] * len(cycles)
+    states[0] = {(): 1}
+    merged: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    for mask in range(full):
+        found = states[mask]
+        if not found:
+            continue
+        states[mask] = None
+        free = full ^ mask
+        low = free & -free
+        rest = chosen = free ^ low
+        while True:
+            block = chosen | low
+            c = cycles[block]
+            if c:
+                size = block.bit_count()
+                target = states[mask | block]
+                if target is None:
+                    target = states[mask | block] = {}
+                for parts, p in found.items():
+                    key = merged.get((parts, size))
+                    if key is None:
+                        key = merged[parts, size] = tuple(sorted((*parts, size), reverse=True))
+                    target[key] = target.get(key, 0) + p * c
+            if not chosen:
                 break
-        class_sums[s] += term
-    divisor = prod(a.scales)
-    return [sum(chi * p for chi, p in zip(row, class_sums)) for row in values], divisor
+            chosen = (chosen - 1) & rest
+    return states[full] or {}
 
 
 def generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:

@@ -9,11 +9,15 @@ values, where the library sums integer numerators in `int` over one divisor.
 `per_shape_symmetrize` and `per_shape_generalized_matrix_function` are
 the earlier one-shape-per-walk routes, walking `character_terms`, which
 the library's class sums shared by every shape are checked against.
-`reference_symmetrized_sums` is the earlier brute route for every shape at
-once: one n!-term walk of `character_walk`, a class sum of the moved
-tensor per walked class (the multi-slot loop `_slot_sums`), weighted by
-each shape's character; the library now projects each weight block with
-Jucys-Murphy elements instead.
+`character_walk` is the library's earlier multi-shape walk over
+`permutations_with_class`, by class slot, and the earlier routes of both
+deciders for every shape at once walk it once:
+`reference_symmetrized_sums` sums the moved tensor per walked class (the
+multi-slot loop `_slot_sums`), where the library now projects each weight
+block with Jucys-Murphy elements, and `reference_matrix_function_sums`
+sums prod_i a[i][sigma(i)] per walked class, where the library now finds
+the class sums over subsets of the rows; both weight the class sums by
+each shape's character.
 `reference_rank_partition` is the earlier matroid-partition route, which
 explores the whole exchange graph on every augmenting search, and
 `reference_gamas_condition` the earlier backtracking search for Gamas's
@@ -30,13 +34,14 @@ symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
-`character_fault`, `engine_fault`, `rank_fault`, `content_fault` and
-`position_map_fault` are the deliberate breakages: they flip a character
-value, take the exchanges out of the matroid-partition engine, read every
-rank 3 of the engine's rank oracle as 2, put one shape's content power
-sums off by one in the brute route's projector, or give the projector the
-identity's position map for the transposition (1 2), so tests can see the
-harness notice.
+`character_fault`, `engine_fault`, `rank_fault`, `content_fault`,
+`position_map_fault` and `class_sum_fault` are the deliberate breakages:
+they flip a character value, take the exchanges out of the
+matroid-partition engine, read every rank 3 of the engine's rank oracle
+as 2, put one shape's content power sums off by one in the brute route's
+projector, give the projector the identity's position map for the
+transposition (1 2), or drop one cycle type's class sum from the gram
+route, so tests can see the harness notice.
 """
 
 from collections import deque
@@ -358,6 +363,69 @@ def _slot_sums(support, terms, slots):
     return sums
 
 
+def character_walk(shapes):
+    """One walk over the permutations for a list of shapes of one size n: the
+    library's earlier walk behind every n!-term character sum.
+
+    A class is walked when at least one listed shape has a nonzero character
+    on it, and the walked classes get the slots 0, 1, ... in the order of
+    partitions_of(n).  Returns each shape's chi(1), each shape's chi on the
+    walked classes by slot, and the (images, slot) pairs of the permutations
+    in walked classes, in the order of permutations_with_class, as a
+    one-pass iterator.  With one shape, the walk skips exactly the
+    permutations where its character vanishes.  The degree cap is checked
+    by character_table.
+    """
+    if not shapes:
+        raise ValueError("need at least one shape")
+    n = shapes[0].size
+    if any(lam.size != n for lam in shapes):
+        raise ValueError(f"shapes of different sizes: {[lam.parts for lam in shapes]}")
+    table = characters.character_table(n)
+    rows = [table.rows[lam] for lam in shapes]
+    walked = [c for c in range(len(table.classes)) if any(row[c] for row in rows)]
+    slot_of = [None] * len(table.classes)
+    for s, c in enumerate(walked):
+        slot_of[c] = s
+    # class (1,...,1) is last in reverse-lex order
+    degrees = tuple(row[-1] for row in rows)
+    values = tuple(tuple(row[c] for c in walked) for row in rows)
+    pairs = characters.permutations_with_class(n)
+    return degrees, values, (
+        (images, s) for images, c in pairs if (s := slot_of[c]) is not None
+    )
+
+
+def reference_matrix_function_sums(a, shapes):
+    """The generalized matrix functions of the shapes at a square matrix, from
+    one walk: for each shape an integer, and one divisor common to all, so
+    that integer / divisor is the shape's value.
+
+    Each walked class C gets its class sum P_C of prod_i a[i][sigma(i)], and
+    a shape's value is the sum over C of chi(C) * P_C.
+    """
+    n = a.nrows
+    if a.ncols != n:
+        raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
+    for lam in shapes:
+        if lam.size != n:
+            raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
+    _, values, walk = character_walk(shapes)
+    # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
+    # entry from every row; a leading 0 makes columns 1-based like images
+    rows = [(0, *ints) for ints in a.numerators]
+    class_sums = [0] * len(values[0])
+    for images, s in walk:
+        term = 1
+        for r, img in zip(rows, images):
+            term *= r[img]
+            if not term:
+                break
+        class_sums[s] += term
+    divisor = prod(a.scales)
+    return [sum(chi * p for chi, p in zip(row, class_sums)) for row in values], divisor
+
+
 def reference_symmetrized_sums(w, shapes):
     """The central idempotents of the shapes applied to w from one n!-term
     walk, as integer entries per shape over one divisor: each walked class
@@ -366,7 +434,7 @@ def reference_symmetrized_sums(w, shapes):
     for lam in shapes:
         if lam.size != w.n:
             raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
-    degrees, values, walk = characters.character_walk(shapes)
+    degrees, values, walk = character_walk(shapes)
     class_sums = _slot_sums(w.numerators, ((images, s, 1) for images, s in walk), len(values[0]))
     out = []
     for chi_1, row in zip(degrees, values):
@@ -650,3 +718,27 @@ def position_map_fault():
     finally:
         tensors_module._transposition_maps = clean
         tensors_module._block_space.cache_clear()
+
+
+@contextmanager
+def class_sum_fault(rho):
+    """Drop the class sum P_rho from the gram route's kernel, for the
+    duration of the block.
+
+    Every generalized matrix function of degree |rho| then misses the
+    terms of the permutations of cycle type rho.  Patches
+    isotypic.tensors._class_sums, which matrix_function_sums looks up at
+    call time; in-process only, like character_fault.
+    """
+    clean = tensors_module._class_sums
+
+    def dropped(cycles):
+        sums = clean(cycles)
+        sums.pop(rho.parts, None)
+        return sums
+
+    tensors_module._class_sums = dropped
+    try:
+        yield
+    finally:
+        tensors_module._class_sums = clean

@@ -10,7 +10,6 @@ from isotypic.characters import (
     CharacterTable,
     central_idempotent,
     character_table,
-    character_walk,
     character_value,
     class_size,
     permutations_with_class,
@@ -24,7 +23,12 @@ from isotypic.tensors import (
     nonzero_after_symmetrize,
     symmetrize,
 )
-from oracles import all_permutations, character_fault, reference_permutations_with_class
+from oracles import (
+    all_permutations,
+    character_fault,
+    character_walk,
+    reference_permutations_with_class,
+)
 
 
 def P(*parts):
@@ -228,6 +232,7 @@ def test_permutations_with_class_caches_no_tuples():
 
 
 def test_character_walk_is_the_class_slot_stream():
+    # the walk that the reference routes of both deciders share
     rng = random.Random(20)
     for n in range(1, 7):
         table = character_table(n)

@@ -109,6 +109,32 @@ def test_gmf_requires_exactly_one_source(capsys, config_file):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "command, obj, shape, expected",
+    [
+        ("gmf", {"entries": [[1, 2], [3, 4], [5, 6]]}, "2,1", "matrix must be square, got 3x2"),
+        ("gmf", {"entries": [[1, 2], [3, 4]]}, "2,1", "shape size 3 does not match matrix size 2"),
+        ("gmf", {"entries": []}, "", "n must be at least 1"),
+        ("gmf", {"entries": [[(i * j) % 5 - 2 for j in range(11)] for i in range(11)]}, "6,5",
+         "degree 11 exceeds cap 10"),
+        ("decide", {"dim": 2, "vectors": [[str(i), "1"] for i in range(11)]}, "6,5",
+         "degree 11 exceeds cap 10"),
+    ],
+    ids=["not-square", "size-mismatch", "n=0", "gmf-n=11", "gram-decide-n=11"],
+)
+def test_gram_route_input_errors(capsys, tmp_path, command, obj, shape, expected):
+    # every input the gram route refuses exits 2 with its message, before
+    # any sum is formed
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    if command == "gmf":
+        argv = ("gmf", "--matrix", str(path), "--shape", shape)
+    else:
+        argv = ("decide", "--config", str(path), "--shape", shape, "--method", "gram")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "decide", "--config", "nope.json", "--shape", "2")
     assert code == 2

@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+import isotypic.partitions as partitions
 from isotypic.partitions import (
     Partition,
     partitions_of,
@@ -41,6 +42,24 @@ def test_conjugate_examples():
     assert P(5).conjugate() == P(1, 1, 1, 1, 1)
     assert P(2, 2, 1).conjugate() == P(3, 2)
     assert P().conjugate() == P()
+
+
+def test_conjugate_validates_nothing(monkeypatch):
+    # the conjugate of valid parts is valid, so conjugating builds no checked
+    # Partition, and each shape's column lengths are counted once
+    shapes = [lam for n in range(9) for lam in partitions_of(n)]
+    partitions._conjugate_parts.cache_clear()
+    validated = []
+    checked = partitions._integers
+    monkeypatch.setattr(partitions, "_integers", lambda e: validated.append(e) or checked(e))
+    for _ in range(3):
+        for lam in shapes:
+            conj = lam.conjugate()
+            cells = {(j, i) for i, part in enumerate(lam) for j in range(part)}
+            assert type(conj) is Partition
+            assert cells == {(i, j) for i, part in enumerate(conj) for j in range(part)}
+    assert validated == []
+    assert partitions._conjugate_parts.cache_info().misses == len(shapes)
 
 
 def test_conjugate_involution_exhaustive():

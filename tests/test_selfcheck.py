@@ -23,6 +23,7 @@ from isotypic.selfcheck import (
 from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
 from oracles import (
     character_fault,
+    class_sum_fault,
     content_fault,
     engine_fault,
     position_map_fault,
@@ -319,6 +320,32 @@ def test_position_map_fault_is_detected():
     assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
 
 
+def test_class_sum_fault_is_detected():
+    # without the double transpositions' class sum, every generalized matrix
+    # function of degree 4 is wrong: gram disagrees with the other three
+    # deciders and <wT, wT> is wrong, and nothing else moves
+    with class_sum_fault(Partition([2, 2])):
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites == {"four_decider_agreement": 275, "gram_identity": 672}
+    assert {v["n"] for v in broken.violations} == {4}
+    assert run_verification(TrialSpec(n_max=4, trials_per_cell=5)).ok
+
+
+def test_character_fault_is_reported_through_gram():
+    # brute reads no character, so a flipped character value reaches the
+    # agreement suite only through gram's weighting of the class sums
+    spec = TrialSpec(n_max=3, dims=(2,), trials_per_cell=6)
+    with character_fault(Partition([2, 1]), Partition([1, 1, 1])):
+        broken = run_verification(spec)
+    agreement = [v for v in broken.violations if v["suite"] == "four_decider_agreement"]
+    assert agreement
+    for record in agreement:
+        detail = record["detail"]
+        assert detail["gram"] != detail["brute"] == detail["gamas"] == detail["dominance"]
+    assert run_verification(spec).ok
+
+
 def test_idempotent_suite_names_the_wrong_idempotent():
     # a flipped character value of (3, 1) makes its central idempotent wrong
     with character_fault(Partition([3, 1]), Partition([2, 2])):
@@ -391,27 +418,24 @@ def _counted(pairs, counts):
 
 
 def test_one_walk_per_route_per_configuration(monkeypatch):
-    # the permutations each character sum walks: the library's class-slot
-    # walk, which only gram takes (brute projects with Jucys-Murphy
-    # elements), and the one-shape walk of the per-shape oracles
-    walk, terms = characters.character_walk, oracles.character_terms
+    # the permutations each character sum walks: none for the library's
+    # routes (brute projects with Jucys-Murphy elements, gram sums cycle
+    # covers over subsets of the rows), and the one-shape walk of the
+    # per-shape oracles
+    stream, terms = characters.permutations_with_class, oracles.character_terms
     walked, per_shape = [], []
-
-    def counting_walk(shapes):
-        degrees, values, pairs = walk(shapes)
-        return degrees, values, _counted(pairs, walked)
 
     def counting_terms(lam):
         chi_1, pairs = terms(lam)
         return chi_1, _counted(pairs, per_shape)
 
-    monkeypatch.setattr(characters, "character_walk", counting_walk)
+    monkeypatch.setattr(characters, "permutations_with_class", lambda n: _counted(stream(n), walked))
     monkeypatch.setattr(oracles, "character_terms", counting_terms)
     n, d = 5, 2
     spec = TrialSpec(n_max=n, dims=(d,), trials_per_cell=1)
     suites = {"four_decider_agreement", "gram_identity"}
     assert check_trial(spec, n, d, 0, suites) == []
-    assert walked == [120]  # n! for gram, none for the brute route
+    assert walked == []
 
     table = character_table(n)
     nonzero = {
@@ -421,41 +445,35 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
     cfg = generate_configuration(spec, n, d, 0)
     gram = gram_matrix(cfg)
     for lam in partitions_of(n):
-        oracles.per_shape_symmetrize(cfg, lam)
-        oracles.per_shape_generalized_matrix_function(gram, lam)
-    # the per-shape routes walk every shape's nonzero classes again
+        assert symmetrize(cfg, lam) == oracles.per_shape_symmetrize(cfg, lam)
+        assert generalized_matrix_function(gram, lam) == (
+            oracles.per_shape_generalized_matrix_function(gram, lam)
+        )
+    # the per-shape routes walk every shape's nonzero classes, out of one
+    # stream of n! permutations each, and the library's one-shape views
+    # walk nothing
     assert sum(per_shape) == 2 * sum(nonzero.values()) == 2 * 622
-
-    # one shape still walks only the classes where its character is nonzero
-    for lam in partitions_of(n):
-        walked.clear()
-        symmetrize(cfg, lam)
-        generalized_matrix_function(gram, lam)
-        assert walked == [nonzero[lam]]
-    assert min(nonzero.values()) < 120
+    assert walked == [120] * len(per_shape) == [120] * 2 * len(nonzero)
 
 
 def test_one_walk_per_tensor_per_trial(monkeypatch):
-    # every suite of a trial whose det-twist runs: one n! walk for gram, and
-    # none for the brute route, the wedge or the reduced side, over the pure
-    # tensors of all n vectors and of the last n - d
-    walk, pure = characters.character_walk, tensors.decomposable
+    # every suite of a trial whose det-twist runs walks no permutation: gram
+    # sums over subsets of the rows, and the brute route, the wedge and the
+    # reduced side project the pure tensors of all n vectors and of the last
+    # n - d through the position maps
+    stream, pure = characters.permutations_with_class, tensors.decomposable
     walked, built = [], []
-
-    def counting_walk(shapes):
-        degrees, values, pairs = walk(shapes)
-        return degrees, values, _counted(pairs, walked)
 
     def counting_pure(cfg):
         built.append(cfg.n)
         return pure(cfg)
 
-    monkeypatch.setattr(characters, "character_walk", counting_walk)
+    monkeypatch.setattr(characters, "permutations_with_class", lambda n: _counted(stream(n), walked))
     for module in (selfcheck, tensors):
         monkeypatch.setattr(module, "decomposable", counting_pure)
     spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
     assert check_trial(spec, 5, 2, 0) == []
-    assert walked == [120]
+    assert walked == []
     assert built == [5, 3]
 
 

@@ -157,14 +157,12 @@ def test_cycles_are_walked_only_for_one_permutation():
     assert _callers("_cycle_lengths", sources) == {"symgroup.Permutation.cycle_type"}
 
 
-def test_character_walk_serves_only_gram_and_idempotents():
-    # the brute route projects with Jucys-Murphy elements, so a fault in the
-    # class sequence moves only the gram side of the gram identity
+def test_only_central_idempotent_walks_permutations():
+    # the brute route projects with Jucys-Murphy elements and the gram route
+    # sums cycle covers over subsets of the rows, so the n! permutations are
+    # walked only to write out a central idempotent
     sources = sorted(SOURCE_DIR.glob("*.py"))
-    assert _callers("character_walk", sources) == {
-        "tensors.matrix_function_sums",
-        "characters.central_idempotent",
-    }
+    assert _callers("permutations_with_class", sources) == {"characters.central_idempotent"}
 
 
 def test_the_harness_moves_tensors_only_by_position_maps():

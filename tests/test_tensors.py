@@ -43,6 +43,7 @@ from oracles import (
     permuted,
     reference_apply_algebra_element,
     reference_generalized_matrix_function,
+    reference_matrix_function_sums,
     reference_symmetrized_sums,
     tensor_inner,
     tensor_sum,
@@ -745,6 +746,88 @@ def test_class_sums_match_per_shape_oracles():
         symmetrized_sums(decomposable(configuration), [P(4), P(3)])
     with pytest.raises(ValueError, match="does not match"):
         matrix_function_sums(identity_matrix(3), [P(3), P(2)])
+
+
+def _with_zeros(rows, rng):
+    """rows with one zero row, with one zero column and with a zero diagonal."""
+    n = len(rows)
+    i, j = rng.randrange(n), rng.randrange(n)
+    zero_row = [r if k != i else [0] * n for k, r in enumerate(rows)]
+    zero_column = [[e if c != j else 0 for c, e in enumerate(r)] for r in rows]
+    zero_diagonal = [[e if c != k else 0 for c, e in enumerate(r)] for k, r in enumerate(rows)]
+    return [zero_row, zero_column, zero_diagonal]
+
+
+def test_matrix_function_sums_match_the_walk():
+    # the class sums over subsets of the rows give the walk's integers on
+    # non-symmetric integer and rational matrices, sparse or with a zero
+    # row, column or diagonal, for shape lists of every length; the
+    # Permutation walk in Fraction arithmetic (27 s for one shape at n = 8)
+    # checks every shape up to n = 4 and one shape on two matrices at 5 and 6
+    rng = random.Random(23)
+    for n in range(1, 9):
+        shapes = partitions_of(n)
+        integer = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
+                   for _ in range(n)]
+        for rows in [integer, random_rational_rows(rng, n)]:
+            variants = [rows, *_with_zeros(rows, rng)]
+            for k, m in enumerate(map(Matrix, variants)):
+                lists = [shapes, [rng.choice(shapes)]]
+                if n < 7:
+                    lists.append(rng.sample(shapes, rng.randint(1, len(shapes))) + [shapes[-1]])
+                for listed in lists:
+                    values, divisor = matrix_function_sums(m, listed)
+                    assert all(isinstance(v, int) for v in values)
+                    assert (values, divisor) == reference_matrix_function_sums(m, listed)
+                if n <= 4 or (n <= 6 and k == n - 4):
+                    checked = shapes if n <= 4 else [rng.choice(shapes)]
+                    values, divisor = matrix_function_sums(m, checked)
+                    for lam, value in zip(checked, values):
+                        assert Fraction(value, divisor) == (
+                            reference_generalized_matrix_function(m, lam)
+                        )
+
+
+def _fraction_determinant(rows):
+    rows = [[Fraction(e) for e in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def test_dense_matrix_functions_walk_no_permutations(monkeypatch):
+    # at n = 10 the walk would be 10! terms; the subset recursion walks no
+    # permutation at all
+    def no_walk(n):
+        raise AssertionError(f"permutations_with_class({n}) walked")
+
+    monkeypatch.setattr(characters, "permutations_with_class", no_walk)
+    n = 10
+    shapes = partitions_of(n)
+    rng = random.Random(10)
+    dense = [[rng.randint(1, 9) * rng.choice([-1, 1]) for _ in range(n)] for _ in range(n)]
+    values, divisor = matrix_function_sums(Matrix(dense), shapes)
+    assert divisor == 1
+    # the one-column shape is the determinant
+    assert values[-1] == _fraction_determinant(dense)
+    # at the identity each shape gives chi(1), and at the all-ones matrix
+    # n! <chi, 1>: n! for (n), else 0
+    assert matrix_function_sums(identity_matrix(n), shapes) == (
+        [syt_count(lam) for lam in shapes], 1
+    )
+    assert matrix_function_sums(Matrix([[1] * n] * n), shapes) == (
+        [factorial(n)] + [0] * (len(shapes) - 1), 1
+    )
 
 
 def test_configuration_rows_are_the_vectors_over_their_scales():
