@@ -25,6 +25,10 @@ _EXPORTS = {
         "character_value",
         "class_size",
     ),
+    "gram": (
+        "generalized_matrix_function",
+        "gram_matrix",
+    ),
     "linalg": (
         "Matrix",
         "VectorConfiguration",
@@ -70,8 +74,6 @@ _EXPORTS = {
         "SparseTensor",
         "apply_algebra_element",
         "decomposable",
-        "generalized_matrix_function",
-        "gram_matrix",
         "nonzero_after_symmetrize",
         "operator_rank",
         "symmetrize",

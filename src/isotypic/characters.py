@@ -7,16 +7,19 @@ distinct nonnegative integers; the sign is (-1)^(number of beta-numbers
 jumped over), which equals (-1)^(strip height).  Everything is integer
 arithmetic, memoized by (shape, cycle type).
 
+`character_row(lam)` is chi^lam on every class of its degree, in the
+order of `partitions_of`: the one row a generalized matrix function
+(`gram.matrix_function_sums`) or a central idempotent reads.
+`character_table` builds its rows from it.  Both check the degree cap.
+
 The library's one n!-term walk is `central_idempotent`'s, over
 `permutations_with_class`, which checks the degree cap when called and
 pairs `itertools.permutations` with the class of each permutation.  The
 classes are not found by walking cycles: `_lexicographic_classes` builds
 them by a memoized recursion over prefix states (closed cycle lengths and
-open chains), and only that sequence, n! bytes, is cached.  The
-generalized matrix functions (`tensors.matrix_function_sums`) read only
-`character_table`, to weight class sums they find over subsets of the
-rows, and the brute route projects tensors with Jucys-Murphy elements and
-reads no character.
+open chains), and only that sequence, n! bytes, is cached.  The module
+loads the permutation code (`symgroup`) only when an idempotent is
+built, so a gram process never loads it.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .partitions import Partition, partitions_of
-from .symgroup import DEGREE_CAP, GroupAlgebraElement
+from .partitions import DEGREE_CAP, Partition, partitions_of
+
+if TYPE_CHECKING:
+    from .symgroup import GroupAlgebraElement
+
 
 @cache
 def _mn(lam_parts: tuple[int, ...], rho_parts: tuple[int, ...]) -> int:
@@ -95,18 +101,27 @@ class CharacterTable(NamedTuple):
         }
 
 
-@cache
-def character_table(n: int) -> CharacterTable:
+def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
+
+
+@cache
+def character_row(lam: Partition) -> tuple[int, ...]:
+    """The character indexed by lam on every cycle type of its degree, in the
+    order of partitions_of: one row of character_table(lam.size)."""
+    _check_degree(lam.size)
+    return tuple(character_value(lam, rho) for rho in partitions_of(lam.size))
+
+
+@cache
+def character_table(n: int) -> CharacterTable:
+    _check_degree(n)
     classes = tuple(partitions_of(n))
     sizes = tuple(class_size(rho) for rho in classes)
-    rows = {
-        lam: tuple(character_value(lam, rho) for rho in classes)
-        for lam in partitions_of(n)
-    }
+    rows = {lam: character_row(lam) for lam in classes}
     return CharacterTable(n, classes, sizes, rows)
 
 
@@ -171,9 +186,11 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
     lam-isotypic two-sided ideal of the rational group algebra, from one walk
     of permutations_with_class that skips the classes where chi vanishes.
-    The degree cap is checked by character_table."""
+    The degree cap is checked by character_row."""
+    from .symgroup import GroupAlgebraElement  # only here: a gram process never loads it
+
     n = lam.size
-    row = character_table(n).rows[lam]
+    row = character_row(lam)
     # class (1,...,1) is last in reverse-lex order
     chi_1 = row[-1]
     pairs = permutations_with_class(n)

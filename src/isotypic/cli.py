@@ -6,7 +6,9 @@ input error.
 
 Each command imports the library modules it uses when it runs, so a
 process loads only those: a dominance or gamas decide and
-`rank-partition` never load the character, tensor or harness code.
+`rank-partition` never load the character, tensor or harness code, and a
+gram decide and `gmf` load the gram and character code but no tensor or
+permutation code.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _cmd_decide(args) -> int:
 
             answers[method] = nonzero_after_symmetrize(cfg, lam)
         elif method == "gram":
-            from .tensors import generalized_matrix_function, gram_matrix
+            from .gram import generalized_matrix_function, gram_matrix
 
             answers[method] = generalized_matrix_function(gram_matrix(cfg), lam) != 0
         elif method == "gamas":
@@ -127,7 +129,7 @@ def _cmd_rank_partition(args) -> int:
 
 
 def _cmd_gmf(args) -> int:
-    from .tensors import generalized_matrix_function, gram_matrix
+    from .gram import generalized_matrix_function, gram_matrix
 
     if (args.matrix is None) == (args.config is None):
         raise ValueError("gmf needs exactly one of --matrix or --config")

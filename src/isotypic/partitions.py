@@ -2,7 +2,9 @@
 
 Conjugation, dominance order, hook lengths, standard and semistandard
 tableau counts, and first-column removal.  Enumeration order is
-reverse-lexicographic everywhere, so output is reproducible.
+reverse-lexicographic everywhere, so output is reproducible.  The module
+also holds `DEGREE_CAP`, which the character code reads without loading
+the permutation code.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
+
+# n! enumerations (permutation streams, central idempotents, block symmetrizers),
+# character rows and full symmetrizations refuse to run past this degree
+# rather than silently truncating.
+DEGREE_CAP = 10
 
 
 def _integers(entries: Iterable) -> tuple[int, ...]:

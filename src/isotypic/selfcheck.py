@@ -25,17 +25,16 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import central_idempotent, character_table
+from .gram import gram_matrix, matrix_function_sums
 from .linalg import VectorConfiguration, is_independent, lowest_terms
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
-from .partitions import Partition, partitions_of, syt_count, weyl_dimension
-from .symgroup import DEGREE_CAP, Tableau
+from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
+from .symgroup import Tableau
 from .tensors import (
     OPERATOR_DIMENSION_CAP,
     SparseTensor,
     antisymmetrized,
     decomposable,
-    gram_matrix,
-    matrix_function_sums,
     operator_rank,
     symmetrized_sums,
 )

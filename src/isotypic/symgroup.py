@@ -28,12 +28,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .linalg import as_vector, integer_scaled, lowest_terms
-from .partitions import Partition, _integers
-
-# n! enumerations (permutation streams, central idempotents, block symmetrizers)
-# and full symmetrizations refuse to run past this degree rather than
-# silently truncating.
-DEGREE_CAP = 10
+from .partitions import DEGREE_CAP, Partition, _integers
 
 
 class Permutation:

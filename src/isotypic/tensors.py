@@ -24,21 +24,17 @@ once, on first use, with `_place_action`; the parts become index-tuple
 entries again only at the end.  `antisymmetrized`, which applies column
 antisymmetrizers as products (1 - X_2) ... (1 - X_h) over each column's
 positions, and `operator_rank` take their blocks from the same spaces.
-`matrix_function_sums(a, shapes)` walks no permutations either: it sums
-the products prod_i a[i][sigma(i)] by cycle type from the cycle sums of
-the subsets of the rows (Held-Karp path sums, `_cycle_sums`), combined
-over set partitions (`_class_sums`), in about 2^n n^2 + 3^n integer
-steps, and weights the class sums by every shape's character from
-`characters.character_table`.  The two routes share no code.
-`symmetrize` (on the pure tensor) and `generalized_matrix_function` are
-their one-shape views.
+`symmetrize` is the one-shape view of `symmetrized_sums` on the pure
+tensor.  The gram route lives in `gram`, which shares no code with this
+module; `gram_matrix` and `generalized_matrix_function` are re-exported
+here as the gram module's own objects, the names that the benchmark's
+tracer (`bench/tracing.py`) wraps.
 
 A configuration becomes integers in one place, `linalg.VectorConfiguration`:
 its `rows` are the vectors scaled by the lcm of their denominators, its
-`scales`.  A tensor, an algebra element and a `linalg.Matrix` keep the
-integer form their sums use: `decomposable` multiplies the rows over the
-product of the scales, `gram_matrix` keeps their int dot products, and
-the kernels sum numerators in `int` and multiply divisors.
+`scales`.  A tensor and an algebra element keep the integer form their
+sums use: `decomposable` multiplies the rows over the product of the
+scales, and the kernels sum numerators in `int` and multiply divisors.
 """
 
 from __future__ import annotations
@@ -51,10 +47,11 @@ from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, VectorConfiguration, as_vector, integer_scaled, lowest_terms
+from .gram import generalized_matrix_function, gram_matrix  # noqa: F401  (re-exported)
+from .linalg import VectorConfiguration, as_vector, integer_scaled, lowest_terms
 from .linalg import rank_of_rows
-from .partitions import Partition, _integers, partitions_of
-from .symgroup import DEGREE_CAP, GroupAlgebraElement, _moved_sums, _place_action
+from .partitions import DEGREE_CAP, Partition, _integers, partitions_of
+from .symgroup import GroupAlgebraElement, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
@@ -379,128 +376,6 @@ def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
     """Exact zero test of the symmetrized pure tensor (the brute-force
     decider): True at the first weight block with a nonzero part."""
     return any(entries for (entries, _), in _weight_block_parts(_pure_tensor(cfg, lam), [lam]))
-
-
-def gram_matrix(cfg: VectorConfiguration) -> Matrix:
-    """Pairwise dot products; symmetric positive semidefinite.  Entry (i, j)
-    is the int dot product of the integer rows i and j over scales[i] *
-    scales[j], so row i is kept over scales[i] times the lcm of the scales."""
-    rows, scales = cfg.rows, cfg.scales
-    common = lcm(*scales)
-    numerators = [
-        [sum(a * b for a, b in zip(u, v)) * (common // scale) for v, scale in zip(rows, scales)]
-        for u in rows
-    ]
-    return Matrix._from_integers(numerators, [scale * common for scale in scales])
-
-
-def matrix_function_sums(a: Matrix, shapes: Sequence[Partition]) -> tuple[list[int], int]:
-    """The generalized matrix functions of the shapes at a square matrix: for
-    each shape an integer, and one divisor common to all, so that integer /
-    divisor is the shape's value.
-
-    A shape's value is the sum over the cycle types mu of chi(mu) * P_mu,
-    where P_mu sums prod_i a[i][sigma(i)] over the permutations of type mu;
-    _class_sums gets every P_mu from the cycle sums of _cycle_sums, over
-    subsets of the rows, and no permutation is walked.
-    """
-    n = a.nrows
-    if a.ncols != n:
-        raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
-    for lam in shapes:
-        if lam.size != n:
-            raise ValueError(f"shape size {lam.size} does not match matrix size {n}")
-    if not shapes:
-        raise ValueError("need at least one shape")
-    from .characters import character_table  # gram only: brute processes never load it
-
-    table = character_table(n)
-    # d_chi(DA) = det(D) d_chi(A) for diagonal D, as each term takes one
-    # entry from every row
-    class_sums = _class_sums(_cycle_sums(a.numerators))
-    sums = [class_sums.get(rho.parts, 0) for rho in table.classes]
-    values = [sum(chi * p for chi, p in zip(table.rows[lam], sums) if p) for lam in shapes]
-    return values, prod(a.scales)
-
-
-def _cycle_sums(rows: Sequence[Sequence[int]]) -> list[int]:
-    """By bit mask of a nonempty set S of rows, c(S): the sum over the single
-    cycles sigma on S of prod over i in S of rows[i][sigma(i)].
-
-    Each cycle is read from s = min S.  The sums of the paths from s through
-    every element of S, by their last element, are built mask by mask from
-    those of S minus that element (Held-Karp), and each path closes back to s.
-    """
-    paths: list[dict[int, int]] = [{}] * (1 << len(rows))
-    cycles = [0] * len(paths)
-    for mask in range(1, len(paths)):
-        low = mask & -mask
-        s = low.bit_length() - 1
-        ends = {s: 1} if mask == low else {}
-        rest = mask ^ low
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            total = sum(p * rows[u][v] for u, p in paths[mask ^ bit].items())
-            if total:
-                ends[v] = total
-        paths[mask] = ends
-        cycles[mask] = sum(p * rows[v][s] for v, p in ends.items())
-    return cycles
-
-
-def _class_sums(cycles: list[int]) -> dict[tuple[int, ...], int]:
-    """P_mu by cycle type mu (decreasing parts) from the cycle sums by bit
-    mask: the sum over the set partitions of the rows into blocks with sizes
-    mu of the product of the blocks' cycle sums; a type that no product of
-    nonzero cycle sums reaches is missing.
-
-    The partial sums, by covered mask and type so far, are built mask by
-    mask from the empty set; each new block holds the least row not yet
-    covered, so each set partition is built once, and a block whose cycle
-    sum is zero is skipped.
-    """
-    full = len(cycles) - 1
-    states: list[dict | None] = [None] * len(cycles)
-    states[0] = {(): 1}
-    merged: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for mask in range(full):
-        found = states[mask]
-        if not found:
-            continue
-        states[mask] = None
-        free = full ^ mask
-        low = free & -free
-        rest = chosen = free ^ low
-        while True:
-            block = chosen | low
-            c = cycles[block]
-            if c:
-                size = block.bit_count()
-                target = states[mask | block]
-                if target is None:
-                    target = states[mask | block] = {}
-                for parts, p in found.items():
-                    key = merged.get((parts, size))
-                    if key is None:
-                        key = merged[parts, size] = tuple(sorted((*parts, size), reverse=True))
-                    target[key] = target.get(key, 0) + p * c
-            if not chosen:
-                break
-            chosen = (chosen - 1) & rest
-    return states[full] or {}
-
-
-def generalized_matrix_function(a: Matrix, lam: Partition) -> Fraction:
-    """The character-weighted permanent-like sum over all permutations.
-
-    Specializes to the determinant for the single-column shape and the
-    permanent for the single-row shape.  The one-shape view of
-    matrix_function_sums.
-    """
-    (total,), divisor = matrix_function_sums(a, [lam])
-    return Fraction(total, divisor)
 
 
 def operator_rank(x: GroupAlgebraElement, d: int) -> int:

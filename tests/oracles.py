@@ -52,6 +52,7 @@ from math import factorial, prod
 from typing import Optional
 
 import isotypic.characters as characters
+import isotypic.gram as gram_module
 import isotypic.matroid as matroid_module
 import isotypic.tensors as tensors_module
 from isotypic.linalg import Matrix, integer_scaled
@@ -593,10 +594,12 @@ def reference_gamas_condition(
 def character_fault(lam, rho):
     """Flip the sign of one character value for the duration of the block.
 
-    Patches isotypic.characters.character_value, which character_table
-    looks up at call time, and clears the caches built from it on entry
-    and exit.  In-process only: worker processes spawned by
-    run_verification(jobs>1) import a clean module and do not see the fault.
+    Patches isotypic.characters.character_value, which character_row
+    looks up at call time, and clears the caches built from it (the rows,
+    the tables and the idempotents) on entry and exit, so that a row cached
+    before the block cannot hide the flipped value from the gram route.
+    In-process only: worker processes spawned by run_verification(jobs>1)
+    import a clean module and do not see the fault.
     """
     clean = characters.character_value
 
@@ -605,6 +608,7 @@ def character_fault(lam, rho):
         return -value if (mu, nu) == (lam, rho) else value
 
     def clear_caches():
+        characters.character_row.cache_clear()
         characters.character_table.cache_clear()
         characters.central_idempotent.cache_clear()
 
@@ -727,18 +731,18 @@ def class_sum_fault(rho):
 
     Every generalized matrix function of degree |rho| then misses the
     terms of the permutations of cycle type rho.  Patches
-    isotypic.tensors._class_sums, which matrix_function_sums looks up at
-    call time; in-process only, like character_fault.
+    isotypic.gram._class_sums, which matrix_function_sums looks up at call
+    time; in-process only, like character_fault.
     """
-    clean = tensors_module._class_sums
+    clean = gram_module._class_sums
 
     def dropped(cycles):
         sums = clean(cycles)
         sums.pop(rho.parts, None)
         return sums
 
-    tensors_module._class_sums = dropped
+    gram_module._class_sums = dropped
     try:
         yield
     finally:
-        tensors_module._class_sums = clean
+        gram_module._class_sums = clean

@@ -9,20 +9,17 @@ import isotypic.characters as characters
 from isotypic.characters import (
     CharacterTable,
     central_idempotent,
+    character_row,
     character_table,
     character_value,
     class_size,
     permutations_with_class,
 )
+from isotypic.gram import generalized_matrix_function
 from isotypic.linalg import Matrix
 from isotypic.partitions import Partition, partitions_of, syt_count
 from isotypic.symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
-from isotypic.tensors import (
-    VectorConfiguration,
-    generalized_matrix_function,
-    nonzero_after_symmetrize,
-    symmetrize,
-)
+from isotypic.tensors import VectorConfiguration, nonzero_after_symmetrize, symmetrize
 from oracles import (
     all_permutations,
     character_fault,
@@ -90,6 +87,24 @@ def test_character_table_cap_and_validation():
         character_table(0)
     with pytest.raises(ValueError):
         character_table(DEGREE_CAP + 1)
+
+
+def test_character_row_is_the_table_row():
+    for n in range(1, 9):
+        table = character_table(n)
+        for lam in partitions_of(n):
+            assert character_row(lam) == table.rows[lam]
+
+
+@pytest.mark.parametrize(
+    "n, message", [(0, "n must be at least 1"), (DEGREE_CAP + 1, "degree 11 exceeds cap 10")]
+)
+def test_character_row_checks_the_degree_as_the_table_does(n, message):
+    with pytest.raises(ValueError) as table_error:
+        character_table(n)
+    with pytest.raises(ValueError) as row_error:
+        character_row(Partition([1] * n))
+    assert str(row_error.value) == str(table_error.value) == message
 
 
 def test_first_column_is_tableau_count():
@@ -294,3 +309,16 @@ def test_character_fault_is_scoped():
         assert character_table(2).rows[P(2)] == (-1, 1)
     assert characters.character_value(P(2), P(2)) == clean
     assert character_table(2).rows[P(2)] == (1, 1)
+
+
+def test_character_fault_reaches_a_row_cached_before_it():
+    # chi^(2,1) is (-1, 0, 2) on the classes (3), (2,1), (1,1,1); the gram
+    # route reads the row, so the fault must not leave a clean cached row
+    lam, a = P(2, 1), Matrix([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    clean = generalized_matrix_function(a, lam)
+    assert character_row(lam) == (-1, 0, 2)
+    with character_fault(lam, P(3)):
+        assert character_row(lam) == (1, 0, 2)
+        assert generalized_matrix_function(a, lam) != clean
+    assert character_row(lam) == (-1, 0, 2)
+    assert generalized_matrix_function(a, lam) == clean

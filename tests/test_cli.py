@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import isotypic.characters as characters
+import isotypic.gram as gram
 from isotypic.cli import build_parser, main
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
@@ -122,9 +124,15 @@ def test_gmf_requires_exactly_one_source(capsys, config_file):
     ],
     ids=["not-square", "size-mismatch", "n=0", "gmf-n=11", "gram-decide-n=11"],
 )
-def test_gram_route_input_errors(capsys, tmp_path, command, obj, shape, expected):
+def test_gram_route_input_errors(capsys, tmp_path, monkeypatch, command, obj, shape, expected):
     # every input the gram route refuses exits 2 with its message, before
-    # any sum is formed
+    # any sum is formed and without building the character table: the cap
+    # is checked by the shape's character row
+    def refused(*args):
+        raise AssertionError("reached for a refused input")
+
+    monkeypatch.setattr(gram, "_cycle_sums", refused)
+    monkeypatch.setattr(characters, "character_table", refused)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     if command == "gmf":
@@ -437,15 +445,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     "argv, used, unused",
     [
         ("decide --shape 2,1 --method dominance", {"matroid"},
-         {"characters", "symgroup", "tensors", "selfcheck"}),
+         {"characters", "gram", "symgroup", "tensors", "selfcheck"}),
         ("decide --shape 2,1 --method gamas", {"matroid"},
-         {"characters", "symgroup", "tensors", "selfcheck"}),
-        ("rank-partition", {"matroid"}, {"characters", "symgroup", "tensors", "selfcheck"}),
+         {"characters", "gram", "symgroup", "tensors", "selfcheck"}),
+        ("rank-partition", {"matroid"}, {"characters", "gram", "symgroup", "tensors", "selfcheck"}),
         ("decide --shape 2,1 --method brute", {"tensors"}, {"characters", "selfcheck", "matroid"}),
-        ("decide --shape 2,1 --method gram", {"tensors"}, {"selfcheck", "matroid"}),
+        ("decide --shape 2,1 --method gram", {"gram", "characters"},
+         {"tensors", "symgroup", "selfcheck", "matroid"}),
         ("symmetrize --shape 2,1", {"tensors"}, {"characters", "selfcheck", "matroid"}),
-        ("gmf --shape 2,1", {"tensors"}, {"selfcheck", "matroid"}),
-        ("character-table 3", {"characters"}, {"tensors", "matroid", "selfcheck"}),
+        ("gmf --shape 2,1", {"gram", "characters"}, {"tensors", "symgroup", "selfcheck", "matroid"}),
+        ("character-table 3", {"characters"}, {"gram", "symgroup", "tensors", "matroid", "selfcheck"}),
     ],
 )
 def test_command_loads_only_its_modules(config_file, argv, used, unused):

@@ -143,9 +143,9 @@ def test_tensor_and_element_kernels_build_no_fraction():
         "symgroup.GroupAlgebraElement.terms",
         "tensors.SparseTensor.__init__",
         "tensors.SparseTensor.entries",
-        "tensors.generalized_matrix_function",
+        "gram.generalized_matrix_function",
     }
-    paths = [SOURCE_DIR / f"{stem}.py" for stem in ("symgroup", "tensors", "characters")]
+    paths = [SOURCE_DIR / f"{stem}.py" for stem in ("symgroup", "tensors", "characters", "gram")]
     assert _callers("Fraction", paths) <= allowed
 
 
@@ -163,6 +163,15 @@ def test_only_central_idempotent_walks_permutations():
     # walked only to write out a central idempotent
     sources = sorted(SOURCE_DIR.glob("*.py"))
     assert _callers("permutations_with_class", sources) == {"characters.central_idempotent"}
+
+
+def test_no_decide_route_builds_the_character_table():
+    # a generalized matrix function reads one character row per shape and the
+    # brute projector reads contents, so neither route falls back to the
+    # p(n) x p(n) table on the way to a verdict
+    routes = [SOURCE_DIR / "gram.py", SOURCE_DIR / "tensors.py"]
+    assert _callers("character_table", routes) == set()
+    assert _callers("character_row", routes) == {"gram.matrix_function_sums"}
 
 
 def test_the_harness_moves_tensors_only_by_position_maps():
@@ -201,6 +210,7 @@ def test_permutations_are_built_only_where_one_is_returned():
 # every name `import isotypic` exports, by the module that defines it
 EXPORTS = {
     "characters": "CharacterTable central_idempotent character_table character_value class_size",
+    "gram": "generalized_matrix_function gram_matrix",
     "linalg": "Matrix VectorConfiguration is_independent parse_rational",
     "matroid": "BlockCertificate LinearMatroid RankPartition decide_appears gamas_condition "
     "rank_partition rank_partition_oracle validate_certificate",
@@ -209,7 +219,7 @@ EXPORTS = {
     "symgroup": "DEGREE_CAP GroupAlgebraElement Permutation Tableau algebra_multiply "
     "column_antisymmetrizer compose row_symmetrizer subset_antisymmetrizer",
     "tensors": "OPERATOR_DIMENSION_CAP SparseTensor apply_algebra_element decomposable "
-    "generalized_matrix_function gram_matrix nonzero_after_symmetrize operator_rank symmetrize",
+    "nonzero_after_symmetrize operator_rank symmetrize",
 }
 
 
@@ -235,6 +245,17 @@ def test_exports_are_their_home_module_objects():
         for name in names.split():
             assert getattr(isotypic, name) is getattr(home, name), name
     assert isotypic.tensors.VectorConfiguration is isotypic.linalg.VectorConfiguration
+    assert isotypic.symgroup.DEGREE_CAP is isotypic.partitions.DEGREE_CAP
+
+
+def test_tensors_reexports_the_gram_functions():
+    # bench/tracing.py wraps gram_matrix and generalized_matrix_function at
+    # tensors.*, and replaces every module attribute holding the same object,
+    # so the names must be the gram module's own objects, which the CLI calls
+    assert isotypic.tensors.gram_matrix is isotypic.gram.gram_matrix
+    assert (
+        isotypic.tensors.generalized_matrix_function is isotypic.gram.generalized_matrix_function
+    )
 
 
 def test_unknown_package_attribute_raises():

@@ -8,6 +8,7 @@ import pytest
 import isotypic.characters as characters
 import isotypic.tensors as tensors
 from isotypic.characters import central_idempotent, character_table
+from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_function_sums
 from isotypic.linalg import Matrix, is_independent
 from isotypic.partitions import Partition, partitions_of, syt_count, weyl_dimension
 from isotypic.symgroup import (
@@ -27,9 +28,6 @@ from isotypic.tensors import (
     antisymmetrized,
     apply_algebra_element,
     decomposable,
-    generalized_matrix_function,
-    gram_matrix,
-    matrix_function_sums,
     nonzero_after_symmetrize,
     operator_rank,
     symmetrize,
@@ -1050,4 +1048,15 @@ def test_symmetrize_builds_no_character_table():
     configuration = cfg(2, E1, (1, 1), E2, E2)
     symmetrize(configuration, P(3, 1))
     nonzero_after_symmetrize(configuration, P(3, 1))
+    assert characters.character_table.cache_info().currsize == 0
+
+
+def test_matrix_functions_build_no_character_table():
+    # the gram route reads one character row per listed shape, so no decide
+    # route builds the p(n) x p(n) table on the way to a verdict
+    characters.character_table.cache_clear()
+    configuration = cfg(3, (1, 0, 0), (1, 1, 0), (0, 1, 1), (1, 2, 3), (2, 0, 1))
+    gram = gram_matrix(configuration)
+    assert generalized_matrix_function(gram, P(3, 1, 1)) != 0
+    assert matrix_function_sums(gram, [P(5), P(2, 2, 1), P(1, 1, 1, 1, 1)])
     assert characters.character_table.cache_info().currsize == 0
