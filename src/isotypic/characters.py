@@ -14,12 +14,11 @@ order of `partitions_of`: the one row a generalized matrix function
 
 The library's one n!-term walk is `central_idempotent`'s, over
 `permutations_with_class`, which checks the degree cap when called and
-pairs `itertools.permutations` with the class of each permutation.  The
-classes are not found by walking cycles: `_lexicographic_classes` builds
-them by a memoized recursion over prefix states (closed cycle lengths and
-open chains), and only that sequence, n! bytes, is cached.  The module
-loads the permutation code (`symgroup`) only when an idempotent is
-built, so a gram process never loads it.
+pairs `itertools.permutations` with the class of each permutation, read
+by one cycle walk.  Neither keeps anything n!-sized once it returns: only
+the character values (`_mn`) and rows (`character_row`) are cached.  The
+module loads the permutation code (`symgroup`) only when permutations are
+walked, so a gram process never loads it.
 """
 
 from __future__ import annotations
@@ -116,7 +115,6 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     return tuple(character_value(lam, rho) for rho in partitions_of(lam.size))
 
 
-@cache
 def character_table(n: int) -> CharacterTable:
     _check_degree(n)
     classes = tuple(partitions_of(n))
@@ -128,65 +126,26 @@ def character_table(n: int) -> CharacterTable:
 def permutations_with_class(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All permutations of {1..n} as 1-based image tuples, lexicographic by
     image tuple, each paired with the index of its cycle type in
-    partitions_of(n): a one-pass iterator.  No Permutation is built and no
-    cycle is walked: the n!-term sums only move index tuples and read the
-    class, and the classes come from _lexicographic_classes.  The degree
-    cap is checked at the call.
+    partitions_of(n): a one-pass iterator that keeps nothing it has
+    yielded.  Each class is read by one cycle walk of the image tuple
+    (symgroup._cycle_lengths); no Permutation is built.  The degree cap is
+    checked at the call.
     """
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    return zip(itertools.permutations(range(1, n + 1)), _lexicographic_classes(n))
+    from .symgroup import _cycle_lengths  # only here: a gram process never loads it
 
-
-@cache
-def _lexicographic_classes(n: int) -> bytes:
-    """The class index of every permutation of {1..n}, in lexicographic
-    order of image tuples, one byte each (p(DEGREE_CAP) < 256).
-
-    Images are chosen position by position, smallest free value first, so
-    the completions of a prefix are one contiguous run of the order.  Their
-    classes depend only on the cycle lengths the prefix has closed and on
-    its open chains: for each free value, in increasing order, the rank
-    among the free positions of the position where its chain ends, and the
-    chain's length.  The next position has rank 0; giving it the free
-    value of its own chain closes a cycle, any other free value joins the
-    two chains.  Each state's run is found once.
-    """
     index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
-
-    @cache
-    def run(closed: tuple[int, ...], chains: tuple[tuple[int, int], ...]) -> bytes:
-        if not chains:
-            return bytes((index[closed],))
-        head = next(i for i, (end, _) in enumerate(chains) if end == 0)
-        head_length = chains[head][1]
-        shifted = [(end - 1, length) for end, length in chains]
-        runs = []
-        for j, (end, length) in enumerate(chains):
-            rest = shifted.copy()
-            if j == head:
-                cycles = tuple(sorted(closed + (length,), reverse=True))
-            else:
-                # the head chain now runs on through chain j, to where j ended
-                cycles = closed
-                rest[head] = (end - 1, head_length + length)
-            del rest[j]
-            runs.append(run(cycles, tuple(rest)))
-        return b"".join(runs)
-
-    classes = run((), tuple((v, 1) for v in range(n)))
-    # run's closure refers to run, so free the memo now, not at the next
-    # garbage collection
-    run.cache_clear()
-    return classes
+    perms = itertools.permutations(range(1, n + 1))
+    return ((images, index[_cycle_lengths(images)]) for images in perms)
 
 
-@cache
 def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """(chi(1)/n!) * sum of chi(sigma) sigma: the projector onto the
     lam-isotypic two-sided ideal of the rational group algebra, from one walk
     of permutations_with_class that skips the classes where chi vanishes.
-    The degree cap is checked by character_row."""
+    The element is built anew on each call; nothing of it is cached.  The
+    degree cap is checked by character_row."""
     from .symgroup import GroupAlgebraElement  # only here: a gram process never loads it
 
     n = lam.size

@@ -487,14 +487,19 @@ def _idempotent_suite(n_top: int) -> list[dict]:
 
 
 def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[dict]:
-    """operator rank of e_lam = (standard tableaux) x (Weyl dimension)."""
+    """operator rank of e_lam = (standard tableaux) x (Weyl dimension).
+
+    Each e_lam is built once and ranked for every d with d^n within the
+    operator cap; the report sorts the violations."""
     out = []
     for n in range(1, n_top + 1):
-        for d in dims:
-            if d**n > OPERATOR_DIMENSION_CAP:
-                continue
-            for lam in partitions_of(n):
-                got = operator_rank(central_idempotent(lam), d)
+        ranked = [d for d in dims if d**n <= OPERATOR_DIMENSION_CAP]
+        if not ranked:
+            continue
+        for lam in partitions_of(n):
+            e = central_idempotent(lam)
+            for d in ranked:
+                got = operator_rank(e, d)
                 want = syt_count(lam) * weyl_dimension(lam, d)
                 if got != want:
                     out.append(

@@ -24,11 +24,11 @@ explores the whole exchange graph on every augmenting search, and
 certificate, which the library now gets from the same engine.
 `vertical_strips` serves the Pieri check of the Weyl dimension,
 `all_permutations` is the order reference for the library's permutation
-stream, `reference_permutations_with_class` the earlier route that found
-each permutation's class by walking its cycles, which the library's
-prefix-state recursion is checked against, and `permuted` reorders vector
-lists without the place-action kernel, the independent route the action
-tests compare against.
+stream, `_lexicographic_classes` the library's earlier route to the class
+of each permutation, a memoized recursion over prefix states that walks
+no cycles, which the library's one cycle walk per permutation is checked
+against, and `permuted` reorders vector lists without the place-action
+kernel, the independent route the action tests compare against.
 `reference_block_sum` is the earlier route of the row, column and subset
 symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
@@ -47,6 +47,7 @@ route, so tests can see the harness notice.
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Optional
@@ -59,10 +60,8 @@ from isotypic.linalg import Matrix, integer_scaled
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
-    DEGREE_CAP,
     GroupAlgebraElement,
     Permutation,
-    _cycle_lengths,
     _moved_sums,
     _place_action,
     compose,
@@ -180,16 +179,47 @@ def all_permutations(n):
     return (Permutation(images) for images in permutations(range(1, n + 1)))
 
 
-def reference_permutations_with_class(n):
-    """All permutations of {1..n} as 1-based image tuples, lexicographic by
-    image tuple, each paired with the index of its cycle type in
-    partitions_of(n): the library's earlier route, one cycle walk per
-    permutation, returned as a tuple (the library cached it)."""
-    if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
+@cache
+def _lexicographic_classes(n: int) -> bytes:
+    """The class index of every permutation of {1..n}, in lexicographic
+    order of image tuples, one byte each (p(DEGREE_CAP) < 256).
+
+    Images are chosen position by position, smallest free value first, so
+    the completions of a prefix are one contiguous run of the order.  Their
+    classes depend only on the cycle lengths the prefix has closed and on
+    its open chains: for each free value, in increasing order, the rank
+    among the free positions of the position where its chain ends, and the
+    chain's length.  The next position has rank 0; giving it the free
+    value of its own chain closes a cycle, any other free value joins the
+    two chains.  Each state's run is found once.
+    """
     index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
-    perms = permutations(range(1, n + 1))
-    return tuple((images, index[_cycle_lengths(images)]) for images in perms)
+
+    @cache
+    def run(closed: tuple[int, ...], chains: tuple[tuple[int, int], ...]) -> bytes:
+        if not chains:
+            return bytes((index[closed],))
+        head = next(i for i, (end, _) in enumerate(chains) if end == 0)
+        head_length = chains[head][1]
+        shifted = [(end - 1, length) for end, length in chains]
+        runs = []
+        for j, (end, length) in enumerate(chains):
+            rest = shifted.copy()
+            if j == head:
+                cycles = tuple(sorted(closed + (length,), reverse=True))
+            else:
+                # the head chain now runs on through chain j, to where j ended
+                cycles = closed
+                rest[head] = (end - 1, head_length + length)
+            del rest[j]
+            runs.append(run(cycles, tuple(rest)))
+        return b"".join(runs)
+
+    classes = run((), tuple((v, 1) for v in range(n)))
+    # run's closure refers to run, so free the memo now, not at the next
+    # garbage collection
+    run.cache_clear()
+    return classes
 
 
 def reference_block_sum(n, blocks, signed):
@@ -226,7 +256,9 @@ def tensor_sum(n, d, terms):
 
 def tensor_inner(a, b):
     """The standard dot product extended multiplicatively to tensors."""
-    return Fraction(sum(val * b.entries.get(idx, 0) for idx, val in a.entries.items()))
+    # entries is a view rebuilt on each read, so read it once
+    other = b.entries
+    return Fraction(sum(val * other.get(idx, 0) for idx, val in a.entries.items()))
 
 
 def fraction_rank(rows):
@@ -595,9 +627,10 @@ def character_fault(lam, rho):
     """Flip the sign of one character value for the duration of the block.
 
     Patches isotypic.characters.character_value, which character_row
-    looks up at call time, and clears the caches built from it (the rows,
-    the tables and the idempotents) on entry and exit, so that a row cached
-    before the block cannot hide the flipped value from the gram route.
+    looks up at call time, and clears the rows cached from it on entry and
+    exit, so that a row cached before the block cannot hide the flipped
+    value from the gram route.  The patch is installed inside the try, so
+    whatever fails after it, the finally puts the clean value back.
     In-process only: worker processes spawned by run_verification(jobs>1)
     import a clean module and do not see the fault.
     """
@@ -607,18 +640,13 @@ def character_fault(lam, rho):
         value = clean(mu, nu)
         return -value if (mu, nu) == (lam, rho) else value
 
-    def clear_caches():
-        characters.character_row.cache_clear()
-        characters.character_table.cache_clear()
-        characters.central_idempotent.cache_clear()
-
-    characters.character_value = flipped
-    clear_caches()
     try:
+        characters.character_value = flipped
+        characters.character_row.cache_clear()
         yield
     finally:
         characters.character_value = clean
-        clear_caches()
+        characters.character_row.cache_clear()
 
 
 @contextmanager
@@ -688,9 +716,9 @@ def content_fault(lam):
     def shifted(mu, m):
         return clean(mu, m) + (mu == lam)
 
-    tensors_module._content_power_sum = shifted
-    tensors_module._lagrange.cache_clear()
     try:
+        tensors_module._content_power_sum = shifted
+        tensors_module._lagrange.cache_clear()
         yield
     finally:
         tensors_module._content_power_sum = clean
@@ -715,9 +743,9 @@ def position_map_fault():
         (_, *rest), *higher = clean(tuples, positions)
         return (tuple(range(len(tuples))), *rest), *higher
 
-    tensors_module._transposition_maps = broken
-    tensors_module._block_space.cache_clear()
     try:
+        tensors_module._transposition_maps = broken
+        tensors_module._block_space.cache_clear()
         yield
     finally:
         tensors_module._transposition_maps = clean

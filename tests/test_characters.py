@@ -1,6 +1,8 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -21,10 +23,10 @@ from isotypic.partitions import Partition, partitions_of, syt_count
 from isotypic.symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
 from isotypic.tensors import VectorConfiguration, nonzero_after_symmetrize, symmetrize
 from oracles import (
+    _lexicographic_classes,
     all_permutations,
     character_fault,
     character_walk,
-    reference_permutations_with_class,
 )
 
 
@@ -223,14 +225,28 @@ def test_permutations_with_class_order_and_cap():
         permutations_with_class(DEGREE_CAP + 1)
 
 
-def test_permutations_with_class_matches_cycle_walk_reference():
+def test_permutations_with_class_matches_prefix_state_oracle():
     for n in range(0, 9):
-        assert tuple(permutations_with_class(n)) == reference_permutations_with_class(n)
+        classes = _lexicographic_classes(n)
+        assert len(classes) == factorial(n)
+        assert tuple(permutations_with_class(n)) == tuple(
+            zip(permutations(range(1, n + 1)), classes)
+        )
+
+
+def test_permutations_with_class_counts_each_class_by_its_size():
+    # the class sizes n!/z_rho, from neither the cycle walk nor the prefix
+    # states
+    for n in range(1, 9):
+        counts = Counter(c for _, c in permutations_with_class(n))
+        assert [counts[c] for c in range(len(partitions_of(n)))] == [
+            class_size(rho) for rho in partitions_of(n)
+        ]
 
 
 def test_permutations_with_class_caches_no_tuples():
-    # only the n!-byte class sequence may stay behind: start from empty
-    # caches, so that a cache of (images, class) pairs would be built here
+    # nothing may stay behind: start from empty caches, so that a cache of
+    # (images, class) pairs or of a class sequence would be built here
     for value in list(vars(characters).values()):
         if callable(getattr(value, "cache_clear", None)):
             value.cache_clear()
@@ -242,8 +258,29 @@ def test_permutations_with_class_caches_no_tuples():
     finally:
         tracemalloc.stop()
     assert count == factorial(8)
-    # 0.38 MB with the n!-byte sequence; 6.5 MB with 8! cached tuples
+    # 3 kB with nothing cached; 0.38 MB with the cached n!-byte class
+    # sequence of the prefix-state recursion; 6.5 MB with 8! cached tuples
     assert peak < 1.5e6
+
+
+def test_central_idempotent_keeps_nothing_once_dropped():
+    # build a neighbouring shape's element first: the interpreter keeps up
+    # to 2000 freed tuples of each length for reuse (0.2 MB of 8-tuples
+    # here), so only the element itself could stay behind
+    central_idempotent(P(7, 1))
+    character_row(P(8))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        e = central_idempotent(P(8))
+        held, _ = tracemalloc.get_traced_memory()
+        del e
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 8!-term element holds 5.3 MB while referenced
+    assert held - start > 4e6
+    assert end - start < 1e5
 
 
 def test_character_walk_is_the_class_slot_stream():

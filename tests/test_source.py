@@ -149,12 +149,33 @@ def test_tensor_and_element_kernels_build_no_fraction():
     assert _callers("Fraction", paths) <= allowed
 
 
-def test_cycles_are_walked_only_for_one_permutation():
-    # the n!-term walk reads each permutation's class from a cached
-    # sequence; a cycle walk per permutation on that path would be n!
-    # calls of _cycle_lengths
+def test_cycles_are_walked_only_by_the_cycle_type_and_the_walk():
+    # a Permutation reads its cycle type, and the one permutation walk reads
+    # each permutation's class, by the same cycle walk
     sources = sorted(SOURCE_DIR.glob("*.py"))
-    assert _callers("_cycle_lengths", sources) == {"symgroup.Permutation.cycle_type"}
+    assert _callers("_cycle_lengths", sources) == {
+        "symgroup.Permutation.cycle_type",
+        "characters.permutations_with_class",
+    }
+
+
+def test_characters_caches_only_the_character_values_and_rows():
+    # the tables, the permutation stream and the idempotents are n!- or
+    # p(n)^2-sized and read by few callers, so they are rebuilt per call
+    # and nothing of them stays resident
+    def name(decorator):
+        # cache, functools.cache or lru_cache(...)
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None))
+
+    tree = ast.parse((SOURCE_DIR / "characters.py").read_text())
+    cached = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name(d) in {"cache", "lru_cache", "cached_property"} for d in node.decorator_list)
+    }
+    assert cached == {"_mn", "character_row"}
 
 
 def test_only_central_idempotent_walks_permutations():

@@ -1041,22 +1041,34 @@ def test_block_space_lists_each_arrangement_once_in_order():
                 assert g[g[p]] == p
 
 
-def test_symmetrize_builds_no_character_table():
+def _count_tables(monkeypatch) -> list:
+    """Record every character_table call, by its degree, in the list returned."""
+    built, table = [], characters.character_table
+
+    def counted(n):
+        built.append(n)
+        return table(n)
+
+    monkeypatch.setattr(characters, "character_table", counted)
+    return built
+
+
+def test_symmetrize_builds_no_character_table(monkeypatch):
     # the projector reads contents, not characters, and the degree cap is
     # checked without the table
-    characters.character_table.cache_clear()
+    built = _count_tables(monkeypatch)
     configuration = cfg(2, E1, (1, 1), E2, E2)
     symmetrize(configuration, P(3, 1))
     nonzero_after_symmetrize(configuration, P(3, 1))
-    assert characters.character_table.cache_info().currsize == 0
+    assert built == []
 
 
-def test_matrix_functions_build_no_character_table():
+def test_matrix_functions_build_no_character_table(monkeypatch):
     # the gram route reads one character row per listed shape, so no decide
     # route builds the p(n) x p(n) table on the way to a verdict
-    characters.character_table.cache_clear()
+    built = _count_tables(monkeypatch)
     configuration = cfg(3, (1, 0, 0), (1, 1, 0), (0, 1, 1), (1, 2, 3), (2, 0, 1))
     gram = gram_matrix(configuration)
     assert generalized_matrix_function(gram, P(3, 1, 1)) != 0
     assert matrix_function_sums(gram, [P(5), P(2, 2, 1), P(1, 1, 1, 1, 1)])
-    assert characters.character_table.cache_info().currsize == 0
+    assert built == []
