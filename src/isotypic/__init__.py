@@ -18,6 +18,7 @@ import importlib
 
 # home module -> the names the package exports from it
 _EXPORTS = {
+    "brute": ("nonzero_after_symmetrize",),
     "characters": (
         "CharacterTable",
         "central_idempotent",
@@ -74,7 +75,6 @@ _EXPORTS = {
         "SparseTensor",
         "apply_algebra_element",
         "decomposable",
-        "nonzero_after_symmetrize",
         "operator_rank",
         "symmetrize",
     ),

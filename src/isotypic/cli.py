@@ -6,9 +6,9 @@ input error.
 
 Each command imports the library modules it uses when it runs, so a
 process loads only those: a dominance or gamas decide and
-`rank-partition` never load the character, tensor or harness code, and a
-gram decide and `gmf` load the gram and character code but no tensor or
-permutation code.
+`rank-partition` never load the character, tensor or harness code, a gram
+decide and `gmf` load the gram and character code but no tensor or
+permutation code, and a brute decide loads `brute` on `partitions` only.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _cmd_decide(args) -> int:
     certificate = None
     for method in methods:
         if method == "brute":
-            from .tensors import nonzero_after_symmetrize
+            from .brute import nonzero_after_symmetrize
 
             answers[method] = nonzero_after_symmetrize(cfg, lam)
         elif method == "gram":

@@ -14,7 +14,7 @@ is its one-shape view.
 
 The module loads only `linalg` and `partitions`, and `characters` when
 the sums are first asked for, so a gram process loads no tensor or
-permutation code; the brute route in `tensors` shares none of it.
+permutation code; the brute route, `brute`, shares none of it.
 """
 
 from __future__ import annotations

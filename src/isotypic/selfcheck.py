@@ -11,7 +11,7 @@ identity, the column criterion for a random tableau, the det-twist
 reduction when the leading vectors form a basis, and the matroid-union
 oracle cross-check; plus standalone character-table, idempotent, and
 operator-rank suites per report.  Its tensors move only by the brute
-projector's position maps (`tensors.symmetrized_sums`, `antisymmetrized`).
+projector's position maps (`brute.symmetrized_sums`, `antisymmetrized`).
 """
 
 from __future__ import annotations
@@ -24,20 +24,14 @@ from functools import cache
 from fractions import Fraction
 from math import factorial
 
+from .brute import antisymmetrized, symmetrized_sums
 from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
 from .linalg import VectorConfiguration, is_independent, lowest_terms
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
 from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
 from .symgroup import Tableau
-from .tensors import (
-    OPERATOR_DIMENSION_CAP,
-    SparseTensor,
-    antisymmetrized,
-    decomposable,
-    operator_rank,
-    symmetrized_sums,
-)
+from .tensors import OPERATOR_DIMENSION_CAP, SparseTensor, decomposable, operator_rank
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

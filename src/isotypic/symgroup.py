@@ -12,11 +12,9 @@ convention.
 An element keeps the integer form its sums use, integer `numerators` by
 image tuple over one `divisor`; `_moved_sums`, the place-action kernel of
 `algebra_multiply` and `tensors.apply_algebra_element`, sums such integers
-by tuple, and `algebra_multiply` multiplies the divisors.  The brute
-route's projector moves positions, not tuples: `tensors` turns each
-transposition's `_place_action` into a position map once per weight.  The
-symmetrizers are one signed block walk over image tuples, `_block_sum`; only
-`inverse`, `compose` and the rational `terms` view build a `Permutation`.
+by tuple, and `algebra_multiply` multiplies the divisors.  The symmetrizers
+are one signed block walk over image tuples, `_block_sum`; only `inverse`,
+`compose` and the rational `terms` view build a `Permutation`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ values, where the library sums integer numerators in `int` over one divisor.
 the earlier one-shape-per-walk routes, walking `character_terms`, which
 the library's class sums shared by every shape are checked against.
 `character_walk` is the library's earlier multi-shape walk over
-`permutations_with_class`, by class slot, and the earlier routes of both
+`permutations_with_class`, by class slot (listed once per degree by
+`class_stream`), and the earlier routes of both
 deciders for every shape at once walk it once:
 `reference_symmetrized_sums` sums the moved tensor per walked class (the
 multi-slot loop `_slot_sums`), where the library now projects each weight
@@ -29,6 +30,9 @@ of each permutation, a memoized recursion over prefix states that walks
 no cycles, which the library's one cycle walk per permutation is checked
 against, and `permuted` reorders vector lists without the place-action
 kernel, the independent route the action tests compare against.
+`reference_transposition_maps` is the brute route's earlier route to its
+position maps, one `_place_action` per transposition, which the library's
+swap of two entries of each index tuple is checked against.
 `reference_block_sum` is the earlier route of the row, column and subset
 symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
@@ -52,10 +56,10 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Optional
 
+import isotypic.brute as brute_module
 import isotypic.characters as characters
 import isotypic.gram as gram_module
 import isotypic.matroid as matroid_module
-import isotypic.tensors as tensors_module
 from isotypic.linalg import Matrix, integer_scaled
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition, partitions_of
@@ -220,6 +224,23 @@ def _lexicographic_classes(n: int) -> bytes:
     # garbage collection
     run.cache_clear()
     return classes
+
+
+def reference_transposition_maps(tuples: list, positions: dict) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For k = 2, ..., n, the position maps of the transpositions (i k),
+    i < k, of X_k: at each position, the position of its tuple moved by
+    the place action (an involution, so either direction)."""
+    n = len(tuples[0])
+    out = []
+    for k in range(2, n + 1):
+        maps = []
+        for i in range(1, k):
+            images = list(range(1, n + 1))
+            images[i - 1], images[k - 1] = k, i
+            moved = map(_place_action(tuple(images)), tuples)
+            maps.append(tuple(map(positions.__getitem__, moved)))
+        out.append(tuple(maps))
+    return tuple(out)
 
 
 def reference_block_sum(n, blocks, signed):
@@ -396,6 +417,14 @@ def _slot_sums(support, terms, slots):
     return sums
 
 
+@cache
+def class_stream(n):
+    """permutations_with_class(n) as a tuple, listed once per test session:
+    the walk oracles read it on every call, and each of its n! classes
+    costs the library a cycle walk."""
+    return tuple(characters.permutations_with_class(n))
+
+
 def character_walk(shapes):
     """One walk over the permutations for a list of shapes of one size n: the
     library's earlier walk behind every n!-term character sum.
@@ -423,7 +452,7 @@ def character_walk(shapes):
     # class (1,...,1) is last in reverse-lex order
     degrees = tuple(row[-1] for row in rows)
     values = tuple(tuple(row[c] for c in walked) for row in rows)
-    pairs = characters.permutations_with_class(n)
+    pairs = class_stream(n)
     return degrees, values, (
         (images, s) for images, c in pairs if (s := slot_of[c]) is not None
     )
@@ -707,22 +736,22 @@ def content_fault(lam):
     The brute route's projector then takes the wrong eigenvalue of
     p_m(X_2, ..., X_n) for lam, and the parts it splits off a weight block
     where lam can occur leave some of lam's part in the others.  Patches
-    isotypic.tensors._content_power_sum, which the projector's cached
+    isotypic.brute._content_power_sum, which the projector's cached
     _lagrange looks up at call time, and clears that cache on entry and
     exit; in-process only, like character_fault.
     """
-    clean = tensors_module._content_power_sum
+    clean = brute_module._content_power_sum
 
     def shifted(mu, m):
         return clean(mu, m) + (mu == lam)
 
     try:
-        tensors_module._content_power_sum = shifted
-        tensors_module._lagrange.cache_clear()
+        brute_module._content_power_sum = shifted
+        brute_module._lagrange.cache_clear()
         yield
     finally:
-        tensors_module._content_power_sum = clean
-        tensors_module._lagrange.cache_clear()
+        brute_module._content_power_sum = clean
+        brute_module._lagrange.cache_clear()
 
 
 @contextmanager
@@ -733,23 +762,23 @@ def position_map_fault():
     X_2 = (1 2) then acts as the identity, so the projector takes wrong
     eigenvalues of p_m(X_2, ..., X_n) on every block it splits, and the
     parts it splits off leave some of each shape's part in the others.
-    Patches isotypic.tensors._transposition_maps, which the cached
+    Patches isotypic.brute._transposition_maps, which the cached
     _block_space's maps look up at call time, and clears that cache on
     entry and exit; in-process only, like character_fault.
     """
-    clean = tensors_module._transposition_maps
+    clean = brute_module._transposition_maps
 
     def broken(tuples, positions):
         (_, *rest), *higher = clean(tuples, positions)
         return (tuple(range(len(tuples))), *rest), *higher
 
     try:
-        tensors_module._transposition_maps = broken
-        tensors_module._block_space.cache_clear()
+        brute_module._transposition_maps = broken
+        brute_module._block_space.cache_clear()
         yield
     finally:
-        tensors_module._transposition_maps = clean
-        tensors_module._block_space.cache_clear()
+        brute_module._transposition_maps = clean
+        brute_module._block_space.cache_clear()
 
 
 @contextmanager

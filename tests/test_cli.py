@@ -445,16 +445,20 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     "argv, used, unused",
     [
         ("decide --shape 2,1 --method dominance", {"matroid"},
-         {"characters", "gram", "symgroup", "tensors", "selfcheck"}),
+         {"brute", "characters", "gram", "symgroup", "tensors", "selfcheck"}),
         ("decide --shape 2,1 --method gamas", {"matroid"},
-         {"characters", "gram", "symgroup", "tensors", "selfcheck"}),
-        ("rank-partition", {"matroid"}, {"characters", "gram", "symgroup", "tensors", "selfcheck"}),
-        ("decide --shape 2,1 --method brute", {"tensors"}, {"characters", "selfcheck", "matroid"}),
+         {"brute", "characters", "gram", "symgroup", "tensors", "selfcheck"}),
+        ("rank-partition", {"matroid"},
+         {"brute", "characters", "gram", "symgroup", "tensors", "selfcheck"}),
+        ("decide --shape 2,1 --method brute", {"brute"},
+         {"tensors", "symgroup", "gram", "characters", "matroid", "selfcheck"}),
         ("decide --shape 2,1 --method gram", {"gram", "characters"},
-         {"tensors", "symgroup", "selfcheck", "matroid"}),
-        ("symmetrize --shape 2,1", {"tensors"}, {"characters", "selfcheck", "matroid"}),
-        ("gmf --shape 2,1", {"gram", "characters"}, {"tensors", "symgroup", "selfcheck", "matroid"}),
-        ("character-table 3", {"characters"}, {"gram", "symgroup", "tensors", "matroid", "selfcheck"}),
+         {"brute", "tensors", "symgroup", "selfcheck", "matroid"}),
+        ("symmetrize --shape 2,1", {"tensors", "brute"}, {"characters", "selfcheck", "matroid"}),
+        ("gmf --shape 2,1", {"gram", "characters"},
+         {"brute", "tensors", "symgroup", "selfcheck", "matroid"}),
+        ("character-table 3", {"characters"},
+         {"brute", "gram", "symgroup", "tensors", "matroid", "selfcheck"}),
     ],
 )
 def test_command_loads_only_its_modules(config_file, argv, used, unused):

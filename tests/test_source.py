@@ -145,7 +145,8 @@ def test_tensor_and_element_kernels_build_no_fraction():
         "tensors.SparseTensor.entries",
         "gram.generalized_matrix_function",
     }
-    paths = [SOURCE_DIR / f"{stem}.py" for stem in ("symgroup", "tensors", "characters", "gram")]
+    stems = ("symgroup", "tensors", "brute", "characters", "gram")
+    paths = [SOURCE_DIR / f"{stem}.py" for stem in stems]
     assert _callers("Fraction", paths) <= allowed
 
 
@@ -190,7 +191,7 @@ def test_no_decide_route_builds_the_character_table():
     # a generalized matrix function reads one character row per shape and the
     # brute projector reads contents, so neither route falls back to the
     # p(n) x p(n) table on the way to a verdict
-    routes = [SOURCE_DIR / "gram.py", SOURCE_DIR / "tensors.py"]
+    routes = [SOURCE_DIR / "gram.py", SOURCE_DIR / "brute.py", SOURCE_DIR / "tensors.py"]
     assert _callers("character_table", routes) == set()
     assert _callers("character_row", routes) == {"gram.matrix_function_sums"}
 
@@ -228,8 +229,40 @@ def test_permutations_are_built_only_where_one_is_returned():
     assert _callers("from_cycles", sources) == set()
 
 
+def test_brute_loads_only_partitions():
+    # a brute decide loads the projector and the shapes only: the tensor
+    # type is imported inside the one function that returns a tensor, and
+    # the annotations' types only for type checkers
+    imports = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+                continue
+            if isinstance(child, ast.ImportFrom) and (
+                child.level or (child.module or "").startswith("isotypic")
+            ):
+                imports.add((scope, child.module))
+            if isinstance(child, ast.Import):
+                imports.update((scope, a.name) for a in child.names if a.name.startswith("isotypic"))
+            visit(child, getattr(child, "name", scope))
+
+    source = (SOURCE_DIR / "brute.py").read_text()
+    visit(ast.parse(source), "brute")
+    assert imports == {("brute", "partitions"), ("antisymmetrized", "tensors")}
+    # the position maps swap two entries of each tuple; the place action
+    # moves tuples for the group-algebra routes only
+    assert "_place_action" not in source
+    assert _callers("_place_action", sorted(SOURCE_DIR.glob("*.py"))) == {
+        "symgroup.compose",
+        "symgroup._moved_sums",
+        "tensors.operator_rank",
+    }
+
+
 # every name `import isotypic` exports, by the module that defines it
 EXPORTS = {
+    "brute": "nonzero_after_symmetrize",
     "characters": "CharacterTable central_idempotent character_table character_value class_size",
     "gram": "generalized_matrix_function gram_matrix",
     "linalg": "Matrix VectorConfiguration is_independent parse_rational",
@@ -240,7 +273,7 @@ EXPORTS = {
     "symgroup": "DEGREE_CAP GroupAlgebraElement Permutation Tableau algebra_multiply "
     "column_antisymmetrizer compose row_symmetrizer subset_antisymmetrizer",
     "tensors": "OPERATOR_DIMENSION_CAP SparseTensor apply_algebra_element decomposable "
-    "nonzero_after_symmetrize operator_rank symmetrize",
+    "operator_rank symmetrize",
 }
 
 
@@ -270,9 +303,11 @@ def test_exports_are_their_home_module_objects():
 
 
 def test_tensors_reexports_the_gram_functions():
-    # bench/tracing.py wraps gram_matrix and generalized_matrix_function at
-    # tensors.*, and replaces every module attribute holding the same object,
-    # so the names must be the gram module's own objects, which the CLI calls
+    # bench/tracing.py wraps gram_matrix, generalized_matrix_function and
+    # nonzero_after_symmetrize at tensors.*, and replaces every module
+    # attribute holding the same object, so the names must be the gram and
+    # brute modules' own objects, which the CLI calls
+    assert isotypic.tensors.nonzero_after_symmetrize is isotypic.brute.nonzero_after_symmetrize
     assert isotypic.tensors.gram_matrix is isotypic.gram.gram_matrix
     assert (
         isotypic.tensors.generalized_matrix_function is isotypic.gram.generalized_matrix_function

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
 
 import pytest
 
+import isotypic.brute as brute
 import isotypic.characters as characters
 import isotypic.tensors as tensors
+from isotypic.brute import antisymmetrized, nonzero_after_symmetrize, symmetrized_sums
 from isotypic.characters import central_idempotent, character_table
 from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_function_sums
 from isotypic.linalg import Matrix, is_independent
@@ -25,13 +27,10 @@ from isotypic.tensors import (
     OPERATOR_DIMENSION_CAP,
     SparseTensor,
     VectorConfiguration,
-    antisymmetrized,
     apply_algebra_element,
     decomposable,
-    nonzero_after_symmetrize,
     operator_rank,
     symmetrize,
-    symmetrized_sums,
 )
 from oracles import (
     all_permutations,
@@ -43,6 +42,7 @@ from oracles import (
     reference_generalized_matrix_function,
     reference_matrix_function_sums,
     reference_symmetrized_sums,
+    reference_transposition_maps,
     tensor_inner,
     tensor_sum,
 )
@@ -865,17 +865,21 @@ def test_symmetrized_sums_match_idempotent_application():
 
 
 def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypatch):
-    def no_tensor(cfg):
+    # both brute entry points refuse before the rows are multiplied out;
+    # decomposable reads the loop at its tensors name
+    def no_tensor(rows):
         raise AssertionError("the pure tensor was built before the checks")
 
-    monkeypatch.setattr(tensors, "decomposable", no_tensor)
+    for module in (brute, tensors):
+        monkeypatch.setattr(module, "_pure_numerators", no_tensor)
     wide = VectorConfiguration(40, [[1] * 40] * 11)  # 40^11 entries if built
-    with pytest.raises(ValueError, match="shape size 10 does not match 11 vectors"):
-        symmetrize(wide, P(10))
-    with pytest.raises(ValueError, match="degree 11 exceeds cap"):
-        symmetrize(wide, P(11))
-    with pytest.raises(ValueError, match="n must be at least 1"):
-        symmetrize(VectorConfiguration(2, []), P())
+    for route in (symmetrize, nonzero_after_symmetrize):
+        with pytest.raises(ValueError, match="shape size 10 does not match 11 vectors"):
+            route(wide, P(10))
+        with pytest.raises(ValueError, match="degree 11 exceeds cap"):
+            route(wide, P(11))
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            route(VectorConfiguration(2, []), P())
 
 
 def _rational_parts(sums, divisor):
@@ -937,13 +941,13 @@ def test_projector_moves_a_small_share_of_the_walk(monkeypatch):
     # 8 dense vectors in Q^3: the walk would move 8! * 3^8 entries; the
     # projector moves at most 1% of that, one position per position map
     # applied
-    position_sum, moved = tensors._transposition_sum, []
+    position_sum, moved = brute._transposition_sum, []
 
     def counted(x, maps):
         moved.append(len(x) * len(maps))
         return position_sum(x, maps)
 
-    monkeypatch.setattr(tensors, "_transposition_sum", counted)
+    monkeypatch.setattr(brute, "_transposition_sum", counted)
     rng = random.Random(8)
     dense = VectorConfiguration(3, [[rng.randint(1, 5) for _ in range(3)] for _ in range(8)])
     support = len(decomposable(dense).numerators)
@@ -957,17 +961,17 @@ def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
     # the pure tensor of e1, e1 + e2, e2, e2 has the weight blocks (1,1,2,2)
     # and (1,2,2,2), both where (3, 1) can occur; the first block's part is
     # nonzero, so the decider projects no second block
-    separate, blocks = tensors._separate, []
+    separate, blocks = brute._separate, []
 
     def counted(v, group, wanted, m, divisor, space, out):
         if m == 1:
             blocks.append(space)
         return separate(v, group, wanted, m, divisor, space, out)
 
-    monkeypatch.setattr(tensors, "_separate", counted)
+    monkeypatch.setattr(brute, "_separate", counted)
     configuration = cfg(2, E1, (1, 1), E2, E2)
     assert nonzero_after_symmetrize(configuration, P(3, 1))
-    assert blocks == [tensors._block_space((1, 1, 2, 2))]
+    assert blocks == [brute._block_space((1, 1, 2, 2))]
     blocks.clear()
     assert not symmetrize(configuration, P(3, 1)).is_zero()
     assert len(blocks) == 2
@@ -977,7 +981,7 @@ def _counted_kernel(monkeypatch):
     # a fresh block-space cache, and a record of the position maps built
     # and of the position moves made
     built, moved = [], []
-    build, position_sum = tensors._transposition_maps, tensors._transposition_sum
+    build, position_sum = brute._transposition_maps, brute._transposition_sum
 
     def counted_build(tuples, positions):
         built.append(tuples[0])
@@ -987,9 +991,9 @@ def _counted_kernel(monkeypatch):
         moved.append(len(x) * len(maps))
         return position_sum(x, maps)
 
-    monkeypatch.setattr(tensors, "_transposition_maps", counted_build)
-    monkeypatch.setattr(tensors, "_transposition_sum", counted_sum)
-    tensors._block_space.cache_clear()
+    monkeypatch.setattr(brute, "_transposition_maps", counted_build)
+    monkeypatch.setattr(brute, "_transposition_sum", counted_sum)
+    brute._block_space.cache_clear()
     return built, moved
 
 
@@ -1021,16 +1025,16 @@ def test_blocks_with_no_listed_shape_build_no_maps(monkeypatch):
     constant = SparseTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): 3})
     assert symmetrized_sums(constant, [P(2, 1)]) == ([{}], 1)
     assert built == [] and moved == []
-    assert tensors._block_space.cache_info().currsize == 0
+    assert brute._block_space.cache_info().currsize == 0
 
 
 def test_block_space_lists_each_arrangement_once_in_order():
     for weight in [(), (1,), (1, 1, 2), (1, 2, 2, 3), (2, 2, 2), (1, 1, 2, 2, 3)]:
-        space = tensors._block_space(weight)
+        space = brute._block_space(weight)
         assert space.tuples == sorted(set(permutations(weight)))
         assert space.positions == {idx: p for p, idx in enumerate(space.tuples)}
     # each map is the transposition's place action on positions, an involution
-    space = tensors._block_space((1, 1, 2, 3))
+    space = brute._block_space((1, 1, 2, 3))
     assert [len(maps) for maps in space.maps] == [1, 2, 3]
     for k, maps in enumerate(space.maps, start=2):
         for i, g in enumerate(maps, start=1):
@@ -1039,6 +1043,23 @@ def test_block_space_lists_each_arrangement_once_in_order():
                 moved[i - 1], moved[k - 1] = idx[k - 1], idx[i - 1]
                 assert space.tuples[g[p]] == tuple(moved)
                 assert g[g[p]] == p
+
+
+def test_transposition_maps_match_the_place_action_route():
+    # the maps swap two entries of each index tuple; the earlier route moved
+    # the tuples by the place action of each transposition's image tuple
+    weights = [
+        weight
+        for n in range(2, 9)
+        for d in range(1, 4)
+        for weight in combinations_with_replacement(range(1, d + 1), n)
+    ]
+    assert len(weights) == 210
+    for weight in weights:
+        space = brute._block_space(weight)
+        assert brute._transposition_maps(space.tuples, space.positions) == (
+            reference_transposition_maps(space.tuples, space.positions)
+        ), weight
 
 
 def _count_tables(monkeypatch) -> list:
