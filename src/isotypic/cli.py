@@ -76,6 +76,9 @@ _METHODS = ("brute", "gram", "gamas", "dominance")
 def _cmd_decide(args) -> int:
     cfg = _load_config(args.config)
     lam = Partition.from_text(args.shape)
+    # refused under every method, as the brute and gram routes refuse it
+    if cfg.n < 1 and lam.size == 0:
+        raise ValueError("n must be at least 1")
     methods = _METHODS if args.method == "all" else (args.method,)
     answers = {}
     certificate = None
@@ -201,14 +204,11 @@ def _cmd_replay(args) -> int:
     record = violations[args.index]
     suite = record["suite"]
     if record.get("config") is not None:
-        fresh = check_trial(
-            spec, record["n"], record["d"], record["trial_index"], suites={suite}
-        )
+        trial = check_trial(spec, record["n"], record["d"], record["trial_index"])
+        fresh = [v for v in trial if v["suite"] == suite]
     else:
         fresh = run_standalone_suite(suite, spec)
-    reproduced = any(
-        v["suite"] == suite and v["shape"] == record["shape"] for v in fresh
-    )
+    reproduced = any(v["shape"] == record["shape"] for v in fresh)
     result = {"record": record, "reproduced": reproduced, "violations": fresh}
     if args.pretty:
         print(f"replay of violation #{args.index} ({suite}): "

@@ -273,115 +273,103 @@ def _sort_key(record: dict):
     )
 
 
-def check_trial(
-    spec: TrialSpec, n: int, d: int, trial_index: int, suites: set[str] | None = None
-) -> list[dict]:
-    """Run the per-configuration suites for one generated trial."""
+def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]:
+    """Run every per-configuration suite, in TRIAL_SUITES order, for one
+    generated trial."""
     cfg = generate_configuration(spec, n, d, trial_index)
     oracle_suite, agreement_suite, gram_suite, column_suite, twist_suite = TRIAL_SUITES
-    run = lambda name: suites is None or name in suites
     out: list[dict] = []
     shapes = partitions_of(n)
-    # the pure tensor, built once for every suite that symmetrizes it
-    w = decomposable(cfg) if suites is None or suites - {oracle_suite} else None
+    w = decomposable(cfg)
 
     rho = rank_partition(cfg)
     rho_conjugate = rho.conjugate()
     # the oracle and agreement suites share one engine run per shape
     certificate_of = cache(lambda lam: gamas_condition(cfg, lam))
-    if run(oracle_suite):
-        oracle = rank_partition_oracle(cfg)
-        if rho != oracle:
-            out.append(
-                _violation(
-                    oracle_suite, n, d, trial_index, None, cfg,
-                    f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}",
-                )
+    oracle = rank_partition_oracle(cfg)
+    if rho != oracle:
+        out.append(
+            _violation(
+                oracle_suite, n, d, trial_index, None, cfg,
+                f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}",
             )
-        has_zero_vector = any(not any(v) for v in cfg.vectors)
-        # gamas_condition validates its certificate before returning it
-        if not has_zero_vector and certificate_of(rho_conjugate) is None:
-            out.append(
-                _violation(
-                    oracle_suite, n, d, trial_index, rho_conjugate, cfg,
-                    "rank partition achieved by a valid certificate",
-                    "no valid certificate",
-                )
-            )
-
-    if run(agreement_suite) or run(gram_suite):
-        # one walk per route serves every shape; the tensors and values come
-        # as integers over one positive divisor per route, compared cross-multiplied
-        symmetrized, tensor_divisor = symmetrized_sums(w, shapes)
-        values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
-        for lam, entries, value in zip(shapes, symmetrized, values):
-            if run(agreement_suite):
-                certificate = certificate_of(lam)
-                answers = {
-                    "brute": bool(entries),
-                    "gram": value != 0,
-                    "gamas": certificate is not None,
-                    "dominance": lam.dominates(rho_conjugate),
-                }
-                if len(set(answers.values())) != 1:
-                    detail = dict(answers)
-                    detail["certificate"] = (
-                        certificate.to_json_obj() if certificate else None
-                    )
-                    out.append(
-                        _violation(
-                            agreement_suite, n, d, trial_index, lam, cfg,
-                            "all four deciders agree", str(answers), detail,
-                        )
-                    )
-            if run(gram_suite):
-                norm = sum(c * c for c in entries.values())
-                if (norm * factorial(n) * value_divisor
-                        != syt_count(lam) * value * tensor_divisor**2):
-                    rhs = Fraction(syt_count(lam) * value, factorial(n) * value_divisor)
-                    out.append(
-                        _violation(
-                            gram_suite, n, d, trial_index, lam, cfg,
-                            f"<wT,wT> = {rhs}", str(Fraction(norm, tensor_divisor**2)),
-                        )
-                    )
-                if value < 0:
-                    out.append(
-                        _violation(
-                            gram_suite, n, d, trial_index, lam, cfg,
-                            "gmf of a Gram matrix is nonnegative",
-                            str(Fraction(value, value_divisor)),
-                        )
-                    )
-
-    if run(column_suite):
-        rng = SplitMix64(_mix(spec.seed, 0xC0111, n, d, trial_index))
-        shape = shapes[rng.randint(0, len(shapes) - 1)]
-        entries = list(range(1, n + 1))
-        for i in range(n - 1, 0, -1):  # Fisher-Yates on the fixed generator
-            j = rng.randint(0, i)
-            entries[i], entries[j] = entries[j], entries[i]
-        rows, at = [], 0
-        for part in shape:
-            rows.append(entries[at : at + part])
-            at += part
-        tableau = Tableau(rows)
-        symmetrized_nonzero = not antisymmetrized(w, tableau.columns()).is_zero()
-        columns_independent = all(
-            is_independent([cfg.rows[i - 1] for i in column])
-            for column in tableau.columns()
         )
-        if symmetrized_nonzero != columns_independent:
+    has_zero_vector = any(not any(v) for v in cfg.vectors)
+    # gamas_condition validates its certificate before returning it
+    if not has_zero_vector and certificate_of(rho_conjugate) is None:
+        out.append(
+            _violation(
+                oracle_suite, n, d, trial_index, rho_conjugate, cfg,
+                "rank partition achieved by a valid certificate",
+                "no valid certificate",
+            )
+        )
+
+    # one walk per route serves every shape; the tensors and values come
+    # as integers over one positive divisor per route, compared cross-multiplied
+    symmetrized, tensor_divisor = symmetrized_sums(w, shapes)
+    values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
+    for lam, entries, value in zip(shapes, symmetrized, values):
+        certificate = certificate_of(lam)
+        answers = {
+            "brute": bool(entries),
+            "gram": value != 0,
+            "gamas": certificate is not None,
+            "dominance": lam.dominates(rho_conjugate),
+        }
+        if len(set(answers.values())) != 1:
+            detail = dict(answers)
+            detail["certificate"] = certificate.to_json_obj() if certificate else None
             out.append(
                 _violation(
-                    column_suite, n, d, trial_index, shape, cfg,
-                    f"columns independent = {columns_independent}",
-                    f"nonzero after column antisymmetrization = {symmetrized_nonzero}",
-                    {"tableau": [list(r) for r in tableau.rows]},
+                    agreement_suite, n, d, trial_index, lam, cfg,
+                    "all four deciders agree", str(answers), detail,
+                )
+            )
+        norm = sum(c * c for c in entries.values())
+        if norm * factorial(n) * value_divisor != syt_count(lam) * value * tensor_divisor**2:
+            rhs = Fraction(syt_count(lam) * value, factorial(n) * value_divisor)
+            out.append(
+                _violation(
+                    gram_suite, n, d, trial_index, lam, cfg,
+                    f"<wT,wT> = {rhs}", str(Fraction(norm, tensor_divisor**2)),
+                )
+            )
+        if value < 0:
+            out.append(
+                _violation(
+                    gram_suite, n, d, trial_index, lam, cfg,
+                    "gmf of a Gram matrix is nonnegative",
+                    str(Fraction(value, value_divisor)),
                 )
             )
 
-    if run(twist_suite) and n >= d and is_independent(cfg.rows[:d]):
+    rng = SplitMix64(_mix(spec.seed, 0xC0111, n, d, trial_index))
+    shape = shapes[rng.randint(0, len(shapes) - 1)]
+    entries = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):  # Fisher-Yates on the fixed generator
+        j = rng.randint(0, i)
+        entries[i], entries[j] = entries[j], entries[i]
+    rows, at = [], 0
+    for part in shape:
+        rows.append(entries[at : at + part])
+        at += part
+    tableau = Tableau(rows)
+    symmetrized_nonzero = not antisymmetrized(w, tableau.columns()).is_zero()
+    columns_independent = all(
+        is_independent([cfg.rows[i - 1] for i in column]) for column in tableau.columns()
+    )
+    if symmetrized_nonzero != columns_independent:
+        out.append(
+            _violation(
+                column_suite, n, d, trial_index, shape, cfg,
+                f"columns independent = {columns_independent}",
+                f"nonzero after column antisymmetrization = {symmetrized_nonzero}",
+                {"tableau": [list(r) for r in tableau.rows]},
+            )
+        )
+
+    if n >= d and is_independent(cfg.rows[:d]):
         wedge = antisymmetrized(w, [range(1, d + 1)])
         # one call per side applies the central idempotent of every shape
         # with d rows: to the wedge, and with its first column removed to the

@@ -39,13 +39,15 @@ symmetrizers: a `Permutation` per block permutation, its sign read by
 `tensor_sum` and `tensor_inner` are the linear combinations and the dot
 product of tensors, which the library no longer offers.
 `character_fault`, `engine_fault`, `rank_fault`, `content_fault`,
-`position_map_fault` and `class_sum_fault` are the deliberate breakages:
-they flip a character value, take the exchanges out of the
-matroid-partition engine, read every rank 3 of the engine's rank oracle
-as 2, put one shape's content power sums off by one in the brute route's
-projector, give the projector the identity's position map for the
-transposition (1 2), or drop one cycle type's class sum from the gram
-route, so tests can see the harness notice.
+`position_map_fault`, `class_sum_fault`, `cycle_sum_fault` and
+`strip_sign_fault` are the deliberate breakages: they flip a character
+value, take the exchanges out of the matroid-partition engine, read every
+rank 3 of the engine's rank oracle as 2, put one shape's content power
+sums off by one in the brute route's projector, give the projector the
+identity's position map for the transposition (1 2), drop one cycle
+type's class sum from the gram route, put one cycle sum of the gram route
+off by one, or flip the sign of every border strip of height 3 or more,
+so tests can see the harness notice.
 """
 
 from collections import deque
@@ -803,3 +805,69 @@ def class_sum_fault(rho):
         yield
     finally:
         gram_module._class_sums = clean
+
+
+@contextmanager
+def cycle_sum_fault():
+    """Put the gram route's cycle sum of rows 1-3 (mask 7) off by one
+    whenever there are at least three rows, for the duration of the block.
+
+    One term of the class sums P_mu is then wrong, where class_sum_fault
+    drops a whole type.  Patches isotypic.gram._cycle_sums, which
+    matrix_function_sums looks up at call time; in-process only, like
+    character_fault.
+    """
+    clean = gram_module._cycle_sums
+
+    def shifted(rows):
+        cycles = clean(rows)
+        if len(rows) >= 3:
+            cycles[7] += 1
+        return cycles
+
+    try:
+        gram_module._cycle_sums = shifted
+        yield
+    finally:
+        gram_module._cycle_sums = clean
+
+
+@contextmanager
+def strip_sign_fault():
+    """Give every border strip of height 3 or more the opposite sign in the
+    Murnaghan-Nakayama recursion, for the duration of the block.
+
+    A removal that jumps two or more beta-numbers then counts with the
+    wrong sign, so characters on classes with long cycles go wrong.
+    Patches isotypic.characters._mn, which character_value looks up at call
+    time, with a copy that recurses into itself, and clears character_row's
+    cache on entry and exit; in-process only, like character_fault.
+    """
+    clean = characters._mn
+
+    @cache
+    def flipped(lam_parts, rho_parts):
+        if not rho_parts:
+            return 1 if not lam_parts else 0
+        k, rest = rho_parts[0], rho_parts[1:]
+        m = len(lam_parts)
+        beta = [part + (m - 1 - i) for i, part in enumerate(lam_parts)]
+        total = 0
+        for b in beta:
+            nb = b - k
+            if nb < 0 or nb in beta:
+                continue
+            jumped = sum(1 for other in beta if nb < other < b)
+            new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+            mu = tuple(part for j, x in enumerate(new_beta) if (part := x - (m - 1 - j)) > 0)
+            sign = (-1) ** jumped * (-1 if jumped >= 2 else 1)
+            total += sign * flipped(mu, rest)
+        return total
+
+    try:
+        characters._mn = flipped
+        characters.character_row.cache_clear()
+        yield
+    finally:
+        characters._mn = clean
+        characters.character_row.cache_clear()

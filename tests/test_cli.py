@@ -8,7 +8,7 @@ from isotypic.cli import build_parser, main
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
 from fresh_process import cli_modules, package_submodules
-from oracles import character_fault
+from oracles import character_fault, position_map_fault
 
 
 @pytest.fixture
@@ -139,6 +139,64 @@ def test_gram_route_input_errors(capsys, tmp_path, monkeypatch, command, obj, sh
         argv = ("gmf", "--matrix", str(path), "--shape", shape)
     else:
         argv = ("decide", "--config", str(path), "--shape", shape, "--method", "gram")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+_THREE = {"dim": 2, "vectors": [["1", "0"], ["1", "0"], ["0", "1"]]}
+_EMPTY = {"dim": 2, "vectors": []}
+_ELEVEN = {"dim": 2, "vectors": [[str(i), "1"] for i in range(11)]}
+_ROUTES = ("brute", "gram", "gamas", "dominance", "all", "symmetrize")
+_CONFIG_KEYS = 'a configuration is a JSON object with keys "dim" and "vectors"'
+
+
+def _mismatch(route, size, n):
+    # the gram route names the Gram matrix, every other route the vectors
+    return f"shape size {size} does not match " + (
+        f"matrix size {n}" if route == "gram" else f"{n} vectors"
+    )
+
+
+# test id -> (route: a decide method or symmetrize, config, shape, message)
+_ROUTE_ERRORS = {
+    **{f"{r}-size-mismatch": (r, _THREE, "2", _mismatch(r, 2, 3)) for r in _ROUTES},
+    **{f"{r}-empty": (r, _EMPTY, "", "n must be at least 1") for r in _ROUTES},
+    **{f"{r}-empty-size-mismatch": (r, _EMPTY, "2,1", _mismatch(r, 3, 0)) for r in _ROUTES},
+    **{f"{r}-n=11": (r, _ELEVEN, "6,5", "degree 11 exceeds cap 10")
+       for r in ("brute", "all", "symmetrize")},
+    "vectors-not-a-list": ("all", {"dim": 2, "vectors": "ab"}, "2",
+                           "vectors must be a JSON list of vectors, got 'ab'"),
+    "vector-not-a-list": ("all", {"dim": 2, "vectors": [["1", "0"], "10"]}, "2",
+                          "vectors[1] must be a JSON list, got '10'"),
+    "ragged-vector": ("all", {"dim": 2, "vectors": [["1", "0"], ["1"]]}, "2",
+                      "vector of length 1 in dimension 2"),
+    "float-entry": ("all", {"dim": 2, "vectors": [["1", "0"], [0.5, "1"]]}, "2",
+                    "not an exact scalar: 0.5"),
+    "bool-dim": ("all", {"dim": True, "vectors": [["1"]]}, "1",
+                 "dimension must be a nonnegative integer, got True"),
+    "missing-dim": ("all", {"vectors": [["1", "0"]]}, "1", _CONFIG_KEYS),
+    "missing-vectors": ("all", {"dim": 2}, "1", _CONFIG_KEYS),
+    "shape-not-decreasing": ("all", _THREE, "1,2", "parts not weakly decreasing: (1, 2)"),
+    "shape-not-integers": ("all", _THREE, "a", "a shape is comma-separated integers, got 'a'"),
+    "symmetrize-shape-not-integers": (
+        "symmetrize", _THREE, "a", "a shape is comma-separated integers, got 'a'"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "route, obj, shape, expected", list(_ROUTE_ERRORS.values()), ids=list(_ROUTE_ERRORS)
+)
+def test_route_input_errors(capsys, tmp_path, route, obj, shape, expected):
+    # every input a decide method or symmetrize refuses exits 2 with its
+    # message and nothing on stdout; the empty configuration is refused
+    # under every method alike
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    if route == "symmetrize":
+        argv = ("symmetrize", "--config", str(path), "--shape", shape)
+    else:
+        argv = ("decide", "--config", str(path), "--shape", shape, "--method", route)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {expected}\n")
 
@@ -297,6 +355,31 @@ def test_selfcheck_command_and_replay_cycle(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["reproduced"] is False
+
+
+def test_replay_returns_the_replayed_suites_records(capsys, tmp_path):
+    # every record of a faulted report replays: a trial record gives back
+    # its trial's records of its suite, a standalone record its suite's
+    # records, as the report lists them (sorted by n, then shape, stably)
+    with position_map_fault():
+        report = run_verification(TrialSpec(n_max=4)).to_json_obj()
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        records = report["violations"]
+        kinds = set()
+        for index, record in enumerate(records):
+            code, out, _ = run_cli(
+                capsys, "replay", "--report", str(report_path), "--index", str(index)
+            )
+            replayed = json.loads(out)
+            trial = record["config"] is not None
+            keys = ("suite", "n", "d", "trial_index") if trial else ("suite",)
+            same = [r for r in records if all(r[k] == record[k] for k in keys)]
+            fresh = sorted(replayed["violations"], key=lambda r: (r["n"], r["shape"] or ""))
+            assert (code, replayed["reproduced"], replayed["record"]) == (1, True, record)
+            assert fresh == same
+            kinds.add(record["suite"] if not trial else "trial")
+    assert kinds == {"trial", "idempotent_system"}
 
 
 def test_replay_rejects_missing_violation(capsys, tmp_path):

@@ -25,9 +25,11 @@ from oracles import (
     character_fault,
     class_sum_fault,
     content_fault,
+    cycle_sum_fault,
     engine_fault,
     position_map_fault,
     rank_fault,
+    strip_sign_fault,
 )
 
 
@@ -332,6 +334,34 @@ def test_class_sum_fault_is_detected():
     assert run_verification(TrialSpec(n_max=4, trials_per_cell=5)).ok
 
 
+def test_cycle_sum_fault_is_detected():
+    # one wrong cycle sum puts one term of the class sums off: gram disagrees
+    # with the other three deciders and <wT, wT> is wrong, from n = 3 on
+    with cycle_sum_fault():
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites == {"four_decider_agreement": 760, "gram_identity": 1588}
+    assert run_verification(TrialSpec(n_max=4, trials_per_cell=5)).ok
+
+
+def test_strip_sign_fault_is_detected():
+    # a wrong sign for tall border strips breaks the character values on
+    # long cycles: the tables lose orthogonality, the gram route and the
+    # central idempotents read wrong rows, and the ranks of the idempotents
+    # move off the Schur-Weyl law
+    with strip_sign_fault():
+        broken = run_verification(TrialSpec())
+    suites = Counter(v["suite"] for v in broken.violations)
+    assert suites == {
+        "character_orthogonality": 72,
+        "four_decider_agreement": 611,
+        "gram_identity": 1266,
+        "idempotent_system": 7,
+        "schur_weyl_rank": 21,
+    }
+    assert run_verification(TrialSpec(n_max=4, trials_per_cell=5)).ok
+
+
 def test_character_fault_is_reported_through_gram():
     # brute reads no character, so a flipped character value reaches the
     # agreement suite only through gram's weighting of the class sums
@@ -433,8 +463,7 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
     monkeypatch.setattr(oracles, "character_terms", counting_terms)
     n, d = 5, 2
     spec = TrialSpec(n_max=n, dims=(d,), trials_per_cell=1)
-    suites = {"four_decider_agreement", "gram_identity"}
-    assert check_trial(spec, n, d, 0, suites) == []
+    assert check_trial(spec, n, d, 0) == []
     assert walked == []
 
     table = character_table(n)
