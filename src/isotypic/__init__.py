@@ -32,6 +32,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "Matrix",
+        "SparseTensor",
         "VectorConfiguration",
         "is_independent",
         "parse_rational",
@@ -72,7 +73,6 @@ _EXPORTS = {
     ),
     "tensors": (
         "OPERATOR_DIMENSION_CAP",
-        "SparseTensor",
         "apply_algebra_element",
         "decomposable",
         "operator_rank",

@@ -11,7 +11,8 @@ position map (two entries of each index tuple swapped) that is built once
 per weight, on first use.  `antisymmetrized` applies column
 antisymmetrizers on the same maps, and `nonzero_after_symmetrize` stops at
 the first weight block with a nonzero part.  The module loads only
-`partitions`, so a brute decide loads no tensor or permutation code.
+`partitions` and `linalg`, home of `SparseTensor`, so a brute decide loads
+no tensor-action or permutation code.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ from functools import cache, cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
+from .linalg import SparseTensor, VectorConfiguration
 from .partitions import DEGREE_CAP, Partition, _integers, partitions_of
-
-if TYPE_CHECKING:
-    from .linalg import VectorConfiguration
-    from .tensors import SparseTensor
 
 
 def _pure_numerators(rows) -> dict[tuple[int, ...], int]:
@@ -104,8 +102,6 @@ def antisymmetrized(w: SparseTensor, blocks: Iterable[Iterable[int]]) -> SparseT
     column_antisymmetrizer(T)) is for the columns of a tableau T: for a block
     b_1 < ... < b_h, (1 - X_2) ... (1 - X_h) with X_k = sum over i < k of
     (b_i b_k), applied by the position maps of each weight's _block_space."""
-    from .tensors import SparseTensor  # only here: a brute decide never loads tensors
-
     blocks = [sorted(_integers(block)) for block in blocks]
     positions = [i for block in blocks for i in block]
     if len(set(positions)) < len(positions) or not all(1 <= i <= w.n for i in positions):

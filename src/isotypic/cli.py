@@ -8,7 +8,8 @@ Each command imports the library modules it uses when it runs, so a
 process loads only those: a dominance or gamas decide and
 `rank-partition` never load the character, tensor or harness code, a gram
 decide and `gmf` load the gram and character code but no tensor or
-permutation code, and a brute decide loads `brute` on `partitions` only.
+permutation code, and a brute decide loads `brute` on `partitions` and
+`linalg` only.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ by fraction-free (Bareiss) elimination on integer rows.  Every zero test
 in the package ultimately reduces to this module, so nothing here is
 allowed to be approximate.  `VectorConfiguration`, the input of every
 decider, lives here too, so that the matroid deciders load no tensor or
-character code.
+character code.  So does `SparseTensor`, the one integer form of a sparse
+exact array, which a group-algebra element subclasses: every rational
+becomes integers in this module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from .partitions import _integers
 
 Vector = tuple[Fraction, ...]
 
@@ -178,6 +182,62 @@ class VectorConfiguration:
             if not isinstance(v, list):
                 raise ValueError(f"vectors[{i}] must be a JSON list, got {v!r}")
         return cls(obj["dim"], vectors)
+
+
+class SparseTensor:
+    """Element of the n-th tensor power of Q^d: the nonzero entries as int
+    `numerators` by index tuple over one positive `divisor`, in lowest
+    terms; `entries` is the rational view."""
+
+    __slots__ = ("n", "d", "numerators", "divisor")
+
+    def __init__(self, n: int, d: int, entries: Mapping[tuple[int, ...], Fraction] | None = None):
+        entries = entries or {}
+        keys = [_integers(idx) for idx in entries]
+        for idx in keys:
+            if len(idx) != n or any(not 1 <= i <= d for i in idx):
+                raise ValueError(f"bad index {idx} for degree {n}, dimension {d}")
+        values, scale = integer_scaled(as_vector(entries.values()))
+        self.n, self.d = n, d
+        self.numerators, self.divisor = lowest_terms(dict(zip(keys, values)), scale)
+
+    @classmethod
+    def _from_integers(cls, n: int, d: int, numerators: dict, divisor: int) -> "SparseTensor":
+        """The tensor with the entries numerators / divisor by index tuple."""
+        w = cls.__new__(cls)
+        w.n, w.d = n, d
+        w.numerators, w.divisor = lowest_terms(numerators, divisor)
+        return w
+
+    @property
+    def entries(self) -> dict[tuple[int, ...], Fraction]:
+        return {idx: Fraction(c, self.divisor) for idx, c in self.numerators.items()}
+
+    def is_zero(self) -> bool:
+        return not self.numerators
+
+    def __eq__(self, other) -> bool:
+        # the type is part of the value: an element never equals a plain tensor
+        return (
+            type(other) is type(self)
+            and (self.n, self.d, self.divisor) == (other.n, other.d, other.divisor)
+            and self.numerators == other.numerators
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.d, self.divisor, frozenset(self.numerators.items())))
+
+    def __repr__(self):
+        return f"SparseTensor(n={self.n}, d={self.d}, {len(self.numerators)} entries)"
+
+    def to_json_obj(self) -> dict:
+        return {
+            "n": self.n,
+            "dim": self.d,
+            "entries": [
+                {"index": list(idx), "value": str(val)} for idx, val in sorted(self.entries.items())
+            ],
+        }
 
 
 def _int_rank(rows: list[list[int]]) -> int:

@@ -9,12 +9,14 @@ on tensors on the right: acting by sigma and then by tau equals acting by
 sigma * tau.  Every order-sensitive identity is tested under this single
 convention.
 
-An element keeps the integer form its sums use, integer `numerators` by
-image tuple over one `divisor`; `_moved_sums`, the place-action kernel of
-`algebra_multiply` and `tensors.apply_algebra_element`, sums such integers
-by tuple, and `algebra_multiply` multiplies the divisors.  The symmetrizers
-are one signed block walk over image tuples, `_block_sum`; only `inverse`,
-`compose` and the rational `terms` view build a `Permutation`.
+An element is the degree-n tensor over Q^n of its image tuples, a
+`linalg.SparseTensor` with d = n: integer `numerators` by image tuple over
+one `divisor`.  The place action of tau on sigma's image tuple gives
+sigma * tau, so `_moved_sums` is the kernel of both `algebra_multiply` and
+`tensors.apply_algebra_element`; it sums the integers by tuple, and the
+callers multiply the divisors.  The symmetrizers are one signed block walk
+over image tuples, `_block_sum`; only `inverse`, `compose` and the rational
+`terms` view build a `Permutation`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .linalg import as_vector, integer_scaled, lowest_terms
+from .linalg import SparseTensor
 from .partitions import DEGREE_CAP, Partition, _integers
 
 
@@ -194,12 +196,13 @@ class Tableau:
         return f"Tableau({[list(r) for r in self.rows]})"
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(SparseTensor):
     """A finite formal rational combination of permutations of {1..n}: the
-    nonzero coefficients as int `numerators` by image tuple over one positive
-    `divisor`, in lowest terms; `terms` is the rational view by Permutation."""
+    degree-n tensor over Q^n of the image tuples, whose nonzero entries are
+    int `numerators` by image tuple over one positive `divisor`, in lowest
+    terms; `terms` is the rational view by Permutation."""
 
-    __slots__ = ("n", "numerators", "divisor")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction] | None = None):
         terms = terms or {}
@@ -208,17 +211,12 @@ class GroupAlgebraElement:
                 raise ValueError(f"a key must be a Permutation, got {perm!r}")
             if perm.n != n:
                 raise ValueError(f"term degree {perm.n} does not match {n}")
-        coeffs, scale = integer_scaled(as_vector(terms.values()))
-        self.n = n
-        images = (perm.images for perm in terms)
-        self.numerators, self.divisor = lowest_terms(dict(zip(images, coeffs)), scale)
+        super().__init__(n, n, {perm.images: c for perm, c in terms.items()})
 
     @classmethod
     def _from_integers(cls, n: int, numerators: dict, divisor: int) -> "GroupAlgebraElement":
         """The element with the coefficients numerators / divisor by image tuple."""
-        x = cls(n)
-        x.numerators, x.divisor = lowest_terms(numerators, divisor)
-        return x
+        return super()._from_integers(n, n, numerators, divisor)
 
     @classmethod
     def one(cls, n: int) -> "GroupAlgebraElement":
@@ -227,9 +225,6 @@ class GroupAlgebraElement:
     @property
     def terms(self) -> dict[Permutation, Fraction]:
         return {Permutation(im): Fraction(c, self.divisor) for im, c in self.numerators.items()}
-
-    def is_zero(self) -> bool:
-        return not self.numerators
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
@@ -241,16 +236,6 @@ class GroupAlgebraElement:
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return algebra_multiply(self, other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and (self.n, self.divisor) == (other.n, other.divisor)
-            and self.numerators == other.numerators
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.divisor, frozenset(self.numerators.items())))
 
     def __repr__(self):
         body = " + ".join(

@@ -157,7 +157,8 @@ def _mismatch(route, size, n):
     )
 
 
-# test id -> (route: a decide method or symmetrize, config, shape, message)
+# test id -> (route: a decide method, symmetrize or rank-partition, config,
+# shape, message); rank-partition takes no shape
 _ROUTE_ERRORS = {
     **{f"{r}-size-mismatch": (r, _THREE, "2", _mismatch(r, 2, 3)) for r in _ROUTES},
     **{f"{r}-empty": (r, _EMPTY, "", "n must be at least 1") for r in _ROUTES},
@@ -174,6 +175,11 @@ _ROUTE_ERRORS = {
                     "not an exact scalar: 0.5"),
     "bool-dim": ("all", {"dim": True, "vectors": [["1"]]}, "1",
                  "dimension must be a nonnegative integer, got True"),
+    **{f"{r}-{label}-dim": (r, {"dim": dim, "vectors": [["1", "0"]]}, "1",
+                            f"dimension must be a nonnegative integer, got {dim}")
+       for r in ("all", "rank-partition") for label, dim in (("float", 2.9), ("negative", -3))},
+    "rank-partition-bool-dim": ("rank-partition", {"dim": True, "vectors": [["1"]]}, None,
+                                "dimension must be a nonnegative integer, got True"),
     "missing-dim": ("all", {"vectors": [["1", "0"]]}, "1", _CONFIG_KEYS),
     "missing-vectors": ("all", {"dim": 2}, "1", _CONFIG_KEYS),
     "shape-not-decreasing": ("all", _THREE, "1,2", "parts not weakly decreasing: (1, 2)"),
@@ -188,12 +194,14 @@ _ROUTE_ERRORS = {
     "route, obj, shape, expected", list(_ROUTE_ERRORS.values()), ids=list(_ROUTE_ERRORS)
 )
 def test_route_input_errors(capsys, tmp_path, route, obj, shape, expected):
-    # every input a decide method or symmetrize refuses exits 2 with its
-    # message and nothing on stdout; the empty configuration is refused
-    # under every method alike
+    # every input a decide method, symmetrize or rank-partition refuses
+    # exits 2 with its message and nothing on stdout; the empty
+    # configuration is refused under every method alike
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    if route == "symmetrize":
+    if route == "rank-partition":
+        argv = ("rank-partition", "--config", str(path))
+    elif route == "symmetrize":
         argv = ("symmetrize", "--config", str(path), "--shape", shape)
     else:
         argv = ("decide", "--config", str(path), "--shape", shape, "--method", route)
@@ -205,27 +213,6 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "decide", "--config", "nope.json", "--shape", "2")
     assert code == 2
     assert "error" in err
-
-
-def test_malformed_shape_is_usage_error(capsys, config_file):
-    code, _, err = run_cli(
-        capsys, "decide", "--config", config_file, "--shape", "1,2"
-    )
-    assert code == 2
-
-
-def test_bad_dimension_is_usage_error(capsys, tmp_path):
-    for dim in (2.9, -3, True):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dim": dim, "vectors": [["1", "0"]]}))
-        for argv in (
-            ("rank-partition", "--config", str(path)),
-            ("decide", "--config", str(path), "--shape", "1", "--method", "dominance"),
-        ):
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 2
-            assert out == ""
-            assert "dimension must be a nonnegative integer" in err
 
 
 @pytest.mark.parametrize(

@@ -121,28 +121,24 @@ def _callers(function: str, paths) -> set[str]:
 
 
 def test_integer_scaled_has_one_home_per_input():
-    # a configuration becomes integers only in VectorConfiguration; the
-    # other callers scale what no configuration holds: rows for the rank,
-    # a matrix's rows, a tensor's entries and an element's coefficients
+    # rationals become integers only in linalg, once per input: rows for
+    # the rank, a matrix's rows, a configuration's vectors and a tensor's
+    # entries, which are an element's coefficients too
     homes = {
         "linalg.rank_of_rows",
         "linalg.Matrix.__init__",
         "linalg.VectorConfiguration.__init__",
-        "symgroup.GroupAlgebraElement.__init__",
-        "tensors.SparseTensor.__init__",
+        "linalg.SparseTensor.__init__",
     }
     assert _callers("integer_scaled", sorted(SOURCE_DIR.glob("*.py"))) == homes
 
 
 def test_tensor_and_element_kernels_build_no_fraction():
     # tensors, group-algebra elements and matrices keep integer numerators,
-    # and the kernels pass those on; a rational appears only at the public
-    # constructors, the rational views and the one-shape matrix function
+    # and the kernels pass those on; a rational appears only in linalg, the
+    # elements' rational view and the one-shape matrix function
     allowed = {
-        "symgroup.GroupAlgebraElement.__init__",
         "symgroup.GroupAlgebraElement.terms",
-        "tensors.SparseTensor.__init__",
-        "tensors.SparseTensor.entries",
         "gram.generalized_matrix_function",
     }
     stems = ("symgroup", "tensors", "brute", "characters", "gram")
@@ -229,16 +225,14 @@ def test_permutations_are_built_only_where_one_is_returned():
     assert _callers("from_cycles", sources) == set()
 
 
-def test_brute_loads_only_partitions():
-    # a brute decide loads the projector and the shapes only: the tensor
-    # type is imported inside the one function that returns a tensor, and
-    # the annotations' types only for type checkers
+def test_brute_loads_only_partitions_and_linalg():
+    # a brute decide loads the projector, the shapes and linalg, which the
+    # CLI loads anyway and which holds the tensor type; nothing is imported
+    # inside a function
     imports = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
-                continue
             if isinstance(child, ast.ImportFrom) and (
                 child.level or (child.module or "").startswith("isotypic")
             ):
@@ -249,7 +243,7 @@ def test_brute_loads_only_partitions():
 
     source = (SOURCE_DIR / "brute.py").read_text()
     visit(ast.parse(source), "brute")
-    assert imports == {("brute", "partitions"), ("antisymmetrized", "tensors")}
+    assert imports == {("brute", "partitions"), ("brute", "linalg")}
     # the position maps swap two entries of each tuple; the place action
     # moves tuples for the group-algebra routes only
     assert "_place_action" not in source
@@ -265,15 +259,15 @@ EXPORTS = {
     "brute": "nonzero_after_symmetrize",
     "characters": "CharacterTable central_idempotent character_table character_value class_size",
     "gram": "generalized_matrix_function gram_matrix",
-    "linalg": "Matrix VectorConfiguration is_independent parse_rational",
+    "linalg": "Matrix SparseTensor VectorConfiguration is_independent parse_rational",
     "matroid": "BlockCertificate LinearMatroid RankPartition decide_appears gamas_condition "
     "rank_partition rank_partition_oracle validate_certificate",
     "partitions": "Partition partitions_of syt_count weyl_dimension",
     "selfcheck": "SplitMix64 TrialSpec VerificationReport generate_configuration run_verification",
     "symgroup": "DEGREE_CAP GroupAlgebraElement Permutation Tableau algebra_multiply "
     "column_antisymmetrizer compose row_symmetrizer subset_antisymmetrizer",
-    "tensors": "OPERATOR_DIMENSION_CAP SparseTensor apply_algebra_element decomposable "
-    "operator_rank symmetrize",
+    "tensors": "OPERATOR_DIMENSION_CAP apply_algebra_element decomposable operator_rank "
+    "symmetrize",
 }
 
 
@@ -299,6 +293,7 @@ def test_exports_are_their_home_module_objects():
         for name in names.split():
             assert getattr(isotypic, name) is getattr(home, name), name
     assert isotypic.tensors.VectorConfiguration is isotypic.linalg.VectorConfiguration
+    assert isotypic.tensors.SparseTensor is isotypic.linalg.SparseTensor
     assert isotypic.symgroup.DEGREE_CAP is isotypic.partitions.DEGREE_CAP
 
 

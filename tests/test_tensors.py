@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -405,6 +406,22 @@ def test_zero_tensor_and_zero_element_have_divisor_one():
     for zero in zeros:
         assert zero.is_zero()
         assert (zero.numerators, zero.divisor) == ({}, 1)
+
+
+def test_an_element_is_the_tensor_of_its_image_tuples_but_not_equal_to_it():
+    # an element is a SparseTensor of degree n over Q^n; the type takes
+    # part in equality, so the plain tensor of the same numbers is unequal
+    identity, swap = Permutation([1, 2, 3]), Permutation([2, 1, 3])
+    x = GroupAlgebraElement(3, {identity: Fraction(1, 2), swap: Fraction(-3, 4)})
+    assert isinstance(x, SparseTensor)
+    assert (x.n, x.d, x.numerators, x.divisor) == (3, 3, {(1, 2, 3): 2, (2, 1, 3): -3}, 4)
+    y = GroupAlgebraElement._from_integers(3, {(1, 2, 3): 4, (2, 1, 3): -6}, 8)
+    assert type(y) is GroupAlgebraElement
+    assert y.d == y.n == 3
+    assert y == x and hash(y) == hash(x)
+    w = SparseTensor(3, 3, {(1, 2, 3): Fraction(1, 2), (2, 1, 3): Fraction(-3, 4)})
+    assert (w.numerators, w.divisor) == (x.numerators, x.divisor)
+    assert w != x and x != w
 
 
 def test_tensors_and_elements_take_exact_scalars_only():
@@ -935,6 +952,23 @@ def test_shapes_dominating_no_weight_are_zero():
             for lam, entries in zip(shapes, sums):
                 if not any(lam.dominates(mu) for mu in weights):
                     assert entries == {}
+
+
+def test_projector_skips_levels_where_the_power_sum_is_one_value():
+    # p_1 and p_2 of the contents separate every pair of shapes up to n = 14;
+    # these two of 15 share p_1 = 15 and p_2 = 115, and p_3 is 405 against 225
+    g = (P(7, 4, 2, 2), P(6, 6, 1, 1, 1))
+    assert brute._lagrange(g, 1) is None
+    assert brute._lagrange(g, 2) is None
+    assert brute._lagrange(g, 3) == (((g[0],), (-225, 1), 180), ((g[1],), (405, -1), 180))
+    # _separate goes on to level 3; with no transpositions in the space, Z
+    # acts as zero, so each part is its constant coefficient times v
+    out = {}
+    brute._separate([1, 2], g, set(g), 1, 1, SimpleNamespace(maps=()), out)
+    assert out == {g[0]: ([-225, -450], 180), g[1]: ([405, 810], 180)}
+    # p_1, ..., p_n determine a shape of n, so a level past n is a fault
+    with pytest.raises(RuntimeError, match=r"share 4 power sums"):
+        brute._lagrange((P(2, 1), P(2, 1)), 4)
 
 
 def test_projector_moves_a_small_share_of_the_walk(monkeypatch):
