@@ -18,7 +18,11 @@ import importlib
 
 # home module -> the names the package exports from it
 _EXPORTS = {
-    "brute": ("nonzero_after_symmetrize",),
+    "brute": (
+        "decomposable",
+        "nonzero_after_symmetrize",
+        "symmetrize",
+    ),
     "characters": (
         "CharacterTable",
         "central_idempotent",
@@ -74,9 +78,7 @@ _EXPORTS = {
     "tensors": (
         "OPERATOR_DIMENSION_CAP",
         "apply_algebra_element",
-        "decomposable",
         "operator_rank",
-        "symmetrize",
     ),
 }
 

@@ -10,9 +10,11 @@ Jucys-Murphy elements.  Every move is a transposition, applied as a
 position map (two entries of each index tuple swapped) that is built once
 per weight, on first use.  `antisymmetrized` applies column
 antisymmetrizers on the same maps, and `nonzero_after_symmetrize` stops at
-the first weight block with a nonzero part.  The module loads only
-`partitions` and `linalg`, home of `SparseTensor`, so a brute decide loads
-no tensor-action or permutation code.
+the first weight block with a nonzero part.  `decomposable` is the pure
+tensor of a configuration, and `symmetrize` its one-shape view of
+`symmetrized_sums`.  The module loads only `partitions` and `linalg`, home
+of `SparseTensor`, so a brute decide or `symmetrize` loads no
+tensor-action or permutation code.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, cached_property
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
 
@@ -48,6 +50,23 @@ def _check_pure_tensor(cfg: VectorConfiguration, lam: Partition) -> None:
         raise ValueError("n must be at least 1")
     if cfg.n > DEGREE_CAP:
         raise ValueError(f"degree {cfg.n} exceeds cap {DEGREE_CAP}")
+
+
+def decomposable(cfg: VectorConfiguration) -> SparseTensor:
+    """The pure tensor of the configuration, zero iff some vector is zero: the
+    products of the integer rows over the product of the scales."""
+    if cfg.n < 1:
+        raise ValueError("need at least one vector")
+    return SparseTensor._from_integers(cfg.n, cfg.dim, _pure_numerators(cfg.rows), prod(cfg.scales))
+
+
+def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
+    """Apply the character projector for lam to the pure tensor of cfg:
+    apply_algebra_element(decomposable(cfg), central_idempotent(lam)), as
+    the one-shape view of symmetrized_sums."""
+    _check_pure_tensor(cfg, lam)
+    (entries,), divisor = symmetrized_sums(decomposable(cfg), [lam])
+    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor)
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:

@@ -8,8 +8,8 @@ Each command imports the library modules it uses when it runs, so a
 process loads only those: a dominance or gamas decide and
 `rank-partition` never load the character, tensor or harness code, a gram
 decide and `gmf` load the gram and character code but no tensor or
-permutation code, and a brute decide loads `brute` on `partitions` and
-`linalg` only.
+permutation code, and a brute decide and `symmetrize` load `brute` on
+`partitions` and `linalg` only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _cmd_character_table(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    from .tensors import symmetrize
+    from .brute import symmetrize
 
     cfg = _load_config(args.config)
     lam = Partition.from_text(args.shape)

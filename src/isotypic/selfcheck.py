@@ -24,14 +24,14 @@ from functools import cache
 from fractions import Fraction
 from math import factorial
 
-from .brute import antisymmetrized, symmetrized_sums
+from .brute import antisymmetrized, decomposable, symmetrized_sums
 from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
-from .linalg import VectorConfiguration, is_independent, lowest_terms
+from .linalg import SparseTensor, VectorConfiguration, is_independent, lowest_terms
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
 from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
 from .symgroup import Tableau
-from .tensors import OPERATOR_DIMENSION_CAP, SparseTensor, decomposable, operator_rank
+from .tensors import OPERATOR_DIMENSION_CAP, operator_rank
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

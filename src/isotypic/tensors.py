@@ -1,50 +1,36 @@
-"""Tensor powers of Q^d, the place-permutation action, and symmetrization.
+"""The group-algebra oracles: the place-permutation action on tensors.
 
-A SparseTensor (defined in `linalg`, bound here) maps index tuples over
-{1..d} to rationals; a group-algebra element is the degree-n tensor over
-Q^n of its image tuples.  The group of degree n acts on the right by
-permuting tensor positions: on a pure tensor, acting by sigma reorders
-the factors to v_{sigma(1)} x ... x v_{sigma(n)}, and the general action
-is the linear extension (entry at index tuple t moves to the tuple
-k -> t[sigma(k)]).
+A SparseTensor (from `linalg`) maps index tuples over {1..d} to
+rationals; a group-algebra element is the degree-n tensor over Q^n of its
+image tuples.  The group of degree n acts on the right by permuting
+tensor positions: on a pure tensor, acting by sigma reorders the factors
+to v_{sigma(1)} x ... x v_{sigma(n)}, and the general action is the linear
+extension (entry at index tuple t moves to the tuple k -> t[sigma(k)]).
 
 `apply_algebra_element` and `operator_rank` (on the blocks of
 `brute._block_space`) move index tuples by `symgroup._place_action`: they
 are the group-algebra routes that the brute route is checked against.
-`symmetrize` is the pure tensor's view of `brute.symmetrized_sums`.
-`nonzero_after_symmetrize`, `gram_matrix` and `generalized_matrix_function`
-are re-exported here as the `brute` and `gram` modules' own objects, which
-the benchmark's tracer wraps.
 
-Rationals become integers only in `linalg`: a configuration's `rows` are
-the vectors scaled by the lcm of their denominators, its `scales`, and a
-tensor keeps int numerators over one divisor.  `decomposable` multiplies
-the rows over the product of the scales, and the kernels sum numerators
-in `int` and multiply divisors.
+The module also binds `symmetrize`, `decomposable`,
+`nonzero_after_symmetrize`, `gram_matrix`, `generalized_matrix_function`
+and `VectorConfiguration` as their home modules' own objects: the
+benchmark's tracer wraps the first five by their names here, and the
+acceptance tests import all six from here.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import prod
 
-from .brute import _block_space, _check_pure_tensor, _pure_numerators, symmetrized_sums
-from .brute import nonzero_after_symmetrize  # noqa: F401  (re-exported)
-from .gram import generalized_matrix_function, gram_matrix  # noqa: F401  (re-exported)
-from .linalg import SparseTensor, VectorConfiguration, rank_of_rows
-from .partitions import Partition
+from .brute import _block_space
+from .brute import decomposable, nonzero_after_symmetrize, symmetrize  # noqa: F401  (bound here)
+from .gram import generalized_matrix_function, gram_matrix  # noqa: F401  (bound here)
+from .linalg import SparseTensor, rank_of_rows
+from .linalg import VectorConfiguration  # noqa: F401  (bound here)
 from .symgroup import GroupAlgebraElement, _moved_sums, _place_action
 
 # operator_rank builds the full d^n-dimensional space; past this it refuses.
 OPERATOR_DIMENSION_CAP = 4096
-
-
-def decomposable(cfg: VectorConfiguration) -> SparseTensor:
-    """The pure tensor of the configuration, zero iff some vector is zero: the
-    products of the integer rows over the product of the scales."""
-    if cfg.n < 1:
-        raise ValueError("need at least one vector")
-    return SparseTensor._from_integers(cfg.n, cfg.dim, _pure_numerators(cfg.rows), prod(cfg.scales))
 
 
 def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
@@ -53,15 +39,6 @@ def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTens
         raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
     total = _moved_sums(w.numerators, x.numerators.items())
     return SparseTensor._from_integers(w.n, w.d, total, w.divisor * x.divisor)
-
-
-def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
-    """Apply the character projector for lam to the pure tensor of cfg:
-    apply_algebra_element(decomposable(cfg), central_idempotent(lam)), as
-    the one-shape view of brute.symmetrized_sums."""
-    _check_pure_tensor(cfg, lam)
-    (entries,), divisor = symmetrized_sums(decomposable(cfg), [lam])
-    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor)
 
 
 def operator_rank(x: GroupAlgebraElement, d: int) -> int:

@@ -62,7 +62,8 @@ import isotypic.brute as brute_module
 import isotypic.characters as characters
 import isotypic.gram as gram_module
 import isotypic.matroid as matroid_module
-from isotypic.linalg import Matrix, integer_scaled
+from isotypic.brute import decomposable
+from isotypic.linalg import Matrix, SparseTensor, VectorConfiguration, integer_scaled
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
@@ -72,7 +73,6 @@ from isotypic.symgroup import (
     _place_action,
     compose,
 )
-from isotypic.tensors import SparseTensor, VectorConfiguration, decomposable
 
 
 def brute_partitions(n):

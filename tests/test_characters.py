@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 import isotypic.characters as characters
+from isotypic.brute import nonzero_after_symmetrize, symmetrize
 from isotypic.characters import (
     CharacterTable,
     central_idempotent,
@@ -18,10 +19,9 @@ from isotypic.characters import (
     permutations_with_class,
 )
 from isotypic.gram import generalized_matrix_function
-from isotypic.linalg import Matrix
+from isotypic.linalg import Matrix, VectorConfiguration
 from isotypic.partitions import Partition, partitions_of, syt_count
 from isotypic.symgroup import DEGREE_CAP, GroupAlgebraElement, Permutation
-from isotypic.tensors import VectorConfiguration, nonzero_after_symmetrize, symmetrize
 from oracles import (
     _lexicographic_classes,
     all_permutations,

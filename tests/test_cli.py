@@ -524,7 +524,8 @@ def test_cli_import_leaves_the_process_pool_unloaded():
          {"tensors", "symgroup", "gram", "characters", "matroid", "selfcheck"}),
         ("decide --shape 2,1 --method gram", {"gram", "characters"},
          {"brute", "tensors", "symgroup", "selfcheck", "matroid"}),
-        ("symmetrize --shape 2,1", {"tensors", "brute"}, {"characters", "selfcheck", "matroid"}),
+        ("symmetrize --shape 2,1", {"brute"},
+         {"tensors", "symgroup", "gram", "characters", "matroid", "selfcheck"}),
         ("gmf --shape 2,1", {"gram", "characters"},
          {"brute", "tensors", "symgroup", "selfcheck", "matroid"}),
         ("character-table 3", {"characters"},

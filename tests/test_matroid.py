@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import isotypic.matroid as matroid_module
-from isotypic.linalg import is_independent
+from isotypic.linalg import VectorConfiguration, is_independent
 from isotypic.matroid import (
     ORACLE_SIZE_CAP,
     BlockCertificate,
@@ -18,7 +18,6 @@ from isotypic.matroid import (
     validate_certificate,
 )
 from isotypic.partitions import Partition, partitions_of
-from isotypic.tensors import VectorConfiguration
 from oracles import reference_gamas_condition, reference_rank_partition
 
 E1 = (1, 0)
@@ -387,11 +386,8 @@ def test_dominance_upward_closure():
 
 
 def test_scaling_invariance_of_all_deciders():
-    from isotypic.tensors import (
-        generalized_matrix_function,
-        gram_matrix,
-        nonzero_after_symmetrize,
-    )
+    from isotypic.brute import nonzero_after_symmetrize
+    from isotypic.gram import generalized_matrix_function, gram_matrix
 
     rng = random.Random(66)
     for _ in range(25):

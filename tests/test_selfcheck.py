@@ -8,9 +8,10 @@ import isotypic.characters as characters
 import isotypic.matroid as matroid
 import isotypic.symgroup as symgroup
 import isotypic.selfcheck as selfcheck
-import isotypic.tensors as tensors
 import oracles
+from isotypic.brute import symmetrize
 from isotypic.characters import character_table
+from isotypic.gram import generalized_matrix_function, gram_matrix
 from isotypic.linalg import is_independent
 from isotypic.partitions import Partition, partitions_of
 from isotypic.selfcheck import (
@@ -20,7 +21,6 @@ from isotypic.selfcheck import (
     generate_configuration,
     run_verification,
 )
-from isotypic.tensors import generalized_matrix_function, gram_matrix, symmetrize
 from oracles import (
     character_fault,
     class_sum_fault,
@@ -490,7 +490,7 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
     # sums over subsets of the rows, and the brute route, the wedge and the
     # reduced side project the pure tensors of all n vectors and of the last
     # n - d through the position maps
-    stream, pure = characters.permutations_with_class, tensors.decomposable
+    stream, pure = characters.permutations_with_class, selfcheck.decomposable
     walked, built = [], []
 
     def counting_pure(cfg):
@@ -498,8 +498,7 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
         return pure(cfg)
 
     monkeypatch.setattr(characters, "permutations_with_class", lambda n: _counted(stream(n), walked))
-    for module in (selfcheck, tensors):
-        monkeypatch.setattr(module, "decomposable", counting_pure)
+    monkeypatch.setattr(selfcheck, "decomposable", counting_pure)
     spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
     assert check_trial(spec, 5, 2, 0) == []
     assert walked == []

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import isotypic.selfcheck  # noqa: F401  (imports every library module the tracer wraps)
 import isotypic.tensors
+from isotypic.cli import main
 from isotypic.partitions import Partition
 from isotypic.symgroup import GroupAlgebraElement, Permutation, subset_antisymmetrizer
 from fresh_process import modules_after, package_submodules
@@ -43,17 +45,22 @@ def test_only_the_harness_imports_dataclasses():
     assert importers == {"selfcheck.py"}
 
 
-def test_benchmark_hooks_resolve():
-    # bench/tracing.py wraps library functions by name; a rename or a
-    # deletion would otherwise surface only in a traced benchmark run
+def _bench_tracing():
+    """bench/tracing.py, loaded without leaving a __pycache__ under bench/."""
     spec = importlib.util.spec_from_file_location("bench_tracing", REPO / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
-    # load it without leaving a __pycache__ under bench/
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(tracing)
     finally:
         sys.dont_write_bytecode = write_bytecode
+    return tracing
+
+
+def test_benchmark_hooks_resolve():
+    # bench/tracing.py wraps library functions by name; a rename or a
+    # deletion would otherwise surface only in a traced benchmark run
+    tracing = _bench_tracing()
     tracer = tracing.Tracer()
     missing, undo = tracing.install(tracer)
     try:
@@ -61,8 +68,8 @@ def test_benchmark_hooks_resolve():
         # the after-hook on symmetrize reads its arguments as (cfg, lam): the
         # character of (2, 1) is nonzero on 3 permutations of degree 3, and
         # the pure tensor has 1 * 2 * 1 nonzero entries
-        cfg = isotypic.tensors.VectorConfiguration(2, [[1, 0], [1, 1], [0, 1]])
-        assert not isotypic.tensors.symmetrize(cfg, Partition([2, 1])).is_zero()
+        cfg = isotypic.linalg.VectorConfiguration(2, [[1, 0], [1, 1], [0, 1]])
+        assert not isotypic.brute.symmetrize(cfg, Partition([2, 1])).is_zero()
         assert tracer.calls["tensors.symmetrize"] == 1
         assert tracer.counts["tensors.symmetrize.terms"] == 3 * 2
         # the after-hook on algebra_multiply reads the terms views: 2 * 6
@@ -77,17 +84,38 @@ def test_benchmark_hooks_resolve():
         tracing.uninstall(undo)
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        ("symmetrize", {"tensors.symmetrize": 1, "tensors.decomposable": 1}),
+        ("decide --method brute", {"tensors.nonzero_after_symmetrize": 1}),
+        ("decide --method gram",
+         {"tensors.gram_matrix": 1, "tensors.generalized_matrix_function": 1}),
+    ],
+)
+def test_tracer_counts_the_cli_calls(tmp_path, argv, calls):
+    # the CLI looks these up at brute and gram, and the tracer hooks them at
+    # tensors.*, where they are bound as the same objects, so it replaces
+    # the home modules' attributes too and a traced command is counted
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dim": 2, "vectors": [["1", "0"], ["1", "1"], ["0", "1"]]}))
+    tracing = _bench_tracing()
+    tracer = tracing.Tracer()
+    missing, undo = tracing.install(tracer)
+    try:
+        assert missing == []
+        assert main([*argv.split(), "--config", str(config), "--shape", "2,1"]) == 0
+    finally:
+        tracing.uninstall(undo)
+    traced = {name: c for name, c in tracer.calls.items() if name.startswith("tensors.")}
+    assert traced == calls
+
+
 def test_traced_rank_oracle_misses_are_at_most_its_calls():
     # bench/tracing.py counts a miss per matroid._int_rank call and a call
     # per LinearMatroid.rank; with the rank the only caller of the
     # elimination, the traced hit ratio stays within [0, 1]
-    spec = importlib.util.spec_from_file_location("bench_tracing", REPO / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(tracing)
-    finally:
-        sys.dont_write_bytecode = write_bytecode
+    tracing = _bench_tracing()
     tracer = tracing.Tracer()
     missing, undo = tracing.install(tracer)
     try:
@@ -256,7 +284,7 @@ def test_brute_loads_only_partitions_and_linalg():
 
 # every name `import isotypic` exports, by the module that defines it
 EXPORTS = {
-    "brute": "nonzero_after_symmetrize",
+    "brute": "decomposable nonzero_after_symmetrize symmetrize",
     "characters": "CharacterTable central_idempotent character_table character_value class_size",
     "gram": "generalized_matrix_function gram_matrix",
     "linalg": "Matrix SparseTensor VectorConfiguration is_independent parse_rational",
@@ -266,8 +294,7 @@ EXPORTS = {
     "selfcheck": "SplitMix64 TrialSpec VerificationReport generate_configuration run_verification",
     "symgroup": "DEGREE_CAP GroupAlgebraElement Permutation Tableau algebra_multiply "
     "column_antisymmetrizer compose row_symmetrizer subset_antisymmetrizer",
-    "tensors": "OPERATOR_DIMENSION_CAP apply_algebra_element decomposable operator_rank "
-    "symmetrize",
+    "tensors": "OPERATOR_DIMENSION_CAP apply_algebra_element operator_rank",
 }
 
 
@@ -297,16 +324,46 @@ def test_exports_are_their_home_module_objects():
     assert isotypic.symgroup.DEGREE_CAP is isotypic.partitions.DEGREE_CAP
 
 
-def test_tensors_reexports_the_gram_functions():
-    # bench/tracing.py wraps gram_matrix, generalized_matrix_function and
-    # nonzero_after_symmetrize at tensors.*, and replaces every module
-    # attribute holding the same object, so the names must be the gram and
-    # brute modules' own objects, which the CLI calls
-    assert isotypic.tensors.nonzero_after_symmetrize is isotypic.brute.nonzero_after_symmetrize
-    assert isotypic.tensors.gram_matrix is isotypic.gram.gram_matrix
-    assert (
-        isotypic.tensors.generalized_matrix_function is isotypic.gram.generalized_matrix_function
-    )
+@pytest.mark.parametrize(
+    "name, home",
+    [
+        ("symmetrize", "brute"),
+        ("decomposable", "brute"),
+        ("nonzero_after_symmetrize", "brute"),
+        ("gram_matrix", "gram"),
+        ("generalized_matrix_function", "gram"),
+    ],
+)
+def test_tensors_binds_the_traced_names_to_their_home_objects(name, home):
+    # bench/tracing.py wraps these at tensors.* and replaces every module
+    # attribute holding the same object, so each must be its home module's
+    # own object, which the CLI and the harness call
+    home = importlib.import_module(f"isotypic.{home}")
+    assert getattr(isotypic.tensors, name) is getattr(home, name)
+
+
+def test_only_brute_names_the_pure_tensor_helpers():
+    # the pure tensor and its shape check have one home; tensors keeps only
+    # the group-algebra oracles, which read brute's weight blocks
+    helpers = {"_check_pure_tensor", "_pure_numerators"}
+    named = {
+        path.stem
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id in helpers
+        or isinstance(node, ast.Attribute) and node.attr in helpers
+        or isinstance(node, ast.alias) and node.name in helpers
+    }
+    assert named == {"brute"}
+    tree = ast.parse((SOURCE_DIR / "tensors.py").read_text())
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "brute"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {"_block_space"}
 
 
 def test_unknown_package_attribute_raises():

@@ -8,11 +8,16 @@ import pytest
 
 import isotypic.brute as brute
 import isotypic.characters as characters
-import isotypic.tensors as tensors
-from isotypic.brute import antisymmetrized, nonzero_after_symmetrize, symmetrized_sums
+from isotypic.brute import (
+    antisymmetrized,
+    decomposable,
+    nonzero_after_symmetrize,
+    symmetrize,
+    symmetrized_sums,
+)
 from isotypic.characters import central_idempotent, character_table
 from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_function_sums
-from isotypic.linalg import Matrix, is_independent
+from isotypic.linalg import Matrix, SparseTensor, VectorConfiguration, is_independent
 from isotypic.partitions import Partition, partitions_of, syt_count, weyl_dimension
 from isotypic.symgroup import (
     GroupAlgebraElement,
@@ -24,15 +29,7 @@ from isotypic.symgroup import (
     row_symmetrizer,
     subset_antisymmetrizer,
 )
-from isotypic.tensors import (
-    OPERATOR_DIMENSION_CAP,
-    SparseTensor,
-    VectorConfiguration,
-    apply_algebra_element,
-    decomposable,
-    operator_rank,
-    symmetrize,
-)
+from isotypic.tensors import OPERATOR_DIMENSION_CAP, apply_algebra_element, operator_rank
 from oracles import (
     all_permutations,
     brute_determinant,
@@ -882,13 +879,11 @@ def test_symmetrized_sums_match_idempotent_application():
 
 
 def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypatch):
-    # both brute entry points refuse before the rows are multiplied out;
-    # decomposable reads the loop at its tensors name
+    # both brute entry points refuse before the rows are multiplied out
     def no_tensor(rows):
         raise AssertionError("the pure tensor was built before the checks")
 
-    for module in (brute, tensors):
-        monkeypatch.setattr(module, "_pure_numerators", no_tensor)
+    monkeypatch.setattr(brute, "_pure_numerators", no_tensor)
     wide = VectorConfiguration(40, [[1] * 40] * 11)  # 40^11 entries if built
     for route in (symmetrize, nonzero_after_symmetrize):
         with pytest.raises(ValueError, match="shape size 10 does not match 11 vectors"):
