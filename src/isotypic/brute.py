@@ -1,20 +1,21 @@
 """The brute route: the pure tensor projected onto the shape's isotypic part.
 
 `symmetrized_sums(w, shapes)` applies the central idempotents of a list of
-shapes to a tensor w without walking the permutations.  w is split into
-weight blocks (one sorted index tuple each), whose shapes are those that
-dominate the weight (Young's rule).  Each block is an int list over the
-positions of `_block_space(weight)`, the weight's index tuples, which
-`_separate` splits into isotypic parts by the power sums of the
-Jucys-Murphy elements.  Every move is a transposition, applied as a
-position map (two entries of each index tuple swapped) that is built once
-per weight, on first use.  `antisymmetrized` applies column
-antisymmetrizers on the same maps, and `nonzero_after_symmetrize` stops at
-the first weight block with a nonzero part.  `decomposable` is the pure
-tensor of a configuration, and `symmetrize` its one-shape view of
-`symmetrized_sums`.  The module loads only `partitions` and `linalg`, home
-of `SparseTensor`, so a brute decide or `symmetrize` loads no
-tensor-action or permutation code.
+shapes to a tensor w without walking the permutations, and
+`symmetrized_norms` gives the parts' squared norms only, read from Krylov
+moments where no part needs forming.  w is split into weight blocks (one
+sorted index tuple each), whose shapes are those that dominate the weight
+(Young's rule).  Each block is an int list over the positions of
+`_block_space(weight)`, the weight's index tuples, which `_separate`
+splits into isotypic parts by the power sums of the Jucys-Murphy
+elements.  Every move is a transposition, applied as a position map (two
+entries of each index tuple swapped) that is built once per weight, on
+first use.  `antisymmetrized` applies column antisymmetrizers on the same
+maps, and `nonzero_after_symmetrize` stops at the first weight block with
+a nonzero part.  `decomposable` is the pure tensor of a configuration, and
+`symmetrize` its one-shape view of `symmetrized_sums`.  The module loads
+only `partitions` and `linalg`, home of `SparseTensor`, so a brute decide
+or `symmetrize` loads no tensor-action or permutation code.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from functools import cache, cached_property
 from itertools import compress
 from math import gcd, lcm, prod
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .linalg import SparseTensor, VectorConfiguration
@@ -83,9 +84,7 @@ def symmetrized_sums(
     nonzero integer entries, and one divisor common to all, so that entries
     / divisor is apply_algebra_element(w, central_idempotent(shape)); each
     weight block's parts (_weight_block_parts) are brought to that divisor."""
-    for lam in shapes:
-        if lam.size != w.n:
-            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
+    _check_sizes(w, shapes)
     blocks = list(_weight_block_parts(w.numerators, shapes))
     divisor = lcm(*(q for parts in blocks for _, q in parts))
     out: list[dict[tuple[int, ...], int]] = [{} for _ in shapes]
@@ -97,22 +96,40 @@ def symmetrized_sums(
     return out, divisor * w.divisor
 
 
-def _weight_block_parts(numerators: dict, shapes: Sequence[Partition]):
+def symmetrized_norms(w: SparseTensor, shapes: Sequence[Partition]) -> tuple[list[int], int]:
+    """The squared norms of the parts that symmetrized_sums gives w: for each
+    shape an integer, and one positive divisor common to all.  The weight
+    blocks are orthogonal, so each shape's norm sums its blocks' norms."""
+    _check_sizes(w, shapes)
+    blocks = list(_weight_block_parts(w.numerators, shapes, norms=True))
+    divisor = lcm(*(q for parts in blocks for _, q in parts))
+    out = [sum(c * (divisor // q) for c, q in column) for column in zip(*blocks)]
+    return out or [0] * len(shapes), divisor * w.divisor**2
+
+
+def _check_sizes(w: SparseTensor, shapes: Sequence[Partition]) -> None:
+    for lam in shapes:
+        if lam.size != w.n:
+            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
+
+
+def _weight_block_parts(numerators: dict, shapes: Sequence[Partition], norms: bool = False):
     """For each weight block of the numerators where some listed shape can
     occur (by _young_candidates), each listed shape's part of the block,
     found by _separate level by level, as nonzero integer entries over a
-    positive divisor."""
+    positive divisor, or with norms its squared norm over a divisor."""
     listed = set(shapes)
     occurs = lambda weight: not listed.isdisjoint(_young_candidates(weight))
     for weight, space, v in _position_blocks(numerators, occurs):
         candidates = _young_candidates(weight)
-        parts: dict[Partition, tuple[list[int], int]] = {}
-        _separate(v, candidates, listed.intersection(candidates), 1, 1, space, parts)
-        entries = {
-            lam: (dict(compress(zip(space.tuples, part), part)), q)
-            for lam, (part, q) in parts.items()
-        }
-        yield [entries.get(lam, ({}, 1)) for lam in shapes]
+        parts: dict[Partition, tuple] = {}
+        _separate(v, candidates, listed.intersection(candidates), 1, 1, space, parts, norms)
+        if not norms:
+            parts = {
+                lam: (dict(compress(zip(space.tuples, part), part)), q)
+                for lam, (part, q) in parts.items()
+            }
+        yield [parts.get(lam, (0 if norms else {}, 1)) for lam in shapes]
 
 
 def antisymmetrized(w: SparseTensor, blocks: Iterable[Iterable[int]]) -> SparseTensor:
@@ -201,38 +218,48 @@ def _transposition_maps(tuples: list, positions: dict) -> tuple[tuple[tuple[int,
 
 
 def _separate(v: list[int], group: tuple[Partition, ...], wanted: set, m: int, divisor: int,
-              space: _BlockSpace, out: dict) -> None:
+              space: _BlockSpace, out: dict, norms: bool = False) -> None:
     """Put in out, for each wanted shape of group, its part of v / divisor as
-    (values over the positions of space, divisor), where v lies in the
-    isotypic parts of the shapes of group, which share their content power
-    sums p_1, ..., p_(m-1).
+    (values over the positions of space, divisor), or with norms as (its
+    squared norm, a divisor), where v lies in the isotypic parts of the
+    shapes of group, which share their content power sums p_1, ..., p_(m-1).
 
     p_m(X_2, ..., X_n), for the Jucys-Murphy elements X_k = sum over i < k
     of (i k), is central and acts on the lam-isotypic part by
     p_m(contents of lam).  With k distinct values z_j on group, the part of
-    value z_j is prod over i != j of (Z - z_i) / (z_j - z_i) applied to v,
+    value z_j is P_j v, for P_j = prod over i != j of (Z - z_i) / (z_j - z_i),
     a combination of the Krylov vectors v, Zv, ..., Z^(k-1)v.  A value held
-    by two or more shapes is split again at level m + 1.
+    by two or more shapes is split again at level m + 1.  Z is a sum of
+    involutions' position maps, so self-adjoint, and P_j an orthogonal
+    projection: a norm is <v, P_j v>, read from the moments <v, Z^a v> =
+    <Z^(a//2) v, Z^(a - a//2) v>, which need only k//2 Krylov steps when no
+    wanted value is split again.
     """
     if len(group) == 1:
-        out[group[0]] = (v, divisor)
+        out[group[0]] = (sum(map(mul, v, v)), divisor * divisor) if norms else (v, divisor)
         return
     steps = _lagrange(group, m)
     if steps is None:
-        _separate(v, group, wanted, m + 1, divisor, space, out)
+        _separate(v, group, wanted, m + 1, divisor, space, out, norms)
         return
+    formed = any(len(s) > 1 or not norms for s, _, _ in steps if not wanted.isdisjoint(s))
     krylov = [v]
-    for _ in steps[1:]:
+    for _ in range(len(steps) - 1 if formed else len(steps) // 2):
         krylov.append(_power_sum_action(krylov[-1], m, space.maps))
+    if norms:
+        moments = [sum(map(mul, krylov[a // 2], krylov[a - a // 2])) for a in range(len(steps))]
     for shapes, coefficients, q in steps:
         if wanted.isdisjoint(shapes):
+            continue
+        if norms and len(shapes) == 1:
+            out[shapes[0]] = (sum(map(mul, coefficients, moments)), q * divisor * divisor)
             continue
         part = [0] * len(v)
         for a, x in zip(coefficients, krylov):
             if a:
                 part = list(map(add, part, map(a.__mul__, x)))
         if any(part):
-            _separate(part, shapes, wanted, m + 1, divisor * q, space, out)
+            _separate(part, shapes, wanted, m + 1, divisor * q, space, out, norms)
 
 
 def _content_power_sum(lam: Partition, m: int) -> int:

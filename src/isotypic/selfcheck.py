@@ -11,7 +11,9 @@ identity, the column criterion for a random tableau, the det-twist
 reduction when the leading vectors form a basis, and the matroid-union
 oracle cross-check; plus standalone character-table, idempotent, and
 operator-rank suites per report.  Its tensors move only by the brute
-projector's position maps (`brute.symmetrized_sums`, `antisymmetrized`).
+projector's position maps: a trial reads each shape's squared norm
+(`brute.symmetrized_norms`) and antisymmetrizes (`antisymmetrized`), and
+only the idempotent suite forms parts (`symmetrized_sums`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cache
 from fractions import Fraction
 from math import factorial
 
-from .brute import antisymmetrized, decomposable, symmetrized_sums
+from .brute import antisymmetrized, decomposable, symmetrized_norms, symmetrized_sums
 from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
 from .linalg import SparseTensor, VectorConfiguration, is_independent, lowest_terms
@@ -305,14 +307,15 @@ def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]
             )
         )
 
-    # one walk per route serves every shape; the tensors and values come
-    # as integers over one positive divisor per route, compared cross-multiplied
-    symmetrized, tensor_divisor = symmetrized_sums(w, shapes)
+    # one call per route serves every shape; the squared norms <wT, wT> and
+    # values come as integers over one positive divisor per route, compared
+    # cross-multiplied
+    norms, norm_divisor = symmetrized_norms(w, shapes)
     values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
-    for lam, entries, value in zip(shapes, symmetrized, values):
+    for lam, norm, value in zip(shapes, norms, values):
         certificate = certificate_of(lam)
         answers = {
-            "brute": bool(entries),
+            "brute": norm != 0,
             "gram": value != 0,
             "gamas": certificate is not None,
             "dominance": lam.dominates(rho_conjugate),
@@ -326,13 +329,12 @@ def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]
                     "all four deciders agree", str(answers), detail,
                 )
             )
-        norm = sum(c * c for c in entries.values())
-        if norm * factorial(n) * value_divisor != syt_count(lam) * value * tensor_divisor**2:
+        if norm * factorial(n) * value_divisor != syt_count(lam) * value * norm_divisor:
             rhs = Fraction(syt_count(lam) * value, factorial(n) * value_divisor)
             out.append(
                 _violation(
                     gram_suite, n, d, trial_index, lam, cfg,
-                    f"<wT,wT> = {rhs}", str(Fraction(norm, tensor_divisor**2)),
+                    f"<wT,wT> = {rhs}", str(Fraction(norm, norm_divisor)),
                 )
             )
         if value < 0:
@@ -371,21 +373,21 @@ def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]
 
     if n >= d and is_independent(cfg.rows[:d]):
         wedge = antisymmetrized(w, [range(1, d + 1)])
-        # one call per side applies the central idempotent of every shape
-        # with d rows: to the wedge, and with its first column removed to the
-        # pure tensor of the other vectors (nothing is left when n = d)
+        # one call per side reads the squared norm of every d-row shape's
+        # part: of the wedge, and with its first column removed of the pure
+        # tensor of the other vectors (nothing is left when n = d)
         d_row_shapes = [lam for lam in shapes if len(lam) == d]
-        wedged, _ = symmetrized_sums(wedge, d_row_shapes)
+        wedged, _ = symmetrized_norms(wedge, d_row_shapes)
         if n == d:
             reduced = [True] * len(d_row_shapes)
         else:
             rest = VectorConfiguration(d, cfg.vectors[d:])
-            sums, _ = symmetrized_sums(
+            sums, _ = symmetrized_norms(
                 decomposable(rest), [lam.remove_first_column() for lam in d_row_shapes]
             )
-            reduced = [bool(entries) for entries in sums]
-        for lam, entries, rhs in zip(d_row_shapes, wedged, reduced):
-            lhs = bool(entries)
+            reduced = [norm != 0 for norm in sums]
+        for lam, norm, rhs in zip(d_row_shapes, wedged, reduced):
+            lhs = norm != 0
             if lhs != rhs:
                 out.append(
                     _violation(

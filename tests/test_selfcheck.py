@@ -291,14 +291,21 @@ def test_rank_fault_is_detected():
 
 
 def test_projector_fault_is_detected():
-    # every brute answer of the harness comes from symmetrized_sums, so a
-    # wrong eigenvalue in its projector shows as a brute-gram disagreement,
-    # a wrong <wT, wT> and, at n = 3, three wrong parts of the identity;
-    # gram walks the characters and does not see it
+    # every brute answer of the harness comes from the projector, so a wrong
+    # eigenvalue in it shows as a brute-gram disagreement, a wrong <wT, wT>,
+    # a wedge decided unlike its reduced side and, at n = 3, three wrong
+    # parts of the identity; gram walks the characters and does not see it.
+    # The trial reads each norm as <w, Pw> from Krylov moments, which under
+    # the fault, where P is no orthogonal projection, is not |Pw|^2
     with content_fault(Partition([2, 1])):
         broken = run_verification(TrialSpec())
     suites = Counter(v["suite"] for v in broken.violations)
-    assert suites == {"four_decider_agreement": 19, "gram_identity": 158, "idempotent_system": 3}
+    assert suites == {
+        "four_decider_agreement": 23,
+        "gram_identity": 158,
+        "det_twist": 2,
+        "idempotent_system": 3,
+    }
     assert run_verification(TrialSpec(n_max=3, trials_per_cell=5)).ok
 
 
@@ -308,13 +315,15 @@ def test_position_map_fault_is_detected():
     # disagrees with gram, <wT, wT> is wrong, the parts of the identity are
     # not the central idempotents, and the antisymmetrizers over a column
     # holding positions 1 and 2 are wrong, so the column criterion and the
-    # det-twist reduction fail; the harness is clean again outside the fault
+    # det-twist reduction fail; the harness is clean again outside the fault.
+    # The trial's norms are <w, Pw> from Krylov moments, with P no
+    # orthogonal projection here
     with position_map_fault():
         broken = run_verification(TrialSpec())
     suites = Counter(v["suite"] for v in broken.violations)
     assert suites == {
-        "four_decider_agreement": 79,
-        "gram_identity": 495,
+        "four_decider_agreement": 87,
+        "gram_identity": 496,
         "det_twist": 114,
         "column_criterion": 38,
         "idempotent_system": 17,
@@ -488,8 +497,8 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
 def test_one_walk_per_tensor_per_trial(monkeypatch):
     # every suite of a trial whose det-twist runs walks no permutation: gram
     # sums over subsets of the rows, and the brute route, the wedge and the
-    # reduced side project the pure tensors of all n vectors and of the last
-    # n - d through the position maps
+    # reduced side read norms of the pure tensors of all n vectors and of
+    # the last n - d through the position maps
     stream, pure = characters.permutations_with_class, selfcheck.decomposable
     walked, built = [], []
 

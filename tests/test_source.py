@@ -239,6 +239,18 @@ def test_the_harness_moves_tensors_only_by_position_maps():
     }
 
 
+def test_a_trial_forms_no_part():
+    # the per-trial suites ask only whether each part is zero and its squared
+    # norm, which symmetrized_norms reads from Krylov moments; entries are
+    # formed only for symmetrize and the parts of the identity
+    sources = sorted(SOURCE_DIR.glob("*.py"))
+    assert _callers("symmetrized_sums", sources) == {
+        "brute.symmetrize",
+        "selfcheck._idempotent_suite",
+    }
+    assert _callers("symmetrized_norms", sources) == {"selfcheck.check_trial"}
+
+
 def test_permutations_are_built_only_where_one_is_returned():
     # the symmetrizers and GroupAlgebraElement.one write image tuples and
     # integer signs; a Permutation is built only by the methods that return

@@ -13,6 +13,7 @@ from isotypic.brute import (
     decomposable,
     nonzero_after_symmetrize,
     symmetrize,
+    symmetrized_norms,
     symmetrized_sums,
 )
 from isotypic.characters import central_idempotent, character_table
@@ -966,6 +967,94 @@ def test_projector_skips_levels_where_the_power_sum_is_one_value():
         brute._lagrange((P(2, 1), P(2, 1)), 4)
 
 
+def _squared_norms(sums, divisor):
+    return [Fraction(sum(c * c for c in entries.values()), divisor**2) for entries in sums]
+
+
+def _rational_norms(norms, divisor):
+    assert divisor > 0 and all(isinstance(c, int) for c in norms)
+    return [Fraction(c, divisor) for c in norms]
+
+
+def test_norms_from_moments_match_the_formed_parts():
+    # symmetrized_norms reads each shape's squared norm from Krylov moments,
+    # and gives the squared norm of symmetrized_sums' part for every shape,
+    # on pure tensors with zero vectors, repeats and rational multiples
+    rng = random.Random(53)
+    for n in range(1, 9):
+        shapes = partitions_of(n)
+        for d in range(1, 4):
+            # configurations until three (at n >= 7 one) have a nonzero pure tensor
+            nonzero = 0
+            while nonzero < (3 if n < 7 else 1):
+                w = decomposable(degenerate_config(rng, n, d))
+                nonzero += not w.is_zero()
+                assert _rational_norms(*symmetrized_norms(w, shapes)) == (
+                    _squared_norms(*symmetrized_sums(w, shapes))
+                )
+
+
+def test_norms_of_tensors_that_are_not_pure():
+    # the det-twist wedge, the identity tuple (1, ..., n) over Q^n, whose
+    # block is the regular representation, and the zero tensor
+    rng = random.Random(54)
+    for n in range(1, 6):
+        shapes = partitions_of(n)
+        identity = SparseTensor(n, n, {tuple(range(1, n + 1)): 1})
+        tensors = [identity, SparseTensor(n, 2)]
+        for d in range(1, 4):
+            pure = decomposable(degenerate_config(rng, n, d))
+            tensors.append(antisymmetrized(pure, [range(1, min(n, d) + 1)]))
+        for w in tensors:
+            assert _rational_norms(*symmetrized_norms(w, shapes)) == (
+                _squared_norms(*symmetrized_sums(w, shapes))
+            )
+        # the identity's lam-part is e_lam, of squared norm chi(1)^2 / n!
+        assert _rational_norms(*symmetrized_norms(identity, shapes)) == [
+            Fraction(syt_count(lam) ** 2, factorial(n)) for lam in shapes
+        ]
+        assert symmetrized_norms(SparseTensor(n, 2), shapes) == ([0] * len(shapes), 1)
+
+
+def test_norms_of_shapes_in_no_block_are_zero(monkeypatch):
+    # (1, 1, 1) dominates no weight of two letters and (2, 1) not the weight
+    # (3): such a shape's norm is 0, and a list of only such shapes builds no
+    # block space
+    built, moved = _counted_kernel(monkeypatch)
+    constant = SparseTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): 3})
+    assert symmetrized_norms(constant, [P(2, 1), P(1, 1, 1)]) == ([0, 0], 1)
+    assert built == [] and moved == []
+    assert symmetrized_norms(constant, [P(2, 1), P(3)]) == ([0, 10], 1)
+    w = decomposable(cfg(2, E1, (1, 1), E2))
+    listed = [P(1, 1, 1), P(2, 1), P(3), P(1, 1, 1)]
+    norms, divisor = symmetrized_norms(w, listed)
+    assert norms[0] == norms[3] == 0 and norms[1] != 0
+    assert _rational_norms(norms, divisor) == _squared_norms(*symmetrized_sums(w, listed))
+    # a shape of another size is refused with symmetrized_sums' message
+    messages = []
+    for route in (symmetrized_sums, symmetrized_norms):
+        with pytest.raises(ValueError) as error:
+            route(SparseTensor(3, 2), [P(3), P(2)])
+        messages.append(str(error.value))
+    assert messages == ["shape size 2 does not match degree 3"] * 2
+
+
+def test_norms_skip_levels_as_the_parts_do():
+    # the shapes of test_projector_skips_levels_where_the_power_sum_is_one_value
+    # split at level 3, with p_3 405 and 225; on two positions with position
+    # maps whose Z = p_3(X_2, X_3, X_4) is 405 on (1, 1) and 225 on (1, -1)
+    # (X = 3 + 2s, 3 + s and 6 for the swap s), the moments give the squared
+    # norms of the formed parts, 9/2 and 1/2 for v = (1, 2)
+    g = (P(7, 4, 2, 2), P(6, 6, 1, 1, 1))
+    fixed, swap = (0, 1), (1, 0)
+    space = SimpleNamespace(maps=((fixed,) * 3 + (swap,) * 2, (fixed,) * 3 + (swap,), (fixed,) * 6))
+    parts, norms = {}, {}
+    brute._separate([1, 2], g, set(g), 1, 1, space, parts)
+    brute._separate([1, 2], g, set(g), 1, 1, space, norms, norms=True)
+    assert parts == {g[0]: ([270, 270], 180), g[1]: ([-90, 90], 180)}
+    assert norms == {g[0]: (810, 180), g[1]: (90, 180)}
+
+
 def test_projector_moves_a_small_share_of_the_walk(monkeypatch):
     # 8 dense vectors in Q^3: the walk would move 8! * 3^8 entries; the
     # projector moves at most 1% of that, one position per position map
@@ -992,10 +1081,10 @@ def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
     # nonzero, so the decider projects no second block
     separate, blocks = brute._separate, []
 
-    def counted(v, group, wanted, m, divisor, space, out):
+    def counted(v, group, wanted, m, divisor, space, out, norms=False):
         if m == 1:
             blocks.append(space)
-        return separate(v, group, wanted, m, divisor, space, out)
+        return separate(v, group, wanted, m, divisor, space, out, norms)
 
     monkeypatch.setattr(brute, "_separate", counted)
     configuration = cfg(2, E1, (1, 1), E2, E2)
