@@ -298,3 +298,11 @@ def is_independent(vectors: Sequence[Sequence]) -> bool:
     if len(vectors) > d:
         return False
     return rank_of_rows(vectors) == len(vectors)
+
+
+def _independent_rows(rows: Sequence[Sequence[int]]) -> bool:
+    """`is_independent` for integer rows of one length, which need no parsing
+    or scaling: no more rows than columns, and full rank."""
+    if rows and len(rows) > len(rows[0]):
+        return False
+    return _int_rank(rows) == len(rows)

@@ -36,7 +36,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .linalg import VectorConfiguration, _int_rank, is_independent
+from .linalg import VectorConfiguration, _independent_rows, _int_rank
 from .partitions import Partition
 
 # the 2^n min-formula oracle refuses past this ground-set size
@@ -274,14 +274,16 @@ def validate_certificate(
     cfg: VectorConfiguration, certificate: BlockCertificate, lam: Partition
 ) -> bool:
     """Independent re-validation: disjoint blocks covering every index, with
-    the conjugate size profile, each block linearly independent."""
+    the conjugate size profile, each block linearly independent.  The blocks
+    are eliminated by `linalg`'s own kernel, so this check reads neither the
+    rank memo nor this module's `_int_rank`, the engine's."""
     indices = [i for block in certificate.blocks for i in block]
     if sorted(indices) != list(range(1, cfg.n + 1)):
         return False
     if certificate.sizes() != lam.conjugate().parts:
         return False
     return all(
-        is_independent([cfg.rows[i - 1] for i in block])
+        _independent_rows([cfg.rows[i - 1] for i in block])
         for block in certificate.blocks
     )
 

@@ -29,7 +29,7 @@ from math import factorial
 from .brute import antisymmetrized, decomposable, symmetrized_norms, symmetrized_sums
 from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
-from .linalg import SparseTensor, VectorConfiguration, is_independent, lowest_terms
+from .linalg import SparseTensor, VectorConfiguration, _independent_rows, lowest_terms
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
 from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
 from .symgroup import Tableau
@@ -359,7 +359,7 @@ def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]
     tableau = Tableau(rows)
     symmetrized_nonzero = not antisymmetrized(w, tableau.columns()).is_zero()
     columns_independent = all(
-        is_independent([cfg.rows[i - 1] for i in column]) for column in tableau.columns()
+        _independent_rows([cfg.rows[i - 1] for i in column]) for column in tableau.columns()
     )
     if symmetrized_nonzero != columns_independent:
         out.append(
@@ -371,7 +371,7 @@ def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]
             )
         )
 
-    if n >= d and is_independent(cfg.rows[:d]):
+    if n >= d and _independent_rows(cfg.rows[:d]):
         wedge = antisymmetrized(w, [range(1, d + 1)])
         # one call per side reads the squared norm of every d-row shape's
         # part: of the wedge, and with its first column removed of the pure
@@ -474,7 +474,11 @@ def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[dict]:
     """operator rank of e_lam = (standard tableaux) x (Weyl dimension).
 
     Each e_lam is built once and ranked for every d with d^n within the
-    operator cap; the report sorts the violations."""
+    operator cap; `operator_rank` eliminates one weight block per pattern of
+    multiplicities (on the lam-part, block mu has dimension f^lam times the
+    Kostka number K_(lam, mu), which no reordering of mu changes), so at
+    n = 5 it ranks 1, 3 and 5 blocks for d = 1, 2, 3.  The report sorts the
+    violations."""
     out = []
     for n in range(1, n_top + 1):
         ranked = [d for d in dims if d**n <= OPERATOR_DIMENSION_CAP]

@@ -10,6 +10,8 @@ extension (entry at index tuple t moves to the tuple k -> t[sigma(k)]).
 `apply_algebra_element` and `operator_rank` (on the blocks of
 `brute._block_space`) move index tuples by `symgroup._place_action`: they
 are the group-algebra routes that the brute route is checked against.
+`operator_rank` eliminates one weight block per multiplicity pattern,
+since renaming the letters 1..d carries a block onto a block of equal rank.
 
 The module also binds `symmetrize`, `decomposable`,
 `nonzero_after_symmetrize`, `gram_matrix`, `generalized_matrix_function`
@@ -20,12 +22,13 @@ acceptance tests import all six from here.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 from .brute import _block_space
 from .brute import decomposable, nonzero_after_symmetrize, symmetrize  # noqa: F401  (bound here)
 from .gram import generalized_matrix_function, gram_matrix  # noqa: F401  (bound here)
-from .linalg import SparseTensor, rank_of_rows
+from .linalg import SparseTensor, _int_rank
 from .linalg import VectorConfiguration  # noqa: F401  (bound here)
 from .symgroup import GroupAlgebraElement, _moved_sums, _place_action
 
@@ -45,9 +48,14 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     """Rank of w -> apply_algebra_element(w, x) on the full tensor power.
 
     The position action preserves the multiset of indices, so the operator
-    is block-diagonal over index contents; the rank is computed block by
-    block, over the positions of each weight's _block_space, with exact
-    elimination.
+    is block-diagonal over weights (sorted index tuples).  A renaming pi of
+    the letters 1..d commutes with every place action, which moves positions
+    and not letters, so the block of pi(weight) is the block of weight with
+    its rows and columns renamed: weights with the same sorted multiplicities
+    have blocks of equal rank, for every element, central or not.  The block
+    of the first weight of each pattern is eliminated exactly, in integers
+    over the positions of its _block_space, and its rank counted once per
+    weight of the pattern.
     """
     n = x.n
     dimension = d**n
@@ -57,15 +65,19 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
         return 0
     # rank is unchanged by the positive divisor of the integer coefficients
     terms = [(_place_action(images), c) for images, c in x.numerators.items()]
+    ranks: dict[tuple[int, ...], int] = {}
     total = 0
     for weight in combinations_with_replacement(range(1, d + 1), n):
-        space = _block_space(weight)
-        index = space.positions
-        rows = []
-        for idx in space.tuples:
-            dense = [0] * len(index)
-            for move, coeff in terms:
-                dense[index[move(idx)]] += coeff
-            rows.append(dense)
-        total += rank_of_rows(rows)
+        pattern = tuple(sorted(Counter(weight).values()))
+        if pattern not in ranks:
+            space = _block_space(weight)
+            index = space.positions
+            rows = []
+            for idx in space.tuples:
+                dense = [0] * len(index)
+                for move, coeff in terms:
+                    dense[index[move(idx)]] += coeff
+                rows.append(dense)
+            ranks[pattern] = _int_rank(rows)
+        total += ranks[pattern]
     return total

@@ -33,6 +33,9 @@ kernel, the independent route the action tests compare against.
 `reference_transposition_maps` is the brute route's earlier route to its
 position maps, one `_place_action` per transposition, which the library's
 swap of two entries of each index tuple is checked against.
+`reference_operator_rank` is the earlier route of `operator_rank`, which
+eliminates every weight block, where the library eliminates one block per
+pattern of multiplicities.
 `reference_block_sum` is the earlier route of the row, column and subset
 symmetrizers: a `Permutation` per block permutation, its sign read by
 `perm.sign` (a cycle walk and a `Partition`), and the rational constructor.
@@ -54,7 +57,7 @@ from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 from typing import Optional
 
@@ -62,8 +65,14 @@ import isotypic.brute as brute_module
 import isotypic.characters as characters
 import isotypic.gram as gram_module
 import isotypic.matroid as matroid_module
-from isotypic.brute import decomposable
-from isotypic.linalg import Matrix, SparseTensor, VectorConfiguration, integer_scaled
+from isotypic.brute import _block_space, decomposable
+from isotypic.linalg import (
+    Matrix,
+    SparseTensor,
+    VectorConfiguration,
+    integer_scaled,
+    rank_of_rows,
+)
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
@@ -73,6 +82,7 @@ from isotypic.symgroup import (
     _place_action,
     compose,
 )
+from isotypic.tensors import OPERATOR_DIMENSION_CAP
 
 
 def brute_partitions(n):
@@ -376,6 +386,36 @@ def reference_apply_algebra_element(w, x):
             moved = tuple(idx[i - 1] for i in sigma.images)
             total[moved] = total.get(moved, 0) + coeff * val
     return SparseTensor(w.n, w.d, total)
+
+
+def reference_operator_rank(x: GroupAlgebraElement, d: int) -> int:
+    """Rank of w -> apply_algebra_element(w, x) on the full tensor power.
+
+    The position action preserves the multiset of indices, so the operator
+    is block-diagonal over index contents; the rank is computed block by
+    block, over the positions of each weight's _block_space, with exact
+    elimination.
+    """
+    n = x.n
+    dimension = d**n
+    if dimension > OPERATOR_DIMENSION_CAP:
+        raise ValueError(f"d^n = {dimension} exceeds operator cap {OPERATOR_DIMENSION_CAP}")
+    if x.is_zero():
+        return 0
+    # rank is unchanged by the positive divisor of the integer coefficients
+    terms = [(_place_action(images), c) for images, c in x.numerators.items()]
+    total = 0
+    for weight in combinations_with_replacement(range(1, d + 1), n):
+        space = _block_space(weight)
+        index = space.positions
+        rows = []
+        for idx in space.tuples:
+            dense = [0] * len(index)
+            for move, coeff in terms:
+                dense[index[move(idx)]] += coeff
+            rows.append(dense)
+        total += rank_of_rows(rows)
+    return total
 
 
 def character_terms(lam):

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isotypic.linalg import Matrix, is_independent, parse_rational, rank_of_rows
+from isotypic.linalg import (
+    Matrix,
+    _independent_rows,
+    is_independent,
+    parse_rational,
+    rank_of_rows,
+)
 from oracles import fraction_rank
 
 rationals = st.fractions(
@@ -135,6 +141,28 @@ def test_rank_row_operations_invariant(rows, data):
 @settings(max_examples=150, deadline=None)
 def test_independence_iff_full_rank(vectors):
     assert is_independent(vectors) == (rank_of_rows(vectors) == len(vectors))
+
+
+integer_rows = st.integers(0, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(-3, 3) | st.integers(), min_size=width, max_size=width),
+        max_size=6,
+    )
+)
+
+
+@given(integer_rows)
+@example([])
+@example([[0, 0]])
+@example([[1, 2], [0, 0]])
+@example([[1, 0], [0, 1], [1, 1]])
+@example([[]])
+@settings(max_examples=300, deadline=None)
+def test_independent_rows_answers_as_is_independent(rows):
+    # the integer kernel that the harness and the certificate check call
+    # skips the parsing and scaling of the rational front door, and nothing
+    # else
+    assert _independent_rows(rows) == is_independent(rows)
 
 
 def test_parse_rational():

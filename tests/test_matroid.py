@@ -234,6 +234,24 @@ def test_gamas_condition_raises_on_a_certificate_that_fails_validation(monkeypat
         gamas_condition(cfg(2, E1, E1, E2), P(2, 1))  # the README example
 
 
+def test_validate_certificate_reads_no_engine_rank(monkeypatch):
+    # the re-check eliminates through linalg's kernel, so a broken engine
+    # elimination (as rank_fault and the tracer's miss counter patch it)
+    # and the configuration's rank memo cannot sway it
+    configuration = cfg(2, E1, E1, E2)
+    certificate = gamas_condition(configuration, P(2, 1))
+    memo = configuration.rank_memo
+    memo.update({key: len(key) - 1 for key in memo if key})  # every memo rank wrong
+
+    def broken(rows):
+        raise AssertionError("validate_certificate called the engine's elimination")
+
+    monkeypatch.setattr(matroid_module, "_int_rank", broken)
+    assert validate_certificate(configuration, certificate, P(2, 1))
+    dependent = BlockCertificate(((1, 2), (3,)))
+    assert not validate_certificate(configuration, dependent, P(2, 1))
+
+
 def test_gamas_condition_size_mismatch():
     with pytest.raises(ValueError):
         gamas_condition(cfg(2, E1, E2), P(3))

@@ -8,6 +8,7 @@ import pytest
 
 import isotypic.brute as brute
 import isotypic.characters as characters
+import isotypic.tensors as tensors
 from isotypic.brute import (
     antisymmetrized,
     decomposable,
@@ -40,6 +41,7 @@ from oracles import (
     reference_apply_algebra_element,
     reference_generalized_matrix_function,
     reference_matrix_function_sums,
+    reference_operator_rank,
     reference_symmetrized_sums,
     reference_transposition_maps,
     tensor_inner,
@@ -573,12 +575,74 @@ def test_operator_rank_cap():
 
 
 def test_schur_weyl_rank_law_small():
-    for n in range(1, 5):
-        for d in (2, 3):
+    # d = 4 reaches the multiplicity patterns (2, 1, 1, 1) and (1, 1, 1, 1)
+    for n in range(1, 6):
+        for d in (2, 3, 4):
             for lam in partitions_of(n):
                 assert operator_rank(central_idempotent(lam), d) == syt_count(
                     lam
                 ) * weyl_dimension(lam, d)
+
+
+def _random_elements(rng, n):
+    """Elements of degree n, mostly not central: the zero element, sparse
+    integer combinations of permutations, a transposition and a 3-cycle
+    alone and in the rank-deficient sums 1 - (i j) and 1 + c + c^2, and the
+    Young symmetrizer of a random tableau."""
+    perms = list(permutations(range(1, n + 1)))
+    one = Permutation.identity(n)
+    elements = [GroupAlgebraElement(n)]
+    for _ in range(3):
+        chosen = rng.sample(perms, min(len(perms), rng.randint(1, 4)))
+        coefficients = {Permutation(p): rng.choice([-3, -2, -1, 1, 2, 3]) for p in chosen}
+        elements.append(GroupAlgebraElement(n, coefficients))
+    if n >= 2:
+        swap = Permutation.from_cycles(n, [rng.sample(range(1, n + 1), 2)])
+        elements.append(GroupAlgebraElement(n, {swap: 1}))
+        elements.append(GroupAlgebraElement(n, {one: 1, swap: -1}))
+    if n >= 3:
+        cycle = Permutation.from_cycles(n, [rng.sample(range(1, n + 1), 3)])
+        elements.append(GroupAlgebraElement(n, {cycle: 1}))
+        elements.append(GroupAlgebraElement(n, {one: 1, cycle: 1, cycle * cycle: 1}))
+    shape = rng.choice(partitions_of(n))
+    entries = rng.sample(range(1, n + 1), n)
+    rows, at = [], 0
+    for part in shape:
+        rows.append(entries[at : at + part])
+        at += part
+    tableau = Tableau(rows)
+    elements.append(column_antisymmetrizer(tableau) * row_symmetrizer(tableau))
+    return elements
+
+
+def test_operator_rank_matches_the_all_blocks_route():
+    # renaming the letters carries a weight block onto one of equal rank
+    # for every element, central or not, so one block per multiplicity
+    # pattern gives the rank that eliminating every block gives
+    rng = random.Random(33)
+    for n in range(1, 6):
+        for x in _random_elements(rng, n):
+            for d in range(1, 5):
+                if d**n <= OPERATOR_DIMENSION_CAP:
+                    assert operator_rank(x, d) == reference_operator_rank(x, d), (x, d)
+
+
+def test_operator_rank_eliminates_one_block_per_multiplicity_pattern(monkeypatch):
+    # the patterns of n into at most d parts: 1, 3 and 5 of the 1, 6 and 21
+    # weights at n = 5, and 5 of the 35 at n = 4, d = 4
+    bareiss, eliminated = tensors._int_rank, []
+
+    def counted(rows):
+        eliminated.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(tensors, "_int_rank", counted)
+    counts = {}
+    for n, d in [(5, 1), (5, 2), (5, 3), (4, 4)]:
+        eliminated.clear()
+        assert operator_rank(GroupAlgebraElement.one(n), d) == d**n
+        counts[n, d] = len(eliminated)
+    assert counts == {(5, 1): 1, (5, 2): 3, (5, 3): 5, (4, 4): 5}
 
 
 def test_column_criterion_randomized():
