@@ -1,21 +1,22 @@
 """The brute route: the pure tensor projected onto the shape's isotypic part.
 
-`symmetrized_sums(w, shapes)` applies the central idempotents of a list of
-shapes to a tensor w without walking the permutations, and
-`symmetrized_norms` gives the parts' squared norms only, read from Krylov
-moments where no part needs forming.  w is split into weight blocks (one
-sorted index tuple each), whose shapes are those that dominate the weight
-(Young's rule).  Each block is an int list over the positions of
-`_block_space(weight)`, the weight's index tuples, which `_separate`
-splits into isotypic parts by the power sums of the Jucys-Murphy
-elements.  Every move is a transposition, applied as a position map (two
-entries of each index tuple swapped) that is built once per weight, on
-first use.  `antisymmetrized` applies column antisymmetrizers on the same
-maps, and `nonzero_after_symmetrize` stops at the first weight block with
-a nonzero part.  `decomposable` is the pure tensor of a configuration, and
-`symmetrize` its one-shape view of `symmetrized_sums`.  The module loads
-only `partitions` and `linalg`, home of `SparseTensor`, so a brute decide
-or `symmetrize` loads no tensor-action or permutation code.
+`symmetrize(cfg, lam)` applies lam's central idempotent to the pure tensor
+of a configuration without walking the permutations, and
+`symmetrized_norms(w, shapes)` gives the squared norms of any tensor's
+parts for a list of shapes, read from Krylov moments where no part needs
+forming.  w is split into weight blocks (one sorted index tuple each),
+whose shapes are those that dominate the weight (Young's rule).  Each
+block is an int list over the positions of `_block_space(weight)`, the
+weight's index tuples, which `_separate` splits into isotypic parts by
+the power sums of the Jucys-Murphy elements.  Every move is a
+transposition, applied as a position map (two entries of each index
+tuple swapped) that is built once per weight, on first use.
+`antisymmetrized` applies column antisymmetrizers on the same maps, and
+`nonzero_after_symmetrize`, the brute decider, reads the norms block by
+block and stops at the first nonzero one.  `decomposable` is the pure
+tensor of a configuration.  The module loads only `partitions` and
+`linalg`, home of `SparseTensor`, so a brute decide or `symmetrize` loads
+no tensor-action or permutation code.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .linalg import SparseTensor, VectorConfiguration
-from .partitions import DEGREE_CAP, Partition, _integers, partitions_of
+from .partitions import Partition, _check_degree, _check_shape_size, _integers, partitions_of
 
 
 def _pure_numerators(rows) -> dict[tuple[int, ...], int]:
@@ -45,12 +46,8 @@ def _pure_numerators(rows) -> dict[tuple[int, ...], int]:
 
 def _check_pure_tensor(cfg: VectorConfiguration, lam: Partition) -> None:
     """Refuse a shape of another size and a degree outside 1..DEGREE_CAP."""
-    if lam.size != cfg.n:
-        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
-    if cfg.n < 1:
-        raise ValueError("n must be at least 1")
-    if cfg.n > DEGREE_CAP:
-        raise ValueError(f"degree {cfg.n} exceeds cap {DEGREE_CAP}")
+    _check_shape_size(lam, cfg.n)
+    _check_degree(cfg.n)
 
 
 def decomposable(cfg: VectorConfiguration) -> SparseTensor:
@@ -63,54 +60,37 @@ def decomposable(cfg: VectorConfiguration) -> SparseTensor:
 
 def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     """Apply the character projector for lam to the pure tensor of cfg:
-    apply_algebra_element(decomposable(cfg), central_idempotent(lam)), as
-    the one-shape view of symmetrized_sums."""
+    apply_algebra_element(decomposable(cfg), central_idempotent(lam)), each
+    weight block's lam-part (_weight_block_parts) brought to one divisor."""
     _check_pure_tensor(cfg, lam)
-    (entries,), divisor = symmetrized_sums(decomposable(cfg), [lam])
-    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor)
+    w = decomposable(cfg)
+    blocks = [part for part, in _weight_block_parts(w.numerators, [lam])]
+    divisor = lcm(*(q for _, q in blocks))
+    entries = {idx: c * (divisor // q) for part, q in blocks for idx, c in part.items()}
+    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor * w.divisor)
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
     """Exact zero test of the symmetrized pure tensor (the brute-force
-    decider): True at the first weight block with a nonzero part."""
+    decider): True at the first weight block whose part has a nonzero
+    squared norm, read as symmetrized_norms reads it."""
     _check_pure_tensor(cfg, lam)
-    return any(entries for (entries, _), in _weight_block_parts(_pure_numerators(cfg.rows), [lam]))
-
-
-def symmetrized_sums(
-    w: SparseTensor, shapes: Sequence[Partition]
-) -> tuple[list[dict[tuple[int, ...], int]], int]:
-    """The central idempotents of the shapes applied to w: for each shape its
-    nonzero integer entries, and one divisor common to all, so that entries
-    / divisor is apply_algebra_element(w, central_idempotent(shape)); each
-    weight block's parts (_weight_block_parts) are brought to that divisor."""
-    _check_sizes(w, shapes)
-    blocks = list(_weight_block_parts(w.numerators, shapes))
-    divisor = lcm(*(q for parts in blocks for _, q in parts))
-    out: list[dict[tuple[int, ...], int]] = [{} for _ in shapes]
-    for parts in blocks:
-        for total, (entries, q) in zip(out, parts):
-            scale = divisor // q
-            for idx, c in entries.items():
-                total[idx] = c * scale
-    return out, divisor * w.divisor
+    blocks = _weight_block_parts(_pure_numerators(cfg.rows), [lam], norms=True)
+    return any(norm for (norm, _), in blocks)
 
 
 def symmetrized_norms(w: SparseTensor, shapes: Sequence[Partition]) -> tuple[list[int], int]:
-    """The squared norms of the parts that symmetrized_sums gives w: for each
-    shape an integer, and one positive divisor common to all.  The weight
-    blocks are orthogonal, so each shape's norm sums its blocks' norms."""
-    _check_sizes(w, shapes)
+    """The squared norms of w's parts apply_algebra_element(w,
+    central_idempotent(shape)): for each shape an integer, and one positive
+    divisor common to all.  The weight blocks are orthogonal, so each
+    shape's norm sums its blocks' norms."""
+    for lam in shapes:
+        if lam.size != w.n:
+            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
     blocks = list(_weight_block_parts(w.numerators, shapes, norms=True))
     divisor = lcm(*(q for parts in blocks for _, q in parts))
     out = [sum(c * (divisor // q) for c, q in column) for column in zip(*blocks)]
     return out or [0] * len(shapes), divisor * w.divisor**2
-
-
-def _check_sizes(w: SparseTensor, shapes: Sequence[Partition]) -> None:
-    for lam in shapes:
-        if lam.size != w.n:
-            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
 
 
 def _weight_block_parts(numerators: dict, shapes: Sequence[Partition], norms: bool = False):

@@ -28,7 +28,7 @@ from functools import cache
 from math import factorial
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .partitions import DEGREE_CAP, Partition, partitions_of
+from .partitions import DEGREE_CAP, Partition, _check_degree, partitions_of
 
 if TYPE_CHECKING:
     from .symgroup import GroupAlgebraElement
@@ -98,13 +98,6 @@ class CharacterTable(NamedTuple):
             "class_sizes": list(self.class_sizes),
             "rows": {lam.to_text(): list(vals) for lam, vals in self.rows.items()},
         }
-
-
-def _check_degree(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
 
 
 @cache

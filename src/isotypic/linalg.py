@@ -2,13 +2,13 @@
 
 Scalars are `fractions.Fraction`, ints or rational literals; matrices
 are immutable and keep integer rows over row scales, and rank is computed
-by fraction-free (Bareiss) elimination on integer rows.  Every zero test
-in the package ultimately reduces to this module, so nothing here is
-allowed to be approximate.  `VectorConfiguration`, the input of every
-decider, lives here too, so that the matroid deciders load no tensor or
-character code.  So does `SparseTensor`, the one integer form of a sparse
-exact array, which a group-algebra element subclasses: every rational
-becomes integers in this module.
+by fraction-free (Bareiss) elimination on integer rows, so nothing here
+is approximate.  `VectorConfiguration`, the input of every decider, lives
+here too, so that the matroid deciders load no tensor or character code.
+So does `SparseTensor`, the one integer form of a sparse exact array,
+which a group-algebra element subclasses: every rational becomes
+integers in this module, and the brute and gram routes test those
+integers for zero in their own modules.
 """
 
 from __future__ import annotations

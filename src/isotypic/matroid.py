@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .linalg import VectorConfiguration, _independent_rows, _int_rank
-from .partitions import Partition
+from .partitions import Partition, _check_shape_size
 
 # the 2^n min-formula oracle refuses past this ground-set size
 ORACLE_SIZE_CAP = 14
@@ -256,8 +256,7 @@ def gamas_condition(
     exists.  A zero vector, or a part above r(E), leaves one uncovered.
     Blocks come by size descending, then by smallest index.
     """
-    if lam.size != cfg.n:
-        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    _check_shape_size(lam, cfg.n)
     caps = list(lam.conjugate().parts)
     classes: list[set[int]] = [set() for _ in caps]
     matroid = LinearMatroid(cfg)
@@ -292,6 +291,5 @@ def decide_appears(cfg: VectorConfiguration, lam: Partition) -> bool:
     """Dominance decider: lam appears iff it dominates the conjugate of the
     rank partition (never, when some vector is zero, since the sizes then
     differ)."""
-    if lam.size != cfg.n:
-        raise ValueError(f"shape size {lam.size} does not match {cfg.n} vectors")
+    _check_shape_size(lam, cfg.n)
     return lam.dominates(rank_partition(cfg).conjugate())

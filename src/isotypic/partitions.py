@@ -4,7 +4,9 @@ Conjugation, dominance order, hook lengths, standard and semistandard
 tableau counts, and first-column removal.  Enumeration order is
 reverse-lexicographic everywhere, so output is reproducible.  The module
 also holds `DEGREE_CAP`, which the character code reads without loading
-the permutation code.
+the permutation code, and the refusals the deciders share: a degree
+outside 1..DEGREE_CAP (`_check_degree`) and a shape whose size is not the
+number of vectors (`_check_shape_size`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ from typing import Iterable, Iterator
 # character rows and full symmetrizations refuse to run past this degree
 # rather than silently truncating.
 DEGREE_CAP = 10
+
+
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
+
+
+def _check_shape_size(lam: Partition, n: int) -> None:
+    if lam.size != n:
+        raise ValueError(f"shape size {lam.size} does not match {n} vectors")
 
 
 def _integers(entries: Iterable) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ oracle cross-check; plus standalone character-table, idempotent, and
 operator-rank suites per report.  Its tensors move only by the brute
 projector's position maps: a trial reads each shape's squared norm
 (`brute.symmetrized_norms`) and antisymmetrizes (`antisymmetrized`), and
-only the idempotent suite forms parts (`symmetrized_sums`).
+only the idempotent suite forms parts, by the CLI's `symmetrize`.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from functools import cache
 from fractions import Fraction
 from math import factorial
 
-from .brute import antisymmetrized, decomposable, symmetrized_norms, symmetrized_sums
+from .brute import antisymmetrized, decomposable, symmetrize, symmetrized_norms
 from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
-from .linalg import SparseTensor, VectorConfiguration, _independent_rows, lowest_terms
+from .linalg import VectorConfiguration, _independent_rows
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
 from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
 from .symgroup import Tableau
@@ -448,18 +448,16 @@ def _character_suite(n_top: int) -> list[dict]:
 
 
 def _idempotent_suite(n_top: int) -> list[dict]:
-    """e_lam is the projector's lam-part of the identity (1, ..., n), a
-    degree-n tensor over Q^n whose weight block is the regular
-    representation; so e_lam * e_mu = delta * e_lam, and the e_lam sum to
-    the identity."""
+    """e_lam is symmetrize's lam-part of the standard basis of Q^n, whose
+    pure tensor is the identity tuple (1, ..., n), a weight block that is
+    the regular representation; so e_lam * e_mu = delta * e_lam, and the
+    e_lam sum to the identity."""
     out = []
     for n in range(1, n_top + 1):
-        shapes = partitions_of(n)
-        identity = SparseTensor(n, n, {tuple(range(1, n + 1)): 1})
-        parts, divisor = symmetrized_sums(identity, shapes)
-        for lam, entries in zip(shapes, parts):
-            e = central_idempotent(lam)
-            if lowest_terms(entries, divisor) != (e.numerators, e.divisor):
+        basis = VectorConfiguration(n, [[int(i == j) for j in range(n)] for i in range(n)])
+        for lam in partitions_of(n):
+            part, e = symmetrize(basis, lam), central_idempotent(lam)
+            if (part.numerators, part.divisor) != (e.numerators, e.divisor):
                 out.append(
                     _violation(
                         "idempotent_system", n, None, None, lam, None,

@@ -240,15 +240,28 @@ def test_the_harness_moves_tensors_only_by_position_maps():
 
 
 def test_a_trial_forms_no_part():
-    # the per-trial suites ask only whether each part is zero and its squared
-    # norm, which symmetrized_norms reads from Krylov moments; entries are
-    # formed only for symmetrize and the parts of the identity
+    # the brute route has two entries, each run as the CLI runs it: a trial
+    # and the brute decider read squared norms from Krylov moments, and
+    # parts are formed only by symmetrize, for the CLI and for the parts of
+    # the identity; no multi-shape entry forms parts
     sources = sorted(SOURCE_DIR.glob("*.py"))
-    assert _callers("symmetrized_sums", sources) == {
-        "brute.symmetrize",
+    assert _callers("symmetrize", sources) == {
+        "cli._cmd_symmetrize",
         "selfcheck._idempotent_suite",
     }
     assert _callers("symmetrized_norms", sources) == {"selfcheck.check_trial"}
+    assert _callers("_weight_block_parts", sources) == {
+        "brute.symmetrize",
+        "brute.symmetrized_norms",
+        "brute.nonzero_after_symmetrize",
+    }
+    defined = {
+        path.stem
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "symmetrized_sums"
+    }
+    assert defined == set()
 
 
 def test_permutations_are_built_only_where_one_is_returned():

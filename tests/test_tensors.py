@@ -15,7 +15,6 @@ from isotypic.brute import (
     nonzero_after_symmetrize,
     symmetrize,
     symmetrized_norms,
-    symmetrized_sums,
 )
 from isotypic.characters import central_idempotent, character_table
 from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_function_sums
@@ -797,13 +796,8 @@ def test_class_sums_match_per_shape_oracles():
                 configuration = degenerate_config(rng, n, d)
                 gram = gram_matrix(configuration)
                 matrices = [gram, Matrix(random_rational_rows(rng, n))]
-                tensors, divisor = symmetrized_sums(decomposable(configuration), shapes)
-                for lam, entries in zip(shapes, tensors):
+                for lam in shapes:
                     expected = per_shape_symmetrize(configuration, lam)
-                    assert all(entries.values())
-                    assert {idx: Fraction(c, divisor) for idx, c in entries.items()} == (
-                        expected.entries
-                    )
                     assert symmetrize(configuration, lam) == expected
                 for m in matrices:
                     values, value_divisor = matrix_function_sums(m, shapes)
@@ -814,13 +808,15 @@ def test_class_sums_match_per_shape_oracles():
     # each listed shape in any order and number gets its own result
     configuration = degenerate_config(random.Random(3), 4, 2)
     listed = [P(2, 1, 1), P(4), P(2, 1, 1)]
-    tensors, divisor = symmetrized_sums(decomposable(configuration), listed)
+    tensors, divisor = _projector_sums(decomposable(configuration), listed)
     for lam, entries in zip(listed, tensors):
         assert SparseTensor(4, 2, {i: Fraction(c, divisor) for i, c in entries.items()}) == (
             per_shape_symmetrize(configuration, lam)
         )
     with pytest.raises(ValueError, match="does not match"):
-        symmetrized_sums(decomposable(configuration), [P(4), P(3)])
+        symmetrize(configuration, P(3))
+    with pytest.raises(ValueError, match="does not match"):
+        symmetrized_norms(decomposable(configuration), [P(4), P(3)])
     with pytest.raises(ValueError, match="does not match"):
         matrix_function_sums(identity_matrix(3), [P(3), P(2)])
 
@@ -920,8 +916,8 @@ def test_configuration_rows_are_the_vectors_over_their_scales():
             assert [Fraction(c, scale) for c in row] == list(vector)
 
 
-def test_symmetrized_sums_match_idempotent_application():
-    # the twist suite's one walk over many shapes gives each shape what
+def test_projector_parts_match_idempotent_application():
+    # the projector's parts for many shapes at once give each shape what
     # applying its central idempotent on its own gives, on tensors that are
     # not pure
     rng = random.Random(43)
@@ -934,13 +930,13 @@ def test_symmetrized_sums_match_idempotent_application():
                 pure, subset_antisymmetrizer(n, range(1, min(n, d) + 1))
             )
             for w in (random_tensor(rng, n, d, terms=6), wedge, SparseTensor(n, d)):
-                sums, divisor = symmetrized_sums(w, shapes)
+                sums, divisor = _projector_sums(w, shapes)
                 for lam, entries in zip(shapes, sums):
                     assert {idx: Fraction(c, divisor) for idx, c in entries.items()} == (
                         apply_algebra_element(w, central_idempotent(lam)).entries
                     )
     with pytest.raises(ValueError, match="does not match degree 3"):
-        symmetrized_sums(SparseTensor(3, 2), [P(2)])
+        symmetrized_norms(SparseTensor(3, 2), [P(2)])
 
 
 def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypatch):
@@ -957,6 +953,19 @@ def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypat
             route(wide, P(11))
         with pytest.raises(ValueError, match="n must be at least 1"):
             route(VectorConfiguration(2, []), P())
+
+
+def _projector_sums(w, shapes):
+    """The projector's part of w for each shape, as nonzero integer entries
+    over one divisor common to all: each weight block's parts
+    (brute._weight_block_parts) brought to that divisor."""
+    blocks = list(brute._weight_block_parts(w.numerators, shapes))
+    divisor = lcm(*(q for parts in blocks for _, q in parts))
+    out = [{} for _ in shapes]
+    for parts in blocks:
+        for total, (entries, q) in zip(out, parts):
+            total.update((idx, c * (divisor // q)) for idx, c in entries.items())
+    return out, divisor * w.divisor
 
 
 def _rational_parts(sums, divisor):
@@ -980,19 +989,22 @@ def test_projector_matches_reference_symmetrized_sums():
                 wedge = apply_algebra_element(
                     pure, subset_antisymmetrizer(n, range(1, min(n, d) + 1))
                 )
-                for w in (pure, wedge, SparseTensor(n, d)):
-                    sums, divisor = symmetrized_sums(w, shapes)
+                expected = _rational_parts(*reference_symmetrized_sums(pure, shapes))
+                for lam, entries in zip(shapes, expected):
+                    assert symmetrize(configuration, lam).entries == entries
+                for w in (wedge, SparseTensor(n, d)):
+                    sums, divisor = _projector_sums(w, shapes)
                     assert all(all(entries.values()) for entries in sums)
                     assert _rational_parts(sums, divisor) == _rational_parts(
                         *reference_symmetrized_sums(w, shapes)
                     )
     # listed shapes in any order and number, and a divisor shared by all
-    w = decomposable(degenerate_config(random.Random(5), 5, 3))
+    configuration = degenerate_config(random.Random(5), 5, 3)
+    w = decomposable(configuration)
     listed = [P(3, 1, 1), P(5), P(3, 1, 1), P(2, 2, 1)]
-    sums, divisor = symmetrized_sums(w, listed)
-    assert _rational_parts(sums, divisor) == _rational_parts(
-        *reference_symmetrized_sums(w, listed)
-    )
+    expected = _rational_parts(*reference_symmetrized_sums(w, listed))
+    assert _rational_parts(*_projector_sums(w, listed)) == expected
+    assert [symmetrize(configuration, lam).entries for lam in listed] == expected
 
 
 def test_shapes_dominating_no_weight_are_zero():
@@ -1042,7 +1054,7 @@ def _rational_norms(norms, divisor):
 
 def test_norms_from_moments_match_the_formed_parts():
     # symmetrized_norms reads each shape's squared norm from Krylov moments,
-    # and gives the squared norm of symmetrized_sums' part for every shape,
+    # and gives the squared norm of the projector's part for every shape,
     # on pure tensors with zero vectors, repeats and rational multiples
     rng = random.Random(53)
     for n in range(1, 9):
@@ -1054,7 +1066,7 @@ def test_norms_from_moments_match_the_formed_parts():
                 w = decomposable(degenerate_config(rng, n, d))
                 nonzero += not w.is_zero()
                 assert _rational_norms(*symmetrized_norms(w, shapes)) == (
-                    _squared_norms(*symmetrized_sums(w, shapes))
+                    _squared_norms(*_projector_sums(w, shapes))
                 )
 
 
@@ -1071,7 +1083,7 @@ def test_norms_of_tensors_that_are_not_pure():
             tensors.append(antisymmetrized(pure, [range(1, min(n, d) + 1)]))
         for w in tensors:
             assert _rational_norms(*symmetrized_norms(w, shapes)) == (
-                _squared_norms(*symmetrized_sums(w, shapes))
+                _squared_norms(*_projector_sums(w, shapes))
             )
         # the identity's lam-part is e_lam, of squared norm chi(1)^2 / n!
         assert _rational_norms(*symmetrized_norms(identity, shapes)) == [
@@ -1093,14 +1105,11 @@ def test_norms_of_shapes_in_no_block_are_zero(monkeypatch):
     listed = [P(1, 1, 1), P(2, 1), P(3), P(1, 1, 1)]
     norms, divisor = symmetrized_norms(w, listed)
     assert norms[0] == norms[3] == 0 and norms[1] != 0
-    assert _rational_norms(norms, divisor) == _squared_norms(*symmetrized_sums(w, listed))
-    # a shape of another size is refused with symmetrized_sums' message
-    messages = []
-    for route in (symmetrized_sums, symmetrized_norms):
-        with pytest.raises(ValueError) as error:
-            route(SparseTensor(3, 2), [P(3), P(2)])
-        messages.append(str(error.value))
-    assert messages == ["shape size 2 does not match degree 3"] * 2
+    assert _rational_norms(norms, divisor) == _squared_norms(*_projector_sums(w, listed))
+    # a shape of another size is refused, naming the tensor's degree
+    with pytest.raises(ValueError) as error:
+        symmetrized_norms(SparseTensor(3, 2), [P(3), P(2)])
+    assert str(error.value) == "shape size 2 does not match degree 3"
 
 
 def test_norms_skip_levels_as_the_parts_do():
@@ -1159,6 +1168,33 @@ def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
     assert len(blocks) == 2
 
 
+def test_brute_decider_forms_no_part(monkeypatch):
+    # the CLI's brute decider reads each block's squared norm from Krylov
+    # moments, the projector mode every trial suite runs, and answers as
+    # symmetrized_norms does, on configurations with zero and repeated vectors
+    separate, modes = brute._separate, []
+
+    def recorded(v, group, wanted, m, divisor, space, out, norms=False):
+        modes.append(norms)
+        return separate(v, group, wanted, m, divisor, space, out, norms)
+
+    monkeypatch.setattr(brute, "_separate", recorded)
+    rng = random.Random(59)
+    decided = 0
+    for n in range(1, 8):
+        for d in range(1, 4):
+            for _ in range(3 if n < 6 else 1):
+                configuration = degenerate_config(rng, n, d)
+                for lam in partitions_of(n):
+                    modes.clear()
+                    answer = nonzero_after_symmetrize(configuration, lam)
+                    assert all(modes), (configuration.vectors, lam)
+                    decided += bool(modes)
+                    norms, _ = symmetrized_norms(decomposable(configuration), [lam])
+                    assert answer == (norms[0] != 0)
+    assert decided > 0
+
+
 def _counted_kernel(monkeypatch):
     # a fresh block-space cache, and a record of the position maps built
     # and of the position moves made
@@ -1189,7 +1225,7 @@ def test_blocks_with_one_candidate_shape_build_no_maps(monkeypatch):
         assert nonzero_after_symmetrize(line, P(n))
         assert symmetrize(line, P(n)) == decomposable(line)
         single = SparseTensor(n, 3, {(2,) * n: 5, (3,) * n: -1})
-        (entries,), divisor = symmetrized_sums(single, [P(n)])
+        (entries,), divisor = _projector_sums(single, [P(n)])
         assert SparseTensor._from_integers(n, 3, entries, divisor) == single
     assert built == [] and moved == []
     # a block of weight (1, 1, 2), where (3) and (2, 1) can occur, is split
@@ -1205,7 +1241,7 @@ def test_blocks_with_no_listed_shape_build_no_maps(monkeypatch):
     assert symmetrize(configuration, P(1, 1, 1)).is_zero()
     assert not nonzero_after_symmetrize(configuration, P(1, 1, 1))
     constant = SparseTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): 3})
-    assert symmetrized_sums(constant, [P(2, 1)]) == ([{}], 1)
+    assert _projector_sums(constant, [P(2, 1)]) == ([{}], 1)
     assert built == [] and moved == []
     assert brute._block_space.cache_info().currsize == 0
 
