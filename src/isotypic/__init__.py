@@ -67,19 +67,18 @@ _EXPORTS = {
     "symgroup": (
         "DEGREE_CAP",
         "GroupAlgebraElement",
+        "OPERATOR_DIMENSION_CAP",
         "Permutation",
         "Tableau",
         "algebra_multiply",
+        "apply_algebra_element",
         "column_antisymmetrizer",
         "compose",
+        "operator_rank",
         "row_symmetrizer",
         "subset_antisymmetrizer",
     ),
-    "tensors": (
-        "OPERATOR_DIMENSION_CAP",
-        "apply_algebra_element",
-        "operator_rank",
-    ),
+    "tensors": (),  # binds names only; listed so that the first lookup loads it
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

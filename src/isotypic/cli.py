@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .linalg import Matrix, VectorConfiguration
 from .partitions import Partition
@@ -26,9 +27,25 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+@contextmanager
+def _all_digits():
+    """Lift the int-to-str digit limit (none before CPython 3.10.7) while an
+    answer is written; inputs are parsed under it, which bounds the answer."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_config(path: str) -> VectorConfiguration:
@@ -61,13 +78,14 @@ def _cmd_symmetrize(args) -> int:
     cfg = _load_config(args.config)
     lam = Partition.from_text(args.shape)
     tensor = symmetrize(cfg, lam)
-    if args.pretty:
-        if tensor.is_zero():
-            print("0")
-        for idx, val in sorted(tensor.entries.items()):
-            print(f"{val} * e{list(idx)}")
-    else:
-        _emit(tensor.to_json_obj())
+    with _all_digits():
+        if args.pretty:
+            if tensor.is_zero():
+                print("0")
+            for idx, val in sorted(tensor.entries.items()):
+                print(f"{val} * e{list(idx)}")
+        else:
+            _emit(tensor.to_json_obj())
     return 0
 
 
@@ -137,16 +155,17 @@ def _cmd_gmf(args) -> int:
 
     if (args.matrix is None) == (args.config is None):
         raise ValueError("gmf needs exactly one of --matrix or --config")
-    if args.matrix:
+    if args.matrix is not None:
         matrix = Matrix.from_json_obj(_load_json(args.matrix))
     else:
         matrix = gram_matrix(_load_config(args.config))
     lam = Partition.from_text(args.shape)
     value = generalized_matrix_function(matrix, lam)
-    if args.pretty:
-        print(f"d_chi(A) for shape {lam.to_text() or '()'} = {value}")
-    else:
-        _emit({"value": str(value)})
+    with _all_digits():
+        if args.pretty:
+            print(f"d_chi(A) for shape {lam.to_text() or '()'} = {value}")
+        else:
+            _emit({"value": str(value)})
     return 0
 
 

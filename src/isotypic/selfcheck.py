@@ -12,8 +12,9 @@ reduction when the leading vectors form a basis, and the matroid-union
 oracle cross-check; plus standalone character-table, idempotent, and
 operator-rank suites per report.  Its tensors move only by the brute
 projector's position maps: a trial reads each shape's squared norm
-(`brute.symmetrized_norms`) and antisymmetrizes (`antisymmetrized`), and
-only the idempotent suite forms parts, by the CLI's `symmetrize`.
+(`brute.symmetrized_norms`) and antisymmetrizes (`antisymmetrized`),
+only the idempotent suite forms parts, by the CLI's `symmetrize`, and the
+rank-law suite ranks the group-algebra action by `symgroup.operator_rank`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .gram import gram_matrix, matrix_function_sums
 from .linalg import VectorConfiguration, _independent_rows
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
 from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
-from .symgroup import Tableau
-from .tensors import OPERATOR_DIMENSION_CAP, operator_rank
+from .symgroup import OPERATOR_DIMENSION_CAP, Tableau, operator_rank
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

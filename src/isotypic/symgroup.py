@@ -1,33 +1,36 @@
-"""Permutations, the rational group algebra of S_n, and Young symmetrizers.
+"""Permutations, the rational group algebra of S_n and its action on
+tensors, and Young symmetrizers.
 
 Composition convention, fixed once for the whole package:
 
     (sigma * tau)(i) = sigma(tau(i))
 
-With the place-permutation action in `tensors`, this makes the group act
-on tensors on the right: acting by sigma and then by tau equals acting by
-sigma * tau.  Every order-sensitive identity is tested under this single
-convention.
+The group acts on degree-n tensors on the right by permuting positions:
+sigma moves the entry at index tuple t to the tuple k -> t[sigma(k)], so
+acting by sigma and then by tau equals acting by sigma * tau.  Every
+order-sensitive identity is tested under this single convention.
 
 An element is the degree-n tensor over Q^n of its image tuples, a
 `linalg.SparseTensor` with d = n: integer `numerators` by image tuple over
 one `divisor`.  The place action of tau on sigma's image tuple gives
 sigma * tau, so `_moved_sums` is the kernel of both `algebra_multiply` and
-`tensors.apply_algebra_element`; it sums the integers by tuple, and the
-callers multiply the divisors.  The symmetrizers are one signed block walk
-over image tuples, `_block_sum`; only `inverse`, `compose` and the rational
-`terms` view build a `Permutation`.
+`apply_algebra_element`; it sums the integers by tuple, and the callers
+multiply the divisors.  `apply_algebra_element` and `operator_rank` are
+the oracles of the brute route.  The symmetrizers are one signed block
+walk over image tuples, `_block_sum`; only `inverse`, `compose` and the
+rational `terms` view build a `Permutation`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .linalg import SparseTensor
+from .linalg import SparseTensor, _int_rank
 from .partitions import DEGREE_CAP, Partition, _integers
 
 
@@ -258,6 +261,58 @@ def algebra_multiply(
     x._check(y)
     total = _moved_sums(x.numerators, y.numerators.items())
     return GroupAlgebraElement._from_integers(x.n, total, x.divisor * y.divisor)
+
+
+# operator_rank builds the full d^n-dimensional space; past this it refuses.
+OPERATOR_DIMENSION_CAP = 4096
+
+
+def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
+    """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
+    if x.n != w.n:
+        raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
+    total = _moved_sums(w.numerators, x.numerators.items())
+    return SparseTensor._from_integers(w.n, w.d, total, w.divisor * x.divisor)
+
+
+def operator_rank(x: GroupAlgebraElement, d: int) -> int:
+    """Rank of w -> apply_algebra_element(w, x) on the full tensor power.
+
+    The position action preserves the multiset of indices, so the operator
+    is block-diagonal over weights (sorted index tuples).  A renaming pi of
+    the letters 1..d commutes with every place action, which moves positions
+    and not letters, so the block of pi(weight) is the block of weight with
+    its rows and columns renamed: weights with the same sorted multiplicities
+    have blocks of equal rank, for every element, central or not.  The block
+    of the first weight of each pattern is eliminated exactly, in integers
+    over the positions of its _block_space, and its rank counted once per
+    weight of the pattern.
+    """
+    from .brute import _block_space  # only here: loading symgroup loads no brute
+    n = x.n
+    dimension = d**n
+    if dimension > OPERATOR_DIMENSION_CAP:
+        raise ValueError(f"d^n = {dimension} exceeds operator cap {OPERATOR_DIMENSION_CAP}")
+    if x.is_zero():
+        return 0
+    # rank is unchanged by the positive divisor of the integer coefficients
+    terms = [(_place_action(images), c) for images, c in x.numerators.items()]
+    ranks: dict[tuple[int, ...], int] = {}
+    total = 0
+    for weight in itertools.combinations_with_replacement(range(1, d + 1), n):
+        pattern = tuple(sorted(Counter(weight).values()))
+        if pattern not in ranks:
+            space = _block_space(weight)
+            index = space.positions
+            rows = []
+            for idx in space.tuples:
+                dense = [0] * len(index)
+                for move, coeff in terms:
+                    dense[index[move(idx)]] += coeff
+                rows.append(dense)
+            ranks[pattern] = _int_rank(rows)
+        total += ranks[pattern]
+    return total
 
 
 def _block_sum(n: int, blocks: Iterable[Iterable[int]], signed: bool) -> GroupAlgebraElement:

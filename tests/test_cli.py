@@ -1,10 +1,14 @@
 import json
+import random
+import re
+import sys
 
 import pytest
 
 import isotypic.characters as characters
 import isotypic.gram as gram
-from isotypic.cli import build_parser, main
+from isotypic.cli import _all_digits, build_parser, main
+from isotypic.linalg import VectorConfiguration
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
 from fresh_process import cli_modules, package_submodules
@@ -207,6 +211,71 @@ def test_route_input_errors(capsys, tmp_path, route, obj, shape, expected):
         argv = ("decide", "--config", str(path), "--shape", shape, "--method", route)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+# 3 vectors in Q^2 with 2001-digit entries: every answer entry has over
+# 4300 digits, Python's default limit for converting an int to str
+_RNG = random.Random(35)
+_BIG = {"dim": 2, "vectors": [[str(_RNG.randrange(10**2000, 10**2001)) for _ in range(2)]
+                              for _ in range(3)]}
+
+
+def _digit_limit():
+    # CPython before 3.10.7 has no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["symmetrize --shape 2,1", "symmetrize --shape 2,1 --pretty",
+     "gmf --shape 2,1", "gmf --shape 3 --pretty"],
+)
+def test_exact_answers_of_any_size_are_printed(capsys, tmp_path, argv):
+    # the limit is lifted only while the answer is written, and restored
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_BIG))
+    limit = _digit_limit()
+    code, out, err = run_cli(capsys, *argv.split(), "--config", str(path))
+    assert (code, err) == (0, "")
+    assert _digit_limit() == limit
+    assert max(len(run) for run in re.findall(r"\d+", out)) > 4300
+    if argv == "gmf --shape 2,1":
+        cfg = VectorConfiguration.from_json_obj(_BIG)
+        value = gram.generalized_matrix_function(gram.gram_matrix(cfg), Partition((2, 1)))
+        with _all_digits():
+            assert json.loads(out) == {"value": str(value)}
+
+
+@pytest.mark.skipif(_digit_limit() is None, reason="no int-to-str digit limit before 3.10.7")
+@pytest.mark.parametrize("command", ["symmetrize", "decide"])
+def test_an_input_literal_past_the_digit_limit_is_refused(capsys, tmp_path, command):
+    # the input limit bounds every answer: at most DEGREE_CAP factors of
+    # at most 4300 digits each
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "vectors": [["1" * 4301, "1"], ["1", "0"]]}))
+    code, out, err = run_cli(capsys, command, "--config", str(path), "--shape", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "4300" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["decide --shape 1 --config", "symmetrize --shape 1 --config",
+     "rank-partition --config", "gmf --shape 1 --config", "gmf --shape 1 --matrix",
+     "replay --report"],
+)
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, argv):
+    # the JSON decoder's RecursionError is a refused input, not a crash
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *argv.split(), str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("argv", ["decide --shape 1 --config", "gmf --shape 1 --matrix"])
+def test_an_empty_file_name_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(), "")
+    assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_missing_file_is_usage_error(capsys):

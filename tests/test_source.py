@@ -215,7 +215,7 @@ def test_no_decide_route_builds_the_character_table():
     # a generalized matrix function reads one character row per shape and the
     # brute projector reads contents, so neither route falls back to the
     # p(n) x p(n) table on the way to a verdict
-    routes = [SOURCE_DIR / "gram.py", SOURCE_DIR / "brute.py", SOURCE_DIR / "tensors.py"]
+    routes = [SOURCE_DIR / "gram.py", SOURCE_DIR / "brute.py", SOURCE_DIR / "symgroup.py"]
     assert _callers("character_table", routes) == set()
     assert _callers("character_row", routes) == {"gram.matrix_function_sums"}
 
@@ -234,7 +234,7 @@ def test_the_harness_moves_tensors_only_by_position_maps():
     ):
         assert _callers(route, harness) == set(), route
     assert _callers("_moved_sums", sorted(SOURCE_DIR.glob("*.py"))) == {
-        "tensors.apply_algebra_element",
+        "symgroup.apply_algebra_element",
         "symgroup.algebra_multiply",
     }
 
@@ -303,8 +303,44 @@ def test_brute_loads_only_partitions_and_linalg():
     assert _callers("_place_action", sorted(SOURCE_DIR.glob("*.py"))) == {
         "symgroup.compose",
         "symgroup._moved_sums",
-        "tensors.operator_rank",
+        "symgroup.operator_rank",
     }
+
+
+def test_only_symgroup_names_the_place_action_kernels():
+    # the group acts on tensors from one module: no other library module
+    # knows how a permutation moves an index tuple
+    kernels = {"_place_action", "_moved_sums"}
+    named = {
+        path.stem
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id in kernels
+        or isinstance(node, ast.Attribute) and node.attr in kernels
+        or isinstance(node, ast.alias) and node.name in kernels
+    }
+    assert named == {"symgroup"}
+
+
+def test_tensors_defines_nothing_of_its_own():
+    # tensors only binds names for the tracer's tensors.* hooks and the
+    # tests that import from it: no function, class or constant
+    tree = ast.parse((SOURCE_DIR / "tensors.py").read_text())
+    docstring, *body = tree.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert body and all(isinstance(node, ast.ImportFrom) and node.level == 1 for node in body)
+    for node in body:
+        home = importlib.import_module(f"isotypic.{node.module}")
+        for alias in node.names:
+            assert alias.asname is None
+            assert getattr(isotypic.tensors, alias.name) is getattr(home, alias.name)
+
+
+def test_library_parses_at_the_declared_python_floor():
+    # pyproject declares requires-python >= 3.10, so no module may use
+    # syntax that a 3.10 parser rejects
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 # every name `import isotypic` exports, by the module that defines it
@@ -317,9 +353,10 @@ EXPORTS = {
     "rank_partition rank_partition_oracle validate_certificate",
     "partitions": "Partition partitions_of syt_count weyl_dimension",
     "selfcheck": "SplitMix64 TrialSpec VerificationReport generate_configuration run_verification",
-    "symgroup": "DEGREE_CAP GroupAlgebraElement Permutation Tableau algebra_multiply "
-    "column_antisymmetrizer compose row_symmetrizer subset_antisymmetrizer",
-    "tensors": "OPERATOR_DIMENSION_CAP apply_algebra_element operator_rank",
+    "symgroup": "DEGREE_CAP GroupAlgebraElement OPERATOR_DIMENSION_CAP Permutation Tableau "
+    "algebra_multiply apply_algebra_element column_antisymmetrizer compose operator_rank "
+    "row_symmetrizer subset_antisymmetrizer",
+    "tensors": "",
 }
 
 
@@ -345,7 +382,8 @@ def test_exports_are_their_home_module_objects():
         for name in names.split():
             assert getattr(isotypic, name) is getattr(home, name), name
     assert isotypic.tensors.VectorConfiguration is isotypic.linalg.VectorConfiguration
-    assert isotypic.tensors.SparseTensor is isotypic.linalg.SparseTensor
+    assert isotypic.tensors.OPERATOR_DIMENSION_CAP is isotypic.symgroup.OPERATOR_DIMENSION_CAP
+    assert isotypic.symgroup.SparseTensor is isotypic.linalg.SparseTensor
     assert isotypic.symgroup.DEGREE_CAP is isotypic.partitions.DEGREE_CAP
 
 
@@ -357,6 +395,8 @@ def test_exports_are_their_home_module_objects():
         ("nonzero_after_symmetrize", "brute"),
         ("gram_matrix", "gram"),
         ("generalized_matrix_function", "gram"),
+        ("apply_algebra_element", "symgroup"),
+        ("operator_rank", "symgroup"),
     ],
 )
 def test_tensors_binds_the_traced_names_to_their_home_objects(name, home):
@@ -368,8 +408,8 @@ def test_tensors_binds_the_traced_names_to_their_home_objects(name, home):
 
 
 def test_only_brute_names_the_pure_tensor_helpers():
-    # the pure tensor and its shape check have one home; tensors keeps only
-    # the group-algebra oracles, which read brute's weight blocks
+    # the pure tensor and its shape check have one home; the group-algebra
+    # oracles in symgroup read only brute's weight blocks
     helpers = {"_check_pure_tensor", "_pure_numerators"}
     named = {
         path.stem
@@ -380,7 +420,7 @@ def test_only_brute_names_the_pure_tensor_helpers():
         or isinstance(node, ast.alias) and node.name in helpers
     }
     assert named == {"brute"}
-    tree = ast.parse((SOURCE_DIR / "tensors.py").read_text())
+    tree = ast.parse((SOURCE_DIR / "symgroup.py").read_text())
     private = {
         alias.name
         for node in ast.walk(tree)

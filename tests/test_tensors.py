@@ -8,7 +8,7 @@ import pytest
 
 import isotypic.brute as brute
 import isotypic.characters as characters
-import isotypic.tensors as tensors
+import isotypic.symgroup as symgroup
 from isotypic.brute import (
     antisymmetrized,
     decomposable,
@@ -21,16 +21,18 @@ from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_funct
 from isotypic.linalg import Matrix, SparseTensor, VectorConfiguration, is_independent
 from isotypic.partitions import Partition, partitions_of, syt_count, weyl_dimension
 from isotypic.symgroup import (
+    OPERATOR_DIMENSION_CAP,
     GroupAlgebraElement,
     Permutation,
     Tableau,
     algebra_multiply,
+    apply_algebra_element,
     column_antisymmetrizer,
     compose,
+    operator_rank,
     row_symmetrizer,
     subset_antisymmetrizer,
 )
-from isotypic.tensors import OPERATOR_DIMENSION_CAP, apply_algebra_element, operator_rank
 from oracles import (
     all_permutations,
     brute_determinant,
@@ -629,13 +631,13 @@ def test_operator_rank_matches_the_all_blocks_route():
 def test_operator_rank_eliminates_one_block_per_multiplicity_pattern(monkeypatch):
     # the patterns of n into at most d parts: 1, 3 and 5 of the 1, 6 and 21
     # weights at n = 5, and 5 of the 35 at n = 4, d = 4
-    bareiss, eliminated = tensors._int_rank, []
+    bareiss, eliminated = symgroup._int_rank, []
 
     def counted(rows):
         eliminated.append(len(rows))
         return bareiss(rows)
 
-    monkeypatch.setattr(tensors, "_int_rank", counted)
+    monkeypatch.setattr(symgroup, "_int_rank", counted)
     counts = {}
     for n, d in [(5, 1), (5, 2), (5, 3), (4, 4)]:
         eliminated.clear()
