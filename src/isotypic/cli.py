@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 
 from .linalg import Matrix, VectorConfiguration
-from .partitions import Partition
+from .partitions import Partition, _brief
 
 
 def _emit(obj) -> None:
@@ -173,7 +173,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(d) for d in text.split(","))
     except ValueError:
-        raise ValueError(f"--dims must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--dims must be comma-separated integers, got {_brief(text)}") from None
 
 
 def _cmd_selfcheck(args) -> int:
@@ -216,7 +216,7 @@ def _cmd_replay(args) -> int:
     spec = TrialSpec.from_json_obj(report["spec"])
     violations = report["violations"]
     if not isinstance(violations, list):
-        raise ValueError(f"violations must be a list, got {violations!r}")
+        raise ValueError(f"violations must be a list, got {_brief(violations)}")
     for i, record in enumerate(violations):
         check_record(spec, i, record)
     if not 0 <= args.index < len(violations):

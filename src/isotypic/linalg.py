@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .partitions import _integers
+from .partitions import _brief, _integers
 
 Vector = tuple[Fraction, ...]
 
@@ -30,11 +30,11 @@ def parse_rational(text: str | int) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {_brief(text)}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+        raise ValueError(f"zero denominator in rational literal: {_brief(text)}") from None
 
 
 def _exact(e) -> Fraction | int:
@@ -44,7 +44,7 @@ def _exact(e) -> Fraction | int:
         return parse_rational(e)
     if isinstance(e, (Fraction, int)) and not isinstance(e, bool):
         return e
-    raise ValueError(f"not an exact scalar: {e!r}")
+    raise ValueError(f"not an exact scalar: {_brief(e)}")
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -104,10 +104,10 @@ class Matrix:
             raise ValueError('a matrix is a JSON object with the key "entries"')
         entries = obj["entries"]
         if not isinstance(entries, list):
-            raise ValueError(f"entries must be a JSON list of rows, got {entries!r}")
+            raise ValueError(f"entries must be a JSON list of rows, got {_brief(entries)}")
         for i, row in enumerate(entries):
             if not isinstance(row, list):
-                raise ValueError(f"entries[{i}] must be a JSON list, got {row!r}")
+                raise ValueError(f"entries[{i}] must be a JSON list, got {_brief(row)}")
         return cls(entries)
 
 
@@ -137,7 +137,7 @@ class VectorConfiguration:
 
     def __init__(self, dim: int, vectors: Iterable[Iterable]):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
+            raise ValueError(f"dimension must be a nonnegative integer, got {_brief(dim)}")
         self.dim = dim
         self.vectors = tuple(as_vector(v) for v in vectors)
         for v in self.vectors:
@@ -177,10 +177,10 @@ class VectorConfiguration:
             raise ValueError('a configuration is a JSON object with keys "dim" and "vectors"')
         vectors = obj["vectors"]
         if not isinstance(vectors, list):
-            raise ValueError(f"vectors must be a JSON list of vectors, got {vectors!r}")
+            raise ValueError(f"vectors must be a JSON list of vectors, got {_brief(vectors)}")
         for i, v in enumerate(vectors):
             if not isinstance(v, list):
-                raise ValueError(f"vectors[{i}] must be a JSON list, got {v!r}")
+                raise ValueError(f"vectors[{i}] must be a JSON list, got {_brief(v)}")
         return cls(obj["dim"], vectors)
 
 

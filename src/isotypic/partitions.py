@@ -4,14 +4,17 @@ Conjugation, dominance order, hook lengths, standard and semistandard
 tableau counts, and first-column removal.  Enumeration order is
 reverse-lexicographic everywhere, so output is reproducible.  The module
 also holds `DEGREE_CAP`, which the character code reads without loading
-the permutation code, and the refusals the deciders share: a degree
-outside 1..DEGREE_CAP (`_check_degree`) and a shape whose size is not the
-number of vectors (`_check_shape_size`).
+the permutation code, the refusals the deciders share (a degree outside
+1..DEGREE_CAP, `_check_degree`, and a shape whose size is not the number
+of vectors, `_check_shape_size`) and `_brief`, the bounded text that every
+error message echoing an input value shows of it.
 """
 
 from __future__ import annotations
 
+import reprlib
 from functools import cache
+from itertools import islice
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -33,13 +36,25 @@ def _check_shape_size(lam: Partition, n: int) -> None:
         raise ValueError(f"shape size {lam.size} does not match {n} vectors")
 
 
+class _BoundedRepr(reprlib.Repr):
+    """reprlib's repr, keeping a dict's keys in their order, as repr does."""
+
+    def repr_dict(self, x, level):
+        items = islice(x.items(), self.maxdict if level > 0 else 0)
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in items]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > len(pieces))) + "}"
+
+
+_brief = _BoundedRepr().repr  # bounds the input value an error message echoes
+
+
 def _integers(entries: Iterable) -> tuple[int, ...]:
     """The entries as a tuple of ints; a float or a bool raises ValueError
     rather than being truncated or read as 0 or 1."""
     entries = tuple(entries)
     for e in entries:
         if not isinstance(e, int) or isinstance(e, bool):
-            raise ValueError(f"not an integer entry: {e!r}")
+            raise ValueError(f"not an integer entry: {_brief(e)}")
     return entries
 
 
@@ -52,9 +67,9 @@ class Partition:
         parts = _integers(parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
-                raise ValueError(f"parts not weakly decreasing: {parts}")
+                raise ValueError(f"parts not weakly decreasing: {_brief(parts)}")
         if parts and parts[-1] < 1:
-            raise ValueError(f"parts must be positive: {parts}")
+            raise ValueError(f"parts must be positive: {_brief(parts)}")
         self.parts = parts
 
     @classmethod
@@ -66,7 +81,7 @@ class Partition:
         try:
             parts = [int(p) for p in text.split(",")]
         except ValueError:
-            raise ValueError(f"a shape is comma-separated integers, got {text!r}") from None
+            raise ValueError(f"a shape is comma-separated integers, got {_brief(text)}") from None
         return cls(parts)
 
     def to_text(self) -> str:

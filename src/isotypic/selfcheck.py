@@ -5,16 +5,16 @@ map from (seed, n, d, trial_index) to a configuration is part of the
 external contract: the same spec always produces the same instances, the
 same report, and the same violation records, on any platform.
 
-The harness runs, per generated configuration: the four-decider
-agreement over every shape of the matching size, the Gram-matrix
-identity, the column criterion for a random tableau, the det-twist
-reduction when the leading vectors form a basis, and the matroid-union
-oracle cross-check; plus standalone character-table, idempotent, and
-operator-rank suites per report.  Its tensors move only by the brute
-projector's position maps: a trial reads each shape's squared norm
-(`brute.symmetrized_norms`) and antisymmetrizes (`antisymmetrized`),
-only the idempotent suite forms parts, by the CLI's `symmetrize`, and the
-rank-law suite ranks the group-algebra action by `symgroup.operator_rank`.
+`TRIAL_SUITES` maps each per-configuration suite, in run order, to its
+function of one `_Trial`: the matroid-union oracle cross-check, the
+four-decider agreement and the Gram-matrix identity over every shape, the
+column criterion for a random tableau and the det-twist reduction.  The
+values suites share are `_Trial` properties, computed at most once, on
+first use.  The character-table, idempotent and operator-rank suites run
+once per report (`STANDALONE_SUITES`).  `check_trial` writes every trial
+record and `run_standalone_suite` every standalone one.  Tensors move only
+by the brute projector's position maps: only the idempotent suite forms
+parts, by the CLI's `symmetrize`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property, partial
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .brute import antisymmetrized, decomposable, symmetrize, symmetrized_norms
@@ -32,7 +33,7 @@ from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
 from .linalg import VectorConfiguration, _independent_rows
 from .matroid import gamas_condition, rank_partition, rank_partition_oracle
-from .partitions import DEGREE_CAP, Partition, partitions_of, syt_count, weyl_dimension
+from .partitions import DEGREE_CAP, _brief, partitions_of, syt_count, weyl_dimension
 from .symgroup import OPERATOR_DIMENSION_CAP, Tableau, operator_rank
 
 _MASK = (1 << 64) - 1
@@ -102,9 +103,9 @@ class TrialSpec:
         for name in ("seed", "n_max", "trials_per_cell", "entry_range"):
             value = getattr(self, name)
             if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {_brief(value)}")
         if not all(_is_int(d) for d in self.dims):
-            raise ValueError(f"dims must be integers, got {list(self.dims)!r}")
+            raise ValueError(f"dims must be integers, got {_brief(list(self.dims))}")
         if not 1 <= self.n_max <= DEGREE_CAP:
             raise ValueError(f"n_max must be in 1..{DEGREE_CAP}")
         if not self.dims or any(d < 1 for d in self.dims):
@@ -119,7 +120,7 @@ class TrialSpec:
         for name in ("p_duplicate", "p_scale", "p_zero"):
             p = getattr(self, name)
             if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ValueError(f"{name} must be a number, got {p!r}")
+                raise ValueError(f"{name} must be a number, got {_brief(p)}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
@@ -138,7 +139,7 @@ class TrialSpec:
             raise ValueError(f"a trial spec is a JSON object; missing: {', '.join(missing)}")
         values = {name: obj[name] for name in names}
         if not isinstance(values["dims"], list):
-            raise ValueError(f"dims must be a list of integers, got {values['dims']!r}")
+            raise ValueError(f"dims must be a list of integers, got {_brief(values['dims'])}")
         values["dims"] = tuple(values["dims"])
         return cls(**values)
 
@@ -201,15 +202,10 @@ class VerificationReport:
         }
 
 
-# the suites that check_trial runs on each configuration, in its order
-TRIAL_SUITES = (
-    "matroid_oracle", "four_decider_agreement", "gram_identity", "column_criterion", "det_twist"
-)
-
 _RECORD_KEYS = ("suite", "n", "d", "trial_index", "shape")
 
 
-def _violation(suite, n, d, trial_index, shape, cfg, expected, actual, detail=None):
+def _violation(suite, n, d, trial_index, cfg, shape, expected, actual, detail=None):
     record = {
         "suite": suite,
         "n": n,
@@ -237,19 +233,20 @@ def check_record(spec: TrialSpec, i: int, record) -> None:
             f"violation #{i} is a JSON object with keys {', '.join(_RECORD_KEYS)}; "
             f"missing: {', '.join(missing)}"
         )
-    if record["shape"] is not None and not isinstance(record["shape"], str):
-        raise ValueError(f"violation #{i}: shape must be a string or null, got {record['shape']!r}")
+    suite, shape = record["suite"], record["shape"]
+    if shape is not None and not isinstance(shape, str):
+        raise ValueError(f"violation #{i}: shape must be a string or null, got {_brief(shape)}")
     if record.get("config") is None:
         # a standalone record; its suite may be any JSON value, hashable or not
-        if not isinstance(record["suite"], str) or record["suite"] not in STANDALONE_SUITES:
+        if not isinstance(suite, str) or suite not in STANDALONE_SUITES:
             raise ValueError(
-                f"violation #{i}: unknown suite {record['suite']!r} for a standalone record; "
+                f"violation #{i}: unknown suite {_brief(suite)} for a standalone record; "
                 f"known: {', '.join(STANDALONE_SUITES)}"
             )
         return
-    if record["suite"] not in TRIAL_SUITES:
+    if suite not in TRIAL_SUITES:
         raise ValueError(
-            f"violation #{i}: unknown suite {record['suite']!r} for a trial record; "
+            f"violation #{i}: unknown suite {_brief(suite)} for a trial record; "
             f"known: {', '.join(TRIAL_SUITES)}"
         )
     ranges = {
@@ -262,58 +259,62 @@ def check_record(spec: TrialSpec, i: int, record) -> None:
     for key, (allowed, text) in ranges.items():
         value = record[key]
         if not _is_int(value) or value not in allowed:
-            raise ValueError(f"violation #{i}: {key} must be {text}, got {value!r}")
+            raise ValueError(f"violation #{i}: {key} must be {text}, got {_brief(value)}")
 
 
 def _sort_key(record: dict):
-    return (
-        record["suite"],
-        record["n"] if record["n"] is not None else -1,
-        record["d"] if record["d"] is not None else -1,
-        record["trial_index"] if record["trial_index"] is not None else -1,
-        record["shape"] or "",
-    )
+    n, d, t = (-1 if record[key] is None else record[key] for key in ("n", "d", "trial_index"))
+    return record["suite"], n, d, t, record["shape"] or ""
 
 
-def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]:
-    """Run every per-configuration suite, in TRIAL_SUITES order, for one
-    generated trial."""
-    cfg = generate_configuration(spec, n, d, trial_index)
-    oracle_suite, agreement_suite, gram_suite, column_suite, twist_suite = TRIAL_SUITES
-    out: list[dict] = []
-    shapes = partitions_of(n)
-    w = decomposable(cfg)
+class _Trial:
+    """One generated configuration and the values its suites share, each
+    computed at most once, on first use."""
 
-    rho = rank_partition(cfg)
-    rho_conjugate = rho.conjugate()
-    # the oracle and agreement suites share one engine run per shape
-    certificate_of = cache(lambda lam: gamas_condition(cfg, lam))
-    oracle = rank_partition_oracle(cfg)
+    def __init__(self, spec: TrialSpec, n: int, d: int, trial_index: int):
+        self.spec, self.n, self.d, self.trial_index = spec, n, d, trial_index
+        self.cfg = generate_configuration(spec, n, d, trial_index)
+        self.shapes = partitions_of(n)
+        # the oracle and agreement suites share one engine run per shape
+        self.certificate = cache(partial(gamas_condition, self.cfg))
+
+    @cached_property
+    def w(self):
+        return decomposable(self.cfg)
+
+    @cached_property
+    def rho(self):
+        return rank_partition(self.cfg)
+
+    # one call per route serves every shape: the squared norms <wT, wT> and
+    # the gmf values, as integers over one positive divisor per route
+    @cached_property
+    def symmetrized_norms(self) -> tuple[list[int], int]:
+        return symmetrized_norms(self.w, self.shapes)
+
+    @cached_property
+    def matrix_function_sums(self) -> tuple[list[int], int]:
+        return matrix_function_sums(gram_matrix(self.cfg), self.shapes)
+
+
+def _matroid_oracle_suite(trial: _Trial):
+    rho, oracle = trial.rho, rank_partition_oracle(trial.cfg)
     if rho != oracle:
-        out.append(
-            _violation(
-                oracle_suite, n, d, trial_index, None, cfg,
-                f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}",
-            )
-        )
-    has_zero_vector = any(not any(v) for v in cfg.vectors)
+        yield None, f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}"
+    rho_conjugate = rho.conjugate()
     # gamas_condition validates its certificate before returning it
-    if not has_zero_vector and certificate_of(rho_conjugate) is None:
-        out.append(
-            _violation(
-                oracle_suite, n, d, trial_index, rho_conjugate, cfg,
-                "rank partition achieved by a valid certificate",
-                "no valid certificate",
-            )
+    if all(any(v) for v in trial.cfg.vectors) and trial.certificate(rho_conjugate) is None:
+        yield (
+            rho_conjugate, "rank partition achieved by a valid certificate", "no valid certificate"
         )
 
-    # one call per route serves every shape; the squared norms <wT, wT> and
-    # values come as integers over one positive divisor per route, compared
-    # cross-multiplied
-    norms, norm_divisor = symmetrized_norms(w, shapes)
-    values, value_divisor = matrix_function_sums(gram_matrix(cfg), shapes)
-    for lam, norm, value in zip(shapes, norms, values):
-        certificate = certificate_of(lam)
+
+def _agreement_suite(trial: _Trial):
+    rho_conjugate = trial.rho.conjugate()
+    norms, _ = trial.symmetrized_norms
+    values, _ = trial.matrix_function_sums
+    for lam, norm, value in zip(trial.shapes, norms, values):
+        certificate = trial.certificate(lam)
         answers = {
             "brute": norm != 0,
             "gram": value != 0,
@@ -321,94 +322,95 @@ def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]
             "dominance": lam.dominates(rho_conjugate),
         }
         if len(set(answers.values())) != 1:
-            detail = dict(answers)
-            detail["certificate"] = certificate.to_json_obj() if certificate else None
-            out.append(
-                _violation(
-                    agreement_suite, n, d, trial_index, lam, cfg,
-                    "all four deciders agree", str(answers), detail,
-                )
-            )
-        if norm * factorial(n) * value_divisor != syt_count(lam) * value * norm_divisor:
-            rhs = Fraction(syt_count(lam) * value, factorial(n) * value_divisor)
-            out.append(
-                _violation(
-                    gram_suite, n, d, trial_index, lam, cfg,
-                    f"<wT,wT> = {rhs}", str(Fraction(norm, norm_divisor)),
-                )
-            )
-        if value < 0:
-            out.append(
-                _violation(
-                    gram_suite, n, d, trial_index, lam, cfg,
-                    "gmf of a Gram matrix is nonnegative",
-                    str(Fraction(value, value_divisor)),
-                )
-            )
+            detail = dict(answers, certificate=certificate.to_json_obj() if certificate else None)
+            yield lam, "all four deciders agree", str(answers), detail
 
-    rng = SplitMix64(_mix(spec.seed, 0xC0111, n, d, trial_index))
-    shape = shapes[rng.randint(0, len(shapes) - 1)]
+
+def _gram_identity_suite(trial: _Trial):
+    """<wT, wT> = f^lam / n! * d_chi(G), cross-multiplied, and d_chi(G) >= 0."""
+    scale = factorial(trial.n)
+    norms, norm_divisor = trial.symmetrized_norms
+    values, value_divisor = trial.matrix_function_sums
+    for lam, norm, value in zip(trial.shapes, norms, values):
+        if norm * scale * value_divisor != syt_count(lam) * value * norm_divisor:
+            rhs = Fraction(syt_count(lam) * value, scale * value_divisor)
+            yield lam, f"<wT,wT> = {rhs}", str(Fraction(norm, norm_divisor))
+        if value < 0:
+            yield lam, "gmf of a Gram matrix is nonnegative", str(Fraction(value, value_divisor))
+
+
+def _column_suite(trial: _Trial):
+    n, cfg = trial.n, trial.cfg
+    rng = SplitMix64(_mix(trial.spec.seed, 0xC0111, n, trial.d, trial.trial_index))
+    shape = trial.shapes[rng.randint(0, len(trial.shapes) - 1)]
     entries = list(range(1, n + 1))
     for i in range(n - 1, 0, -1):  # Fisher-Yates on the fixed generator
         j = rng.randint(0, i)
         entries[i], entries[j] = entries[j], entries[i]
-    rows, at = [], 0
-    for part in shape:
-        rows.append(entries[at : at + part])
-        at += part
-    tableau = Tableau(rows)
-    symmetrized_nonzero = not antisymmetrized(w, tableau.columns()).is_zero()
+    tableau = Tableau([entries[end - part : end] for part, end in zip(shape, accumulate(shape))])
+    symmetrized_nonzero = not antisymmetrized(trial.w, tableau.columns()).is_zero()
     columns_independent = all(
         _independent_rows([cfg.rows[i - 1] for i in column]) for column in tableau.columns()
     )
     if symmetrized_nonzero != columns_independent:
-        out.append(
-            _violation(
-                column_suite, n, d, trial_index, shape, cfg,
-                f"columns independent = {columns_independent}",
-                f"nonzero after column antisymmetrization = {symmetrized_nonzero}",
-                {"tableau": [list(r) for r in tableau.rows]},
-            )
+        yield (
+            shape,
+            f"columns independent = {columns_independent}",
+            f"nonzero after column antisymmetrization = {symmetrized_nonzero}",
+            {"tableau": [list(r) for r in tableau.rows]},
         )
 
-    if n >= d and _independent_rows(cfg.rows[:d]):
-        wedge = antisymmetrized(w, [range(1, d + 1)])
-        # one call per side reads the squared norm of every d-row shape's
-        # part: of the wedge, and with its first column removed of the pure
-        # tensor of the other vectors (nothing is left when n = d)
-        d_row_shapes = [lam for lam in shapes if len(lam) == d]
-        wedged, _ = symmetrized_norms(wedge, d_row_shapes)
-        if n == d:
-            reduced = [True] * len(d_row_shapes)
-        else:
-            rest = VectorConfiguration(d, cfg.vectors[d:])
-            sums, _ = symmetrized_norms(
-                decomposable(rest), [lam.remove_first_column() for lam in d_row_shapes]
-            )
-            reduced = [norm != 0 for norm in sums]
-        for lam, norm, rhs in zip(d_row_shapes, wedged, reduced):
-            lhs = norm != 0
-            if lhs != rhs:
-                out.append(
-                    _violation(
-                        twist_suite, n, d, trial_index, lam, cfg,
-                        f"reduced-shape decision = {rhs}",
-                        f"wedge decision = {lhs}",
-                    )
-                )
 
-    return out
+def _det_twist_suite(trial: _Trial):
+    n, d, cfg = trial.n, trial.d, trial.cfg
+    if n < d or not _independent_rows(cfg.rows[:d]):
+        return
+    wedge = antisymmetrized(trial.w, [range(1, d + 1)])
+    # one call per side reads the squared norm of every d-row shape's
+    # part: of the wedge, and with its first column removed of the pure
+    # tensor of the other vectors (nothing is left when n = d)
+    d_row_shapes = [lam for lam in trial.shapes if len(lam) == d]
+    wedged, _ = symmetrized_norms(wedge, d_row_shapes)
+    if n == d:
+        reduced = [True] * len(d_row_shapes)
+    else:
+        rest = VectorConfiguration(d, cfg.vectors[d:])
+        sums, _ = symmetrized_norms(
+            decomposable(rest), [lam.remove_first_column() for lam in d_row_shapes]
+        )
+        reduced = [norm != 0 for norm in sums]
+    for lam, norm, rhs in zip(d_row_shapes, wedged, reduced):
+        if (norm != 0) != rhs:
+            yield lam, f"reduced-shape decision = {rhs}", f"wedge decision = {norm != 0}"
+
+
+# suite name -> the suite, in the order check_trial runs them on a trial;
+# a suite yields (shape, expected, actual[, detail]) per violation
+TRIAL_SUITES = {
+    "matroid_oracle": _matroid_oracle_suite,
+    "four_decider_agreement": _agreement_suite,
+    "gram_identity": _gram_identity_suite,
+    "column_criterion": _column_suite,
+    "det_twist": _det_twist_suite,
+}
+
+
+def check_trial(spec: TrialSpec, n: int, d: int, trial_index: int) -> list[dict]:
+    """Run each suite of TRIAL_SUITES, in order, on one trial; write its records."""
+    trial = _Trial(spec, n, d, trial_index)
+    return [
+        _violation(suite, n, d, trial_index, trial.cfg, *found)
+        for suite, run in TRIAL_SUITES.items()
+        for found in run(trial)
+    ]
 
 
 def _run_cell(args: tuple[TrialSpec, int, int]) -> list[dict]:
     spec, n, d = args
-    out: list[dict] = []
-    for t in range(spec.trials_per_cell):
-        out.extend(check_trial(spec, n, d, t))
-    return out
+    return [record for t in range(spec.trials_per_cell) for record in check_trial(spec, n, d, t)]
 
 
-def _character_suite(n_top: int) -> list[dict]:
+def _character_suite(n_top: int) -> list[tuple]:
     """Exact row and column orthogonality of the character tables."""
     out = []
     for n in range(1, n_top + 1):
@@ -424,12 +426,8 @@ def _character_suite(n_top: int) -> list[dict]:
                 )
                 want = factorial(n) if a == b else 0
                 if total != want:
-                    out.append(
-                        _violation(
-                            "character_orthogonality", n, None, None, a, None,
-                            f"row <{a.to_text()},{b.to_text()}> = {want}", str(total),
-                        )
-                    )
+                    expected = f"row <{a.to_text()},{b.to_text()}> = {want}"
+                    out.append((n, None, a, expected, str(total)))
         for i, rho in enumerate(table.classes):
             for j, rho2 in enumerate(table.classes):
                 total = sum(
@@ -437,17 +435,12 @@ def _character_suite(n_top: int) -> list[dict]:
                 )
                 want = factorial(n) // table.class_sizes[i] if i == j else 0
                 if total != want:
-                    out.append(
-                        _violation(
-                            "character_orthogonality", n, None, None, rho, None,
-                            f"column <{rho.to_text()},{rho2.to_text()}> = {want}",
-                            str(total),
-                        )
-                    )
+                    expected = f"column <{rho.to_text()},{rho2.to_text()}> = {want}"
+                    out.append((n, None, rho, expected, str(total)))
     return out
 
 
-def _idempotent_suite(n_top: int) -> list[dict]:
+def _idempotent_suite(n_top: int) -> list[tuple]:
     """e_lam is symmetrize's lam-part of the standard basis of Q^n, whose
     pure tensor is the identity tuple (1, ..., n), a weight block that is
     the regular representation; so e_lam * e_mu = delta * e_lam, and the
@@ -458,17 +451,12 @@ def _idempotent_suite(n_top: int) -> list[dict]:
         for lam in partitions_of(n):
             part, e = symmetrize(basis, lam), central_idempotent(lam)
             if (part.numerators, part.divisor) != (e.numerators, e.divisor):
-                out.append(
-                    _violation(
-                        "idempotent_system", n, None, None, lam, None,
-                        f"e_{lam.to_text()} is the {lam.to_text()}-part of the identity",
-                        "wrong idempotent",
-                    )
-                )
+                expected = f"e_{lam.to_text()} is the {lam.to_text()}-part of the identity"
+                out.append((n, None, lam, expected, "wrong idempotent"))
     return out
 
 
-def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[dict]:
+def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[tuple]:
     """operator rank of e_lam = (standard tableaux) x (Weyl dimension).
 
     Each e_lam is built once and ranked for every d with d^n within the
@@ -488,18 +476,14 @@ def _rank_law_suite(n_top: int, dims: tuple[int, ...]) -> list[dict]:
                 got = operator_rank(e, d)
                 want = syt_count(lam) * weyl_dimension(lam, d)
                 if got != want:
-                    out.append(
-                        _violation(
-                            "schur_weyl_rank", n, d, None, lam, None,
-                            f"rank = {want}", str(got),
-                        )
-                    )
+                    out.append((n, d, lam, f"rank = {want}", str(got)))
     return out
 
 
 # suite name -> (runner taking n_top and dims, degree cap) for the suites
-# that run once per report; the runners look each suite up when called, so
-# a wrapper put on the module attribute sees the call
+# that run once per report; each returns a list of (n, d, shape, expected,
+# actual), so its work is done in its call, and the runners look it up when
+# called, so a wrapper put on the module attribute sees the call
 STANDALONE_SUITES = {
     "character_orthogonality": (lambda n_top, dims: _character_suite(n_top), 8),
     "idempotent_system": (lambda n_top, dims: _idempotent_suite(n_top), 5),
@@ -508,11 +492,14 @@ STANDALONE_SUITES = {
 
 
 def run_standalone_suite(suite: str, spec: TrialSpec) -> list[dict]:
-    """Run one standalone suite for n up to its degree cap and the spec's n_max."""
+    """Run one standalone suite up to its degree cap and n_max; write its records."""
     if suite not in STANDALONE_SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise ValueError(f"unknown suite {_brief(suite)}")
     runner, cap = STANDALONE_SUITES[suite]
-    return runner(min(spec.n_max, cap), spec.dims)
+    return [
+        _violation(suite, n, d, None, None, shape, expected, actual)
+        for n, d, shape, expected, actual in runner(min(spec.n_max, cap), spec.dims)
+    ]
 
 
 def _run_task(task: tuple) -> list[dict]:

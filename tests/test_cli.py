@@ -559,6 +559,34 @@ def test_malformed_report_is_usage_error(capsys, tmp_path, mangle, expected):
     assert err.startswith("error:") and expected in err
 
 
+# an entry of 200000 ints, a non-literal string of a million characters, a
+# configuration whose vectors are that string, and a record whose shape is
+# that list: each error line echoes the value, cut to a few entries
+_HUGE_LIST, _HUGE_TEXT = list(range(200_000)), "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("decide", {"dim": 2, "vectors": [[_HUGE_LIST, "1"], ["1", "0"]]}),
+        ("decide", {"dim": 2, "vectors": [[_HUGE_TEXT, "1"], ["1", "0"]]}),
+        ("decide", {"dim": 2, "vectors": _HUGE_TEXT}),
+        ("replay", _with_record({}, shape=_HUGE_LIST)),
+    ],
+    ids=["entry-list", "entry-text", "vectors-text", "record-shape-list"],
+)
+def test_oversized_input_gets_a_short_error_line(capsys, tmp_path, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    if command == "replay":
+        argv = ("replay", "--report", str(path))
+    else:
+        argv = ("decide", "--config", str(path), "--shape", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.encode()) < 300
+
+
 def test_selfcheck_defaults_are_the_default_spec(monkeypatch, capsys):
     specs = []
 

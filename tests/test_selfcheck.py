@@ -413,6 +413,46 @@ def test_check_trial_builds_no_group_algebra_element(monkeypatch):
     assert twisted
 
 
+# the trial records, by suite, of a default spec with n_max = 4 under a fault
+FOUND_AT_N_MAX_4 = {
+    position_map_fault: {
+        "four_decider_agreement": 83, "gram_identity": 352, "column_criterion": 35, "det_twist": 81
+    },
+    engine_fault: {"matroid_oracle": 1, "four_decider_agreement": 4},
+}
+
+
+@pytest.mark.parametrize("fault", list(FOUND_AT_N_MAX_4), ids=["position-map", "engine"])
+def test_each_trial_suite_stands_alone(fault):
+    # replay re-runs a whole trial and keeps one suite's records, which are
+    # that suite's own only if no suite depends on another having run: each
+    # suite alone on a fresh trial, and the table run in reverse order on
+    # one, give the records check_trial gives for that suite
+    spec = TrialSpec(n_max=4)
+    found = Counter()
+
+    def records(suite, trial):
+        return [
+            selfcheck._violation(suite, trial.n, trial.d, trial.trial_index, trial.cfg, *finding)
+            for finding in selfcheck.TRIAL_SUITES[suite](trial)
+        ]
+
+    with fault():
+        for n in range(1, spec.n_max + 1):
+            for d in spec.dims:
+                for t in range(spec.trials_per_cell):
+                    whole = check_trial(spec, n, d, t)
+                    backwards = selfcheck._Trial(spec, n, d, t)
+                    reverse = {suite: records(suite, backwards)
+                               for suite in reversed(selfcheck.TRIAL_SUITES)}
+                    for suite in selfcheck.TRIAL_SUITES:
+                        own = [record for record in whole if record["suite"] == suite]
+                        assert records(suite, selfcheck._Trial(spec, n, d, t)) == own
+                        assert reverse[suite] == own
+                        found[suite] += len(own)
+    assert found == Counter(FOUND_AT_N_MAX_4[fault])
+
+
 def test_violations_sorted():
     spec = TrialSpec(n_max=3, dims=(2,), trials_per_cell=6)
     with character_fault(Partition([2, 1]), Partition([1, 1, 1])):
@@ -498,20 +538,44 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
     # every suite of a trial whose det-twist runs walks no permutation: gram
     # sums over subsets of the rows, and the brute route, the wedge and the
     # reduced side read norms of the pure tensors of all n vectors and of
-    # the last n - d through the position maps
+    # the last n - d through the position maps.  The suites share one
+    # configuration, one rank partition, one gmf and one all-shape norm
+    # call; the det-twist reads the norms of its two sides
     stream, pure = characters.permutations_with_class, selfcheck.decomposable
-    walked, built = [], []
+    walked, built, calls = [], [], Counter()
 
     def counting_pure(cfg):
         built.append(cfg.n)
         return pure(cfg)
 
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    norms = selfcheck.symmetrized_norms
+
+    def counting_norms(w, shapes):
+        calls["all-shape norms" if list(shapes) == partitions_of(5) else "other norms"] += 1
+        return norms(w, shapes)
+
     monkeypatch.setattr(characters, "permutations_with_class", lambda n: _counted(stream(n), walked))
     monkeypatch.setattr(selfcheck, "decomposable", counting_pure)
+    for name in ("generate_configuration", "rank_partition", "matrix_function_sums"):
+        monkeypatch.setattr(selfcheck, name, counting(name, getattr(selfcheck, name)))
+    monkeypatch.setattr(selfcheck, "symmetrized_norms", counting_norms)
     spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
     assert check_trial(spec, 5, 2, 0) == []
     assert walked == []
     assert built == [5, 3]
+    assert calls == {
+        "generate_configuration": 1,
+        "rank_partition": 1,
+        "matrix_function_sums": 1,
+        "all-shape norms": 1,
+        "other norms": 2,
+    }
 
 
 def test_each_subset_is_eliminated_once_per_configuration(monkeypatch):

@@ -241,15 +241,19 @@ def test_the_harness_moves_tensors_only_by_position_maps():
 
 def test_a_trial_forms_no_part():
     # the brute route has two entries, each run as the CLI runs it: a trial
-    # and the brute decider read squared norms from Krylov moments, and
-    # parts are formed only by symmetrize, for the CLI and for the parts of
-    # the identity; no multi-shape entry forms parts
+    # (its shared all-shape norms and the det-twist suite) and the brute
+    # decider read squared norms from Krylov moments, and parts are formed
+    # only by symmetrize, for the CLI and for the parts of the identity; no
+    # multi-shape entry forms parts
     sources = sorted(SOURCE_DIR.glob("*.py"))
     assert _callers("symmetrize", sources) == {
         "cli._cmd_symmetrize",
         "selfcheck._idempotent_suite",
     }
-    assert _callers("symmetrized_norms", sources) == {"selfcheck.check_trial"}
+    assert _callers("symmetrized_norms", sources) == {
+        "selfcheck._Trial.symmetrized_norms",
+        "selfcheck._det_twist_suite",
+    }
     assert _callers("_weight_block_parts", sources) == {
         "brute.symmetrize",
         "brute.symmetrized_norms",
@@ -262,6 +266,30 @@ def test_a_trial_forms_no_part():
         if isinstance(node, ast.FunctionDef) and node.name == "symmetrized_sums"
     }
     assert defined == set()
+
+
+def test_one_place_writes_each_kind_of_violation_record():
+    # a trial suite yields its findings and a standalone suite returns them;
+    # check_trial writes every trial record and run_standalone_suite every
+    # standalone one, and each entry of the trial-suite table, in run order,
+    # is a module-level function
+    assert _callers("_violation", sorted(SOURCE_DIR.glob("*.py"))) == {
+        "selfcheck.check_trial",
+        "selfcheck.run_standalone_suite",
+    }
+    tree = ast.parse((SOURCE_DIR / "selfcheck.py").read_text())
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TRIAL_SUITES"]
+    ]
+    assert isinstance(table, ast.Dict)
+    assert [key.value for key in table.keys] == [
+        "matroid_oracle", "four_decider_agreement", "gram_identity", "column_criterion", "det_twist"
+    ]
+    assert all(isinstance(value, ast.Name) and value.id in functions for value in table.values)
 
 
 def test_permutations_are_built_only_where_one_is_returned():
