@@ -1,22 +1,27 @@
 """The brute route: the pure tensor projected onto the shape's isotypic part.
 
-`symmetrize(cfg, lam)` applies lam's central idempotent to the pure tensor
-of a configuration without walking the permutations, and
-`symmetrized_norms(w, shapes)` gives the squared norms of any tensor's
-parts for a list of shapes, read from Krylov moments where no part needs
-forming.  w is split into weight blocks (one sorted index tuple each),
-whose shapes are those that dominate the weight (Young's rule).  Each
-block is an int list over the positions of `_block_space(weight)`, the
-weight's index tuples, which `_separate` splits into isotypic parts by
-the power sums of the Jucys-Murphy elements.  Every move is a
-transposition, applied as a position map (two entries of each index
+The route works on weight blocks, a tensor's entries on the arrangements
+of one sorted index tuple, its weight, which every permutation of
+positions keeps: a block is an int list over the positions of
+`_block_space(weight)`.  `_pure_blocks` builds a pure tensor's blocks
+straight from the integer rows, with weights read off the rows' supports;
+a caller skips a weight where no listed shape can occur (Young's rule)
+before its block is built.  Three kernels take blocks: `_weight_block_parts`
+splits each into isotypic parts by the power sums of the Jucys-Murphy
+elements (`_separate`), or reads their squared norms from Krylov moments,
+`_block_norms` sums those norms over the blocks, and
+`_antisymmetrized_blocks` applies column antisymmetrizers.  Every move is
+a transposition, applied as a position map (two entries of each index
 tuple swapped) that is built once per weight, on first use.
-`antisymmetrized` applies column antisymmetrizers on the same maps, and
-`nonzero_after_symmetrize`, the brute decider, reads the norms block by
-block and stops at the first nonzero one.  `decomposable` is the pure
-tensor of a configuration.  The module loads only `partitions` and
-`linalg`, home of `SparseTensor`, so a brute decide or `symmetrize` loads
-no tensor-action or permutation code.
+
+`symmetrize(cfg, lam)` and `nonzero_after_symmetrize`, the brute decider,
+build lam's blocks from the rows; the decider builds none past the first
+with a nonzero norm.  The harness holds a trial's blocks and calls the
+kernels on them.  `symmetrized_norms(w, shapes)` and `antisymmetrized(w,
+blocks)` take any `SparseTensor`, split by `_position_blocks`, to the same
+kernels.  `decomposable` is the pure tensor as a `SparseTensor`.  The
+module loads only `partitions` and `linalg`, home of `SparseTensor`, so a
+brute decide or `symmetrize` loads no tensor-action or permutation code.
 """
 
 from __future__ import annotations
@@ -63,11 +68,11 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     apply_algebra_element(decomposable(cfg), central_idempotent(lam)), each
     weight block's lam-part (_weight_block_parts) brought to one divisor."""
     _check_pure_tensor(cfg, lam)
-    w = decomposable(cfg)
-    blocks = [part for part, in _weight_block_parts(w.numerators, [lam])]
-    divisor = lcm(*(q for _, q in blocks))
-    entries = {idx: c * (divisor // q) for part, q in blocks for idx, c in part.items()}
-    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor * w.divisor)
+    blocks = _pure_blocks(cfg.rows, _occurs([lam]))
+    parts = [part for part, in _weight_block_parts(blocks, [lam])]
+    divisor = lcm(*(q for _, q in parts))
+    entries = {idx: c * (divisor // q) for part, q in parts for idx, c in part.items()}
+    return SparseTensor._from_integers(cfg.n, cfg.dim, entries, divisor * prod(cfg.scales))
 
 
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
@@ -75,35 +80,45 @@ def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
     decider): True at the first weight block whose part has a nonzero
     squared norm, read as symmetrized_norms reads it."""
     _check_pure_tensor(cfg, lam)
-    blocks = _weight_block_parts(_pure_numerators(cfg.rows), [lam], norms=True)
-    return any(norm for (norm, _), in blocks)
+    blocks = _pure_blocks(cfg.rows, _occurs([lam]))
+    return any(norm for (norm, _), in _weight_block_parts(blocks, [lam], norms=True))
 
 
 def symmetrized_norms(w: SparseTensor, shapes: Sequence[Partition]) -> tuple[list[int], int]:
     """The squared norms of w's parts apply_algebra_element(w,
     central_idempotent(shape)): for each shape an integer, and one positive
-    divisor common to all.  The weight blocks are orthogonal, so each
-    shape's norm sums its blocks' norms."""
+    divisor common to all."""
     for lam in shapes:
         if lam.size != w.n:
             raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
-    blocks = list(_weight_block_parts(w.numerators, shapes, norms=True))
-    divisor = lcm(*(q for parts in blocks for _, q in parts))
-    out = [sum(c * (divisor // q) for c, q in column) for column in zip(*blocks)]
-    return out or [0] * len(shapes), divisor * w.divisor**2
+    norms, divisor = _block_norms(_position_blocks(w.numerators, _occurs(shapes)), shapes)
+    return norms, divisor * w.divisor**2
 
 
-def _weight_block_parts(numerators: dict, shapes: Sequence[Partition], norms: bool = False):
-    """For each weight block of the numerators where some listed shape can
+def _block_norms(blocks, shapes: Sequence[Partition]) -> tuple[list[int], int]:
+    """The squared norms of the parts of the tensor with these weight blocks,
+    by _weight_block_parts: for each shape an integer, and one positive
+    divisor common to all.  The blocks are orthogonal, so each shape's norm
+    sums its blocks' norms."""
+    norms = list(_weight_block_parts(blocks, shapes, norms=True))
+    divisor = lcm(*(q for parts in norms for _, q in parts))
+    out = [sum(c * (divisor // q) for c, q in column) for column in zip(*norms)]
+    return out or [0] * len(shapes), divisor
+
+
+def _weight_block_parts(blocks, shapes: Sequence[Partition], norms: bool = False):
+    """For each (weight, space, block) of blocks where some listed shape can
     occur (by _young_candidates), each listed shape's part of the block,
     found by _separate level by level, as nonzero integer entries over a
     positive divisor, or with norms its squared norm over a divisor."""
     listed = set(shapes)
-    occurs = lambda weight: not listed.isdisjoint(_young_candidates(weight))
-    for weight, space, v in _position_blocks(numerators, occurs):
+    for weight, space, v in blocks:
         candidates = _young_candidates(weight)
+        wanted = listed.intersection(candidates)
+        if not wanted:
+            continue
         parts: dict[Partition, tuple] = {}
-        _separate(v, candidates, listed.intersection(candidates), 1, 1, space, parts, norms)
+        _separate(v, candidates, wanted, 1, 1, space, parts, norms)
         if not norms:
             parts = {
                 lam: (dict(compress(zip(space.tuples, part), part)), q)
@@ -115,21 +130,57 @@ def _weight_block_parts(numerators: dict, shapes: Sequence[Partition], norms: bo
 def antisymmetrized(w: SparseTensor, blocks: Iterable[Iterable[int]]) -> SparseTensor:
     """w acted on by the signed sum over the permutations that preserve each
     of the disjoint blocks of positions, as apply_algebra_element(w,
-    column_antisymmetrizer(T)) is for the columns of a tableau T: for a block
-    b_1 < ... < b_h, (1 - X_2) ... (1 - X_h) with X_k = sum over i < k of
-    (b_i b_k), applied by the position maps of each weight's _block_space."""
+    column_antisymmetrizer(T)) is for the columns of a tableau T, by
+    _antisymmetrized_blocks on w's weight blocks."""
     blocks = [sorted(_integers(block)) for block in blocks]
     positions = [i for block in blocks for i in block]
     if len(set(positions)) < len(positions) or not all(1 <= i <= w.n for i in positions):
         raise ValueError(f"blocks {blocks} are not disjoint sets of entries of 1..{w.n}")
     total: dict[tuple[int, ...], int] = {}
-    for _, space, v in _position_blocks(w.numerators):
-        for block in blocks:
+    for _, space, v in _antisymmetrized_blocks(_position_blocks(w.numerators), blocks):
+        total.update(compress(zip(space.tuples, v), v))
+    return SparseTensor._from_integers(w.n, w.d, total, w.divisor)
+
+
+def _antisymmetrized_blocks(blocks, positions: Sequence[Sequence[int]]):
+    """The nonzero (weight, space, block) of blocks, each block acted on, for
+    each increasing list b_1 < ... < b_h of disjoint positions, by
+    (1 - X_2) ... (1 - X_h) with X_k = sum over i < k of (b_i b_k): the
+    signed sum over the permutations of the positions, applied by the
+    position maps of the block's space."""
+    for weight, space, v in blocks:
+        for block in positions:
             for k in range(1, len(block)):
                 x_k = [space.maps[block[k] - 2][a - 1] for a in block[:k]]
                 v = list(map(sub, v, _transposition_sum(v, x_k)))
-        total.update(compress(zip(space.tuples, v), v))
-    return SparseTensor._from_integers(w.n, w.d, total, w.divisor)
+        if any(v):
+            yield weight, space, v
+
+
+def _occurs(shapes: Sequence[Partition]):
+    """The test whether some listed shape can occur in a weight's block."""
+    listed = set(shapes)
+    return lambda weight: not listed.isdisjoint(_young_candidates(weight))
+
+
+def _pure_blocks(rows, keep=lambda weight: True):
+    """For each weight of the pure tensor of the integer rows that keep
+    accepts, in lexicographic order and before its _block_space is built:
+    the weight, the space and the block, the product of the rows' entries
+    at each arrangement.  The weights are the sums of one index from each
+    row's support, each coded by its index counts as base-(n + 1) digits,
+    so no block is zero, and there is none when some row is zero."""
+    base, d = len(rows) + 1, len(rows[0])
+    codes = {0}
+    for row in rows:
+        steps = [base**i for i, c in enumerate(row) if c]
+        codes = {code + step for code in codes for step in steps}
+    digits = lambda code: (i + 1 for i in range(d) for _ in range(code // base**i % base))
+    for weight in sorted(tuple(digits(code)) for code in codes):
+        if keep(weight):
+            space = _block_space(weight)
+            entries = zip(*(read(row) for read, row in zip(space.readers, rows)))
+            yield weight, space, list(map(prod, entries))
 
 
 def _position_blocks(numerators: dict, keep=lambda weight: True):
@@ -159,7 +210,9 @@ def _young_candidates(weight: tuple[int, ...]) -> tuple[Partition, ...]:
 class _BlockSpace:
     """The index tuples of one weight on fixed positions: `tuples`, the
     weight's arrangements in lexicographic order, `positions` by tuple,
-    and `maps`, built on first use by _transposition_maps."""
+    and, built on first use, `maps` by _transposition_maps and `readers`,
+    for each position p, the map from an integer row to its entries at the
+    p-th index of each arrangement."""
 
     def __init__(self, weight: tuple[int, ...]):
         counts = Counter(weight)
@@ -172,6 +225,13 @@ class _BlockSpace:
     @cached_property
     def maps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return _transposition_maps(self.tuples, self.positions)
+
+    @cached_property
+    def readers(self) -> tuple:
+        if len(self.tuples) == 1:
+            # itemgetter with one index returns the item, not a 1-tuple
+            return tuple(itemgetter(slice(i - 1, i)) for i in self.tuples[0])
+        return tuple(itemgetter(*(i - 1 for i in column)) for column in zip(*self.tuples))
 
 
 @cache

@@ -12,23 +12,30 @@ column criterion for a random tableau and the det-twist reduction.  The
 values suites share are `_Trial` properties, computed at most once, on
 first use.  The character-table, idempotent and operator-rank suites run
 once per report (`STANDALONE_SUITES`).  `check_trial` writes every trial
-record and `run_standalone_suite` every standalone one.  Tensors move only
-by the brute projector's position maps: only the idempotent suite forms
-parts, by the CLI's `symmetrize`.
+record and `run_standalone_suite` every standalone one.
+
+A trial's pure tensor is never formed as index tuples: its weight blocks
+are built once, straight from the integer rows (`brute._pure_blocks`),
+and the all-shape norms, the column antisymmetrizer and the det-twist
+wedge take those blocks through brute's block kernels, as the det-twist's
+reduced side takes the blocks of the rows of the last n - d vectors.
+Tensors move only by the brute projector's position maps: only the
+idempotent suite forms parts, by the CLI's `symmetrize`.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 
-from .brute import antisymmetrized, decomposable, symmetrize, symmetrized_norms
+from .brute import _antisymmetrized_blocks, _block_norms, _pure_blocks, symmetrize
 from .characters import central_idempotent, character_table
 from .gram import gram_matrix, matrix_function_sums
 from .linalg import VectorConfiguration, _independent_rows
@@ -110,9 +117,10 @@ class TrialSpec:
             raise ValueError(f"n_max must be in 1..{DEGREE_CAP}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
-        repeated = sorted({d for d in self.dims if self.dims.count(d) > 1})
+        repeated = sorted(d for d, count in Counter(self.dims).items() if count > 1)
         if repeated:
-            raise ValueError(f"dims must be distinct; repeated: {', '.join(map(str, repeated))}")
+            # the bounded repr of the list, without its brackets
+            raise ValueError(f"dims must be distinct; repeated: {_brief(repeated)[1:-1]}")
         if self.trials_per_cell < 0:
             raise ValueError("trials_per_cell must be nonnegative")
         if not 1 <= self.entry_range < 2**63:
@@ -269,7 +277,9 @@ def _sort_key(record: dict):
 
 class _Trial:
     """One generated configuration and the values its suites share, each
-    computed at most once, on first use."""
+    computed at most once, on first use: the weight blocks of its pure
+    tensor, built from the rows, its rank partition, the certificate of
+    each shape, and the all-shape norms and gmf values."""
 
     def __init__(self, spec: TrialSpec, n: int, d: int, trial_index: int):
         self.spec, self.n, self.d, self.trial_index = spec, n, d, trial_index
@@ -279,8 +289,9 @@ class _Trial:
         self.certificate = cache(partial(gamas_condition, self.cfg))
 
     @cached_property
-    def w(self):
-        return decomposable(self.cfg)
+    def blocks(self) -> list:
+        # every shape is listed, and (n) can occur in every block
+        return list(_pure_blocks(self.cfg.rows))
 
     @cached_property
     def rho(self):
@@ -290,7 +301,8 @@ class _Trial:
     # the gmf values, as integers over one positive divisor per route
     @cached_property
     def symmetrized_norms(self) -> tuple[list[int], int]:
-        return symmetrized_norms(self.w, self.shapes)
+        norms, divisor = _block_norms(self.blocks, self.shapes)
+        return norms, divisor * prod(self.cfg.scales) ** 2
 
     @cached_property
     def matrix_function_sums(self) -> tuple[list[int], int]:
@@ -348,9 +360,11 @@ def _column_suite(trial: _Trial):
         j = rng.randint(0, i)
         entries[i], entries[j] = entries[j], entries[i]
     tableau = Tableau([entries[end - part : end] for part, end in zip(shape, accumulate(shape))])
-    symmetrized_nonzero = not antisymmetrized(trial.w, tableau.columns()).is_zero()
+    columns = [sorted(column) for column in tableau.columns()]
+    # any stops at the first block that the antisymmetrizer leaves nonzero
+    symmetrized_nonzero = any(_antisymmetrized_blocks(trial.blocks, columns))
     columns_independent = all(
-        _independent_rows([cfg.rows[i - 1] for i in column]) for column in tableau.columns()
+        _independent_rows([cfg.rows[i - 1] for i in column]) for column in columns
     )
     if symmetrized_nonzero != columns_independent:
         yield (
@@ -365,18 +379,17 @@ def _det_twist_suite(trial: _Trial):
     n, d, cfg = trial.n, trial.d, trial.cfg
     if n < d or not _independent_rows(cfg.rows[:d]):
         return
-    wedge = antisymmetrized(trial.w, [range(1, d + 1)])
+    wedge = _antisymmetrized_blocks(trial.blocks, [range(1, d + 1)])
     # one call per side reads the squared norm of every d-row shape's
     # part: of the wedge, and with its first column removed of the pure
     # tensor of the other vectors (nothing is left when n = d)
     d_row_shapes = [lam for lam in trial.shapes if len(lam) == d]
-    wedged, _ = symmetrized_norms(wedge, d_row_shapes)
+    wedged, _ = _block_norms(wedge, d_row_shapes)
     if n == d:
         reduced = [True] * len(d_row_shapes)
     else:
-        rest = VectorConfiguration(d, cfg.vectors[d:])
-        sums, _ = symmetrized_norms(
-            decomposable(rest), [lam.remove_first_column() for lam in d_row_shapes]
+        sums, _ = _block_norms(
+            _pure_blocks(cfg.rows[d:]), [lam.remove_first_column() for lam in d_row_shapes]
         )
         reduced = [norm != 0 for norm in sums]
     for lam, norm, rhs in zip(d_row_shapes, wedged, reduced):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -650,6 +651,26 @@ def test_selfcheck_report_matches_library(capsys):
         TrialSpec(seed=5, n_max=2, dims=(1, 2), trials_per_cell=3)
     )
     assert json.loads(out) == direct.to_json_obj()
+
+
+# sha256 of the selfcheck report: the same spec gives the same bytes on any
+# platform and for any number of workers
+DEFAULT_REPORT = "5ebd389c9ab831104d5e4c2c31236511152c76ded4b2a554e343540d93b3a047"
+N_MAX_6_REPORT = "8cc0fb848aea6870c90f6c08302858816e5800efb4a36bc33e8ae74f084b2df0"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("selfcheck --jobs 1", DEFAULT_REPORT),
+        ("selfcheck --jobs 2", DEFAULT_REPORT),
+        ("selfcheck --n-max 6", N_MAX_6_REPORT),
+    ],
+)
+def test_selfcheck_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pretty_flags_smoke(capsys, config_file):

@@ -1,9 +1,11 @@
 import concurrent.futures
 import json
+import time
 from collections import Counter
 
 import pytest
 
+import isotypic.brute as brute
 import isotypic.characters as characters
 import isotypic.matroid as matroid
 import isotypic.symgroup as symgroup
@@ -11,6 +13,7 @@ import isotypic.selfcheck as selfcheck
 import oracles
 from isotypic.brute import symmetrize
 from isotypic.characters import character_table
+from isotypic.cli import main
 from isotypic.gram import generalized_matrix_function, gram_matrix
 from isotypic.linalg import is_independent
 from isotypic.partitions import Partition, partitions_of
@@ -115,6 +118,25 @@ def test_trial_spec_validation():
         TrialSpec(entry_range=2**63)
     with pytest.raises(ValueError):
         TrialSpec(trials_per_cell=-1)
+
+
+def test_many_dims_validate_in_linear_time():
+    # repeats are counted once over the dims, not once per dim: 200000
+    # distinct dims took minutes when each counted itself in the tuple
+    start = time.perf_counter()
+    assert len(TrialSpec(dims=tuple(range(1, 200001))).dims) == 200000
+    assert time.perf_counter() - start < 0.5
+
+
+def test_repeated_dims_error_line_is_bounded():
+    # the repeated dims are listed as far as a bounded repr shows a list
+    with pytest.raises(ValueError) as error:
+        TrialSpec(dims=tuple(range(1, 100001)) * 2)
+    assert str(error.value) == "dims must be distinct; repeated: 1, 2, 3, 4, 5, 6, ..."
+    with pytest.raises(ValueError) as error:
+        TrialSpec(dims=(10**1000,) * 200000)
+    assert str(error.value).startswith("dims must be distinct; repeated: 1000")
+    assert len(str(error.value)) < 100
 
 
 @pytest.mark.parametrize(
@@ -537,16 +559,17 @@ def test_one_walk_per_route_per_configuration(monkeypatch):
 def test_one_walk_per_tensor_per_trial(monkeypatch):
     # every suite of a trial whose det-twist runs walks no permutation: gram
     # sums over subsets of the rows, and the brute route, the wedge and the
-    # reduced side read norms of the pure tensors of all n vectors and of
-    # the last n - d through the position maps.  The suites share one
-    # configuration, one rank partition, one gmf and one all-shape norm
-    # call; the det-twist reads the norms of its two sides
-    stream, pure = characters.permutations_with_class, selfcheck.decomposable
+    # reduced side read norms of the weight blocks of the pure tensors of
+    # all n vectors and of the last n - d, built from the rows, through the
+    # position maps.  The suites share one configuration, one build of its
+    # blocks, one rank partition, one gmf and one all-shape norm call; the
+    # det-twist reads the norms of its two sides
+    stream, pure = characters.permutations_with_class, selfcheck._pure_blocks
     walked, built, calls = [], [], Counter()
 
-    def counting_pure(cfg):
-        built.append(cfg.n)
-        return pure(cfg)
+    def counting_pure(rows):
+        built.append(len(rows))
+        return pure(rows)
 
     def counting(name, fn):
         def counted(*args):
@@ -554,17 +577,17 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
             return fn(*args)
         return counted
 
-    norms = selfcheck.symmetrized_norms
+    norms = selfcheck._block_norms
 
-    def counting_norms(w, shapes):
+    def counting_norms(blocks, shapes):
         calls["all-shape norms" if list(shapes) == partitions_of(5) else "other norms"] += 1
-        return norms(w, shapes)
+        return norms(blocks, shapes)
 
     monkeypatch.setattr(characters, "permutations_with_class", lambda n: _counted(stream(n), walked))
-    monkeypatch.setattr(selfcheck, "decomposable", counting_pure)
+    monkeypatch.setattr(selfcheck, "_pure_blocks", counting_pure)
     for name in ("generate_configuration", "rank_partition", "matrix_function_sums"):
         monkeypatch.setattr(selfcheck, name, counting(name, getattr(selfcheck, name)))
-    monkeypatch.setattr(selfcheck, "symmetrized_norms", counting_norms)
+    monkeypatch.setattr(selfcheck, "_block_norms", counting_norms)
     spec = TrialSpec(n_max=5, dims=(2,), trials_per_cell=3)
     assert check_trial(spec, 5, 2, 0) == []
     assert walked == []
@@ -576,6 +599,34 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
         "all-shape norms": 1,
         "other norms": 2,
     }
+
+
+def test_trials_and_brute_decides_split_no_tensor(monkeypatch, tmp_path):
+    # a trial's suites and a brute decide take the pure tensor's weight
+    # blocks straight from the integer rows: neither builds the dict of the
+    # pure tensor's index tuples nor splits a tensor into blocks
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("_pure_numerators", "_position_blocks", "_pure_blocks"):
+        monkeypatch.setattr(brute, name, counting(name, getattr(brute, name)))
+    monkeypatch.setattr(selfcheck, "_pure_blocks", counting("trial", selfcheck._pure_blocks))
+    spec = TrialSpec(trials_per_cell=4)
+    for n in range(1, spec.n_max + 1):
+        for d in spec.dims:
+            for t in range(spec.trials_per_cell):
+                assert check_trial(spec, n, d, t) == []
+    # one build per trial, and one more per det-twist with a reduced side
+    assert calls.keys() == {"trial"} and calls["trial"] > 60
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dim": 2, "vectors": [["1", "0"], ["1", "1"], ["0", "1"]]}))
+    assert main(["decide", "--method", "brute", "--config", str(config), "--shape", "2,1"]) == 0
+    assert calls.keys() == {"trial", "_pure_blocks"} and calls["_pure_blocks"] == 1
 
 
 def test_each_subset_is_eliminated_once_per_configuration(monkeypatch):

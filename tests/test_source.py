@@ -87,7 +87,7 @@ def test_benchmark_hooks_resolve():
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        ("symmetrize", {"tensors.symmetrize": 1, "tensors.decomposable": 1}),
+        ("symmetrize", {"tensors.symmetrize": 1}),
         ("decide --method brute", {"tensors.nonzero_after_symmetrize": 1}),
         ("decide --method gram",
          {"tensors.gram_matrix": 1, "tensors.generalized_matrix_function": 1}),
@@ -96,7 +96,9 @@ def test_benchmark_hooks_resolve():
 def test_tracer_counts_the_cli_calls(tmp_path, argv, calls):
     # the CLI looks these up at brute and gram, and the tracer hooks them at
     # tensors.*, where they are bound as the same objects, so it replaces
-    # the home modules' attributes too and a traced command is counted
+    # the home modules' attributes too and a traced command is counted;
+    # symmetrize builds the pure tensor's weight blocks from the rows, so
+    # no decomposable runs under it
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"dim": 2, "vectors": [["1", "0"], ["1", "1"], ["0", "1"]]}))
     tracing = _bench_tracing()
@@ -241,22 +243,23 @@ def test_the_harness_moves_tensors_only_by_position_maps():
 
 def test_a_trial_forms_no_part():
     # the brute route has two entries, each run as the CLI runs it: a trial
-    # (its shared all-shape norms and the det-twist suite) and the brute
-    # decider read squared norms from Krylov moments, and parts are formed
-    # only by symmetrize, for the CLI and for the parts of the identity; no
-    # multi-shape entry forms parts
+    # (its shared all-shape norms and the det-twist suite, on weight blocks
+    # built from the rows) and the brute decider read squared norms from
+    # Krylov moments, and parts are formed only by symmetrize, for the CLI
+    # and for the parts of the identity; no multi-shape entry forms parts
     sources = sorted(SOURCE_DIR.glob("*.py"))
     assert _callers("symmetrize", sources) == {
         "cli._cmd_symmetrize",
         "selfcheck._idempotent_suite",
     }
-    assert _callers("symmetrized_norms", sources) == {
+    assert _callers("_block_norms", sources) == {
         "selfcheck._Trial.symmetrized_norms",
         "selfcheck._det_twist_suite",
+        "brute.symmetrized_norms",
     }
     assert _callers("_weight_block_parts", sources) == {
         "brute.symmetrize",
-        "brute.symmetrized_norms",
+        "brute._block_norms",
         "brute.nonzero_after_symmetrize",
     }
     defined = {
@@ -436,18 +439,17 @@ def test_tensors_binds_the_traced_names_to_their_home_objects(name, home):
 
 
 def test_only_brute_names_the_pure_tensor_helpers():
-    # the pure tensor and its shape check have one home; the group-algebra
-    # oracles in symgroup read only brute's weight blocks
-    helpers = {"_check_pure_tensor", "_pure_numerators"}
-    named = {
-        path.stem
-        for path in sorted(SOURCE_DIR.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Name) and node.id in helpers
-        or isinstance(node, ast.Attribute) and node.attr in helpers
-        or isinstance(node, ast.alias) and node.name in helpers
-    }
-    assert named == {"brute"}
+    # the pure tensor, its weight blocks and its shape check have one home,
+    # and only the harness's trial builds blocks from outside it; the
+    # group-algebra oracles in symgroup read only brute's weight blocks
+    helpers = {"_check_pure_tensor", "_pure_numerators", "_pure_blocks"}
+    named = {}
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in helpers:
+                named.setdefault(path.stem, set()).add(name)
+    assert named == {"brute": helpers, "selfcheck": {"_pure_blocks"}}
     tree = ast.parse((SOURCE_DIR / "symgroup.py").read_text())
     private = {
         alias.name

@@ -942,12 +942,14 @@ def test_projector_parts_match_idempotent_application():
 
 
 def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypatch):
-    # both brute entry points refuse before the rows are multiplied out
-    def no_tensor(rows):
+    # both brute entry points refuse before the rows are multiplied out:
+    # neither a weight block nor the whole pure tensor is built first
+    def no_tensor(rows, keep=None):
         raise AssertionError("the pure tensor was built before the checks")
 
+    monkeypatch.setattr(brute, "_pure_blocks", no_tensor)
     monkeypatch.setattr(brute, "_pure_numerators", no_tensor)
-    wide = VectorConfiguration(40, [[1] * 40] * 11)  # 40^11 entries if built
+    wide = VectorConfiguration(40, [[1] * 40] * 11)  # 40^11 entries in C(50, 11) blocks
     for route in (symmetrize, nonzero_after_symmetrize):
         with pytest.raises(ValueError, match="shape size 10 does not match 11 vectors"):
             route(wide, P(10))
@@ -959,9 +961,11 @@ def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypat
 
 def _projector_sums(w, shapes):
     """The projector's part of w for each shape, as nonzero integer entries
-    over one divisor common to all: each weight block's parts
-    (brute._weight_block_parts) brought to that divisor."""
-    blocks = list(brute._weight_block_parts(w.numerators, shapes))
+    over one divisor common to all: the parts of each weight block where a
+    listed shape can occur (brute._weight_block_parts) brought to that
+    divisor."""
+    split = brute._position_blocks(w.numerators, brute._occurs(shapes))
+    blocks = list(brute._weight_block_parts(split, shapes))
     divisor = lcm(*(q for parts in blocks for _, q in parts))
     out = [{} for _ in shapes]
     for parts in blocks:
@@ -1168,6 +1172,55 @@ def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
     blocks.clear()
     assert not symmetrize(configuration, P(3, 1)).is_zero()
     assert len(blocks) == 2
+
+
+def _counted_spaces(monkeypatch):
+    # a record of the weights whose _block_space is asked for, once for
+    # each weight block built
+    space, weights = brute._block_space, []
+
+    def counted(weight):
+        weights.append(weight)
+        return space(weight)
+
+    monkeypatch.setattr(brute, "_block_space", counted)
+    return weights
+
+
+def test_blocks_come_from_the_row_supports(monkeypatch):
+    # the weights of a pure tensor are read off the rows' supports: 8
+    # standard basis vectors of Q^40 have one weight, where a walk over
+    # every sorted index tuple would try C(47, 8), about 3 * 10^8; each
+    # route builds that one block, and symmetrize forms the tensor from it
+    e = [[int(i == j) for j in range(40)] for i in range(40)]
+    basis = VectorConfiguration(40, [e[i] for i in (36, 37, 38, 39)] * 2)
+    weight = (37, 37, 38, 38, 39, 39, 40, 40)
+    weights = _counted_spaces(monkeypatch)
+    for route in (nonzero_after_symmetrize, symmetrize):
+        weights.clear()
+        assert route(basis, P(4, 2, 2))
+        assert weights == [weight]
+    (entries,), divisor = _projector_sums(decomposable(basis), [P(4, 2, 2)])
+    assert symmetrize(basis, P(4, 2, 2)) == SparseTensor._from_integers(8, 40, entries, divisor)
+
+
+def test_a_brute_yes_builds_the_blocks_up_to_the_first_nonzero_one(monkeypatch):
+    # the blocks are built one at a time as the decider reads them, in
+    # lexicographic order of their weights: where the first block,
+    # (1, 1, 2, 2), has a nonzero (3, 1)-part, (1, 2, 2, 2) is never built
+    weights = _counted_spaces(monkeypatch)
+    assert nonzero_after_symmetrize(cfg(2, E1, (1, 1), E2, E2), P(3, 1))
+    assert weights == [(1, 1, 2, 2)]
+    # of the seven weights here, (2, 2) dominates three; the (2, 2)-part is
+    # zero on the first of those and nonzero on the second, so the decider
+    # builds two blocks, and symmetrize builds all three
+    weights.clear()
+    configuration = cfg(3, (1, 1, 0), (1, 1, -2), (0, 1, 0), (1, 1, 0))
+    assert nonzero_after_symmetrize(configuration, P(2, 2))
+    assert weights == [(1, 1, 2, 2), (1, 1, 2, 3)]
+    weights.clear()
+    assert not symmetrize(configuration, P(2, 2)).is_zero()
+    assert weights == [(1, 1, 2, 2), (1, 1, 2, 3), (1, 2, 2, 3)]
 
 
 def test_brute_decider_forms_no_part(monkeypatch):
