@@ -17,11 +17,11 @@ tuple swapped) that is built once per weight, on first use.
 `symmetrize(cfg, lam)` and `nonzero_after_symmetrize`, the brute decider,
 build lam's blocks from the rows; the decider builds none past the first
 with a nonzero norm.  The harness holds a trial's blocks and calls the
-kernels on them.  `symmetrized_norms(w, shapes)` and `antisymmetrized(w,
-blocks)` take any `SparseTensor`, split by `_position_blocks`, to the same
-kernels.  `decomposable` is the pure tensor as a `SparseTensor`.  The
-module loads only `partitions` and `linalg`, home of `SparseTensor`, so a
-brute decide or `symmetrize` loads no tensor-action or permutation code.
+kernels on them; no route splits a tensor into blocks.  `decomposable`
+is the pure tensor as a `SparseTensor`, multiplied out by index tuple
+(`_pure_numerators`).  The module loads only `partitions` and `linalg`,
+home of `SparseTensor`, so a brute decide or `symmetrize` loads no
+tensor-action or permutation code.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from functools import cache, cached_property
 from itertools import compress
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import SparseTensor, VectorConfiguration
-from .partitions import Partition, _check_degree, _check_shape_size, _integers, partitions_of
+from .partitions import Partition, _check_degree, _check_shape_size, partitions_of
 
 
 def _pure_numerators(rows) -> dict[tuple[int, ...], int]:
@@ -78,21 +78,10 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
 def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
     """Exact zero test of the symmetrized pure tensor (the brute-force
     decider): True at the first weight block whose part has a nonzero
-    squared norm, read as symmetrized_norms reads it."""
+    squared norm, read as _block_norms reads it."""
     _check_pure_tensor(cfg, lam)
     blocks = _pure_blocks(cfg.rows, _occurs([lam]))
     return any(norm for (norm, _), in _weight_block_parts(blocks, [lam], norms=True))
-
-
-def symmetrized_norms(w: SparseTensor, shapes: Sequence[Partition]) -> tuple[list[int], int]:
-    """The squared norms of w's parts apply_algebra_element(w,
-    central_idempotent(shape)): for each shape an integer, and one positive
-    divisor common to all."""
-    for lam in shapes:
-        if lam.size != w.n:
-            raise ValueError(f"shape size {lam.size} does not match degree {w.n}")
-    norms, divisor = _block_norms(_position_blocks(w.numerators, _occurs(shapes)), shapes)
-    return norms, divisor * w.divisor**2
 
 
 def _block_norms(blocks, shapes: Sequence[Partition]) -> tuple[list[int], int]:
@@ -125,21 +114,6 @@ def _weight_block_parts(blocks, shapes: Sequence[Partition], norms: bool = False
                 for lam, (part, q) in parts.items()
             }
         yield [parts.get(lam, (0 if norms else {}, 1)) for lam in shapes]
-
-
-def antisymmetrized(w: SparseTensor, blocks: Iterable[Iterable[int]]) -> SparseTensor:
-    """w acted on by the signed sum over the permutations that preserve each
-    of the disjoint blocks of positions, as apply_algebra_element(w,
-    column_antisymmetrizer(T)) is for the columns of a tableau T, by
-    _antisymmetrized_blocks on w's weight blocks."""
-    blocks = [sorted(_integers(block)) for block in blocks]
-    positions = [i for block in blocks for i in block]
-    if len(set(positions)) < len(positions) or not all(1 <= i <= w.n for i in positions):
-        raise ValueError(f"blocks {blocks} are not disjoint sets of entries of 1..{w.n}")
-    total: dict[tuple[int, ...], int] = {}
-    for _, space, v in _antisymmetrized_blocks(_position_blocks(w.numerators), blocks):
-        total.update(compress(zip(space.tuples, v), v))
-    return SparseTensor._from_integers(w.n, w.d, total, w.divisor)
 
 
 def _antisymmetrized_blocks(blocks, positions: Sequence[Sequence[int]]):
@@ -183,22 +157,6 @@ def _pure_blocks(rows, keep=lambda weight: True):
             yield weight, space, list(map(prod, entries))
 
 
-def _position_blocks(numerators: dict, keep=lambda weight: True):
-    """For each weight block (the numerators with one sorted index tuple)
-    whose weight keep accepts, before its _block_space is built: the
-    weight, the space and the block as an int list over its positions."""
-    blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for idx, c in numerators.items():
-        blocks.setdefault(tuple(sorted(idx)), {})[idx] = c
-    for weight, block in blocks.items():
-        if keep(weight):
-            space = _block_space(weight)
-            v = [0] * len(space.tuples)
-            for idx, c in block.items():
-                v[space.positions[idx]] = c
-            yield weight, space, v
-
-
 @cache
 def _young_candidates(weight: tuple[int, ...]) -> tuple[Partition, ...]:
     """The shapes of the permutation module of a sorted index tuple: those
@@ -234,10 +192,7 @@ class _BlockSpace:
         return tuple(itemgetter(*(i - 1 for i in column)) for column in zip(*self.tuples))
 
 
-@cache
-def _block_space(weight: tuple[int, ...]) -> _BlockSpace:
-    """The positions of the index tuples of a sorted index tuple's weight."""
-    return _BlockSpace(weight)
+_block_space = cache(_BlockSpace)  # the space of a sorted index tuple, built once
 
 
 def _transposition_maps(tuples: list, positions: dict) -> tuple[tuple[tuple[int, ...], ...], ...]:

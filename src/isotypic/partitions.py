@@ -44,6 +44,11 @@ class _BoundedRepr(reprlib.Repr):
         pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in items]
         return "{" + ", ".join(pieces + ["..."] * (len(x) > len(pieces))) + "}"
 
+    def repr_int(self, x, level):
+        if abs(x) < 10**4300:  # repr refuses an int past Python's default digit limit
+            return super().repr_int(x, level)
+        return f"{'-' * (x < 0)}...{abs(x) % 10**19:019d} ({x.bit_length()} bits)"
+
 
 _brief = _BoundedRepr().repr  # bounds the input value an error message echoes
 

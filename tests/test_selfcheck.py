@@ -8,6 +8,7 @@ import pytest
 import isotypic.brute as brute
 import isotypic.characters as characters
 import isotypic.matroid as matroid
+import isotypic.partitions as partitions
 import isotypic.symgroup as symgroup
 import isotypic.selfcheck as selfcheck
 import oracles
@@ -137,6 +138,23 @@ def test_repeated_dims_error_line_is_bounded():
         TrialSpec(dims=(10**1000,) * 200000)
     assert str(error.value).startswith("dims must be distinct; repeated: 1000")
     assert len(str(error.value)) < 100
+
+
+def test_error_lines_bound_an_int_past_the_digit_limit():
+    # repr refuses an int of over 4300 digits, Python's default limit; an
+    # error line shows it by its last digits and its bit length instead
+    huge, tail = 10**5000, "...0000000000000000000 (16610 bits)"
+    for build, expected in [
+        (lambda: TrialSpec(dims=(huge,) * 2), f"dims must be distinct; repeated: {tail}"),
+        (lambda: Partition([1, huge]), f"parts not weakly decreasing: (1, {tail})"),
+        (lambda: Partition([-huge]), f"parts must be positive: (-{tail},)"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == expected and len(expected.encode()) < 300
+    assert partitions._brief([huge]) == f"[{tail}]"
+    # an int within the limit keeps reprlib's text
+    assert partitions._brief(10**4300 - 1) == "9" * 18 + "..." + "9" * 19
 
 
 @pytest.mark.parametrize(
@@ -604,7 +622,7 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
 def test_trials_and_brute_decides_split_no_tensor(monkeypatch, tmp_path):
     # a trial's suites and a brute decide take the pure tensor's weight
     # blocks straight from the integer rows: neither builds the dict of the
-    # pure tensor's index tuples nor splits a tensor into blocks
+    # pure tensor's index tuples
     calls = Counter()
 
     def counting(name, fn):
@@ -613,7 +631,7 @@ def test_trials_and_brute_decides_split_no_tensor(monkeypatch, tmp_path):
             return fn(*args)
         return counted
 
-    for name in ("_pure_numerators", "_position_blocks", "_pure_blocks"):
+    for name in ("_pure_numerators", "_pure_blocks"):
         monkeypatch.setattr(brute, name, counting(name, getattr(brute, name)))
     monkeypatch.setattr(selfcheck, "_pure_blocks", counting("trial", selfcheck._pure_blocks))
     spec = TrialSpec(trials_per_cell=4)

@@ -255,7 +255,10 @@ def test_a_trial_forms_no_part():
     assert _callers("_block_norms", sources) == {
         "selfcheck._Trial.symmetrized_norms",
         "selfcheck._det_twist_suite",
-        "brute.symmetrized_norms",
+    }
+    assert _callers("_antisymmetrized_blocks", sources) == {
+        "selfcheck._column_suite",
+        "selfcheck._det_twist_suite",
     }
     assert _callers("_weight_block_parts", sources) == {
         "brute.symmetrize",
@@ -269,6 +272,37 @@ def test_a_trial_forms_no_part():
         if isinstance(node, ast.FunctionDef) and node.name == "symmetrized_sums"
     }
     assert defined == set()
+
+
+def test_brute_defines_only_its_exports_as_public_functions():
+    # the kernels take weight blocks from the three entries alone: a public
+    # function beside them would be a second way in
+    tree = ast.parse((SOURCE_DIR / "brute.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public == set(isotypic._EXPORTS["brute"])
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # tensors binds names only for the tracer and the tests (noqa: F401)
+    unused = set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        if path.name == "tensors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add(f"{path.name}:{node.lineno} {name}")
+    assert unused == set()
 
 
 def test_one_place_writes_each_kind_of_violation_record():

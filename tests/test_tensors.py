@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -9,13 +9,7 @@ import pytest
 import isotypic.brute as brute
 import isotypic.characters as characters
 import isotypic.symgroup as symgroup
-from isotypic.brute import (
-    antisymmetrized,
-    decomposable,
-    nonzero_after_symmetrize,
-    symmetrize,
-    symmetrized_norms,
-)
+from isotypic.brute import decomposable, nonzero_after_symmetrize, symmetrize
 from isotypic.characters import central_idempotent, character_table
 from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_function_sums
 from isotypic.linalg import Matrix, SparseTensor, VectorConfiguration, is_independent
@@ -182,9 +176,21 @@ def _antisymmetrizer_inputs(rng, n, d):
     return [SparseTensor(n, d), decomposable(cfg(d, *vectors)), random_tensor(rng, n, d, terms=8)]
 
 
+def _antisymmetrized_entries(w, positions):
+    """The rational entries of w acted on by brute._antisymmetrized_blocks,
+    for increasing lists of disjoint positions, on w's weight blocks."""
+    blocks = brute._antisymmetrized_blocks(_position_blocks(w.numerators), positions)
+    return {
+        idx: Fraction(c, w.divisor)
+        for _, space, v in blocks
+        for idx, c in zip(space.tuples, v)
+        if c
+    }
+
+
 def test_antisymmetrized_matches_subset_antisymmetrizer():
     # (1 - X_2) ... (1 - X_h) over the positions of a block is its signed
-    # block sum, for every block of positions up to n = 7, in any order
+    # block sum, for every block of positions up to n = 7
     rng = random.Random(61)
     for n in range(1, 8):
         d = 3 if n <= 4 else 2
@@ -192,7 +198,7 @@ def test_antisymmetrized_matches_subset_antisymmetrizer():
             for h in range(n + 1):
                 for block in combinations(range(1, n + 1), h):
                     want = apply_algebra_element(w, subset_antisymmetrizer(n, block))
-                    assert antisymmetrized(w, [rng.sample(block, h)]) == want, (n, block)
+                    assert _antisymmetrized_entries(w, [block]) == want.entries, (n, block)
 
 
 def test_antisymmetrized_matches_column_antisymmetrizer():
@@ -207,19 +213,14 @@ def test_antisymmetrized_matches_column_antisymmetrizer():
         tableau = Tableau(rows)
         for w in _antisymmetrizer_inputs(rng, n, d):
             want = apply_algebra_element(w, column_antisymmetrizer(tableau))
-            assert antisymmetrized(w, tableau.columns()) == want, tableau
+            columns = [sorted(column) for column in tableau.columns()]
+            assert _antisymmetrized_entries(w, columns) == want.entries, tableau
 
 
 def test_antisymmetrized_rejects_bad_blocks():
-    w = random_tensor(random.Random(63), 3, 2)
     for block in ([1, 1], [0, 2], [1, 4]):
         with pytest.raises(ValueError):
             subset_antisymmetrizer(3, block)
-        with pytest.raises(ValueError):
-            antisymmetrized(w, [block])
-    # the blocks of a product are disjoint, as the columns of a tableau are
-    with pytest.raises(ValueError):
-        antisymmetrized(w, [[1, 2], [2, 3]])
 
 
 def test_paper_wedge_identity():
@@ -818,8 +819,6 @@ def test_class_sums_match_per_shape_oracles():
     with pytest.raises(ValueError, match="does not match"):
         symmetrize(configuration, P(3))
     with pytest.raises(ValueError, match="does not match"):
-        symmetrized_norms(decomposable(configuration), [P(4), P(3)])
-    with pytest.raises(ValueError, match="does not match"):
         matrix_function_sums(identity_matrix(3), [P(3), P(2)])
 
 
@@ -937,8 +936,6 @@ def test_projector_parts_match_idempotent_application():
                     assert {idx: Fraction(c, divisor) for idx, c in entries.items()} == (
                         apply_algebra_element(w, central_idempotent(lam)).entries
                     )
-    with pytest.raises(ValueError, match="does not match degree 3"):
-        symmetrized_norms(SparseTensor(3, 2), [P(2)])
 
 
 def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypatch):
@@ -959,12 +956,29 @@ def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypat
             route(VectorConfiguration(2, []), P())
 
 
+def _position_blocks(numerators, keep=lambda weight: True):
+    """For each weight block of a tensor (the numerators with one sorted
+    index tuple) whose weight keep accepts, before its space is built: the
+    weight, its brute._block_space and the block as an int list over the
+    space's positions, as the brute kernels take them."""
+    blocks = {}
+    for idx, c in numerators.items():
+        blocks.setdefault(tuple(sorted(idx)), {})[idx] = c
+    for weight, block in blocks.items():
+        if keep(weight):
+            space = brute._block_space(weight)
+            v = [0] * len(space.tuples)
+            for idx, c in block.items():
+                v[space.positions[idx]] = c
+            yield weight, space, v
+
+
 def _projector_sums(w, shapes):
     """The projector's part of w for each shape, as nonzero integer entries
     over one divisor common to all: the parts of each weight block where a
     listed shape can occur (brute._weight_block_parts) brought to that
     divisor."""
-    split = brute._position_blocks(w.numerators, brute._occurs(shapes))
+    split = _position_blocks(w.numerators, brute._occurs(shapes))
     blocks = list(brute._weight_block_parts(split, shapes))
     divisor = lcm(*(q for parts in blocks for _, q in parts))
     out = [{} for _ in shapes]
@@ -976,6 +990,31 @@ def _projector_sums(w, shapes):
 
 def _rational_parts(sums, divisor):
     return [{idx: Fraction(c, divisor) for idx, c in entries.items()} for entries in sums]
+
+
+def test_pure_blocks_are_the_weight_blocks_of_the_pure_tensor():
+    # the blocks built from the rows are, weight by weight in lexicographic
+    # order, the blocks of the pure tensor multiplied out by index tuple, on
+    # configurations with zero vectors, repeats and rational multiples
+    rng = random.Random(64)
+    nonzero = 0
+    for n in range(1, 8):
+        for d in range(1, 5):
+            for _ in range(3):
+                configuration = degenerate_config(rng, n, d)
+                w, scale = decomposable(configuration), prod(configuration.scales)
+                built = [
+                    (weight, space, [Fraction(c, scale) for c in v])
+                    for weight, space, v in brute._pure_blocks(configuration.rows)
+                ]
+                split = {
+                    weight: (space, [Fraction(c, w.divisor) for c in v])
+                    for weight, space, v in _position_blocks(w.numerators)
+                }
+                assert [weight for weight, _, _ in built] == sorted(split)
+                assert {weight: (space, v) for weight, space, v in built} == split
+                nonzero += bool(split)
+    assert nonzero > 40
 
 
 def test_projector_matches_reference_symmetrized_sums():
@@ -1053,13 +1092,20 @@ def _squared_norms(sums, divisor):
     return [Fraction(sum(c * c for c in entries.values()), divisor**2) for entries in sums]
 
 
-def _rational_norms(norms, divisor):
+def _split_norms(w, shapes):
+    """brute._block_norms on the weight blocks of w where a listed shape
+    can occur."""
+    return brute._block_norms(_position_blocks(w.numerators, brute._occurs(shapes)), shapes)
+
+
+def _rational_norms(w, shapes):
+    norms, divisor = _split_norms(w, shapes)
     assert divisor > 0 and all(isinstance(c, int) for c in norms)
-    return [Fraction(c, divisor) for c in norms]
+    return [Fraction(c, divisor * w.divisor**2) for c in norms]
 
 
 def test_norms_from_moments_match_the_formed_parts():
-    # symmetrized_norms reads each shape's squared norm from Krylov moments,
+    # _block_norms reads each shape's squared norm from Krylov moments,
     # and gives the squared norm of the projector's part for every shape,
     # on pure tensors with zero vectors, repeats and rational multiples
     rng = random.Random(53)
@@ -1071,9 +1117,7 @@ def test_norms_from_moments_match_the_formed_parts():
             while nonzero < (3 if n < 7 else 1):
                 w = decomposable(degenerate_config(rng, n, d))
                 nonzero += not w.is_zero()
-                assert _rational_norms(*symmetrized_norms(w, shapes)) == (
-                    _squared_norms(*_projector_sums(w, shapes))
-                )
+                assert _rational_norms(w, shapes) == _squared_norms(*_projector_sums(w, shapes))
 
 
 def test_norms_of_tensors_that_are_not_pure():
@@ -1086,16 +1130,16 @@ def test_norms_of_tensors_that_are_not_pure():
         tensors = [identity, SparseTensor(n, 2)]
         for d in range(1, 4):
             pure = decomposable(degenerate_config(rng, n, d))
-            tensors.append(antisymmetrized(pure, [range(1, min(n, d) + 1)]))
-        for w in tensors:
-            assert _rational_norms(*symmetrized_norms(w, shapes)) == (
-                _squared_norms(*_projector_sums(w, shapes))
+            tensors.append(
+                apply_algebra_element(pure, subset_antisymmetrizer(n, range(1, min(n, d) + 1)))
             )
+        for w in tensors:
+            assert _rational_norms(w, shapes) == _squared_norms(*_projector_sums(w, shapes))
         # the identity's lam-part is e_lam, of squared norm chi(1)^2 / n!
-        assert _rational_norms(*symmetrized_norms(identity, shapes)) == [
+        assert _rational_norms(identity, shapes) == [
             Fraction(syt_count(lam) ** 2, factorial(n)) for lam in shapes
         ]
-        assert symmetrized_norms(SparseTensor(n, 2), shapes) == ([0] * len(shapes), 1)
+        assert _split_norms(SparseTensor(n, 2), shapes) == ([0] * len(shapes), 1)
 
 
 def test_norms_of_shapes_in_no_block_are_zero(monkeypatch):
@@ -1104,18 +1148,14 @@ def test_norms_of_shapes_in_no_block_are_zero(monkeypatch):
     # block space
     built, moved = _counted_kernel(monkeypatch)
     constant = SparseTensor(3, 2, {(1, 1, 1): 1, (2, 2, 2): 3})
-    assert symmetrized_norms(constant, [P(2, 1), P(1, 1, 1)]) == ([0, 0], 1)
+    assert _split_norms(constant, [P(2, 1), P(1, 1, 1)]) == ([0, 0], 1)
     assert built == [] and moved == []
-    assert symmetrized_norms(constant, [P(2, 1), P(3)]) == ([0, 10], 1)
+    assert _split_norms(constant, [P(2, 1), P(3)]) == ([0, 10], 1)
     w = decomposable(cfg(2, E1, (1, 1), E2))
     listed = [P(1, 1, 1), P(2, 1), P(3), P(1, 1, 1)]
-    norms, divisor = symmetrized_norms(w, listed)
+    norms, _ = _split_norms(w, listed)
     assert norms[0] == norms[3] == 0 and norms[1] != 0
-    assert _rational_norms(norms, divisor) == _squared_norms(*_projector_sums(w, listed))
-    # a shape of another size is refused, naming the tensor's degree
-    with pytest.raises(ValueError) as error:
-        symmetrized_norms(SparseTensor(3, 2), [P(3), P(2)])
-    assert str(error.value) == "shape size 2 does not match degree 3"
+    assert _rational_norms(w, listed) == _squared_norms(*_projector_sums(w, listed))
 
 
 def test_norms_skip_levels_as_the_parts_do():
@@ -1226,7 +1266,7 @@ def test_a_brute_yes_builds_the_blocks_up_to_the_first_nonzero_one(monkeypatch):
 def test_brute_decider_forms_no_part(monkeypatch):
     # the CLI's brute decider reads each block's squared norm from Krylov
     # moments, the projector mode every trial suite runs, and answers as
-    # symmetrized_norms does, on configurations with zero and repeated vectors
+    # _block_norms does, on configurations with zero and repeated vectors
     separate, modes = brute._separate, []
 
     def recorded(v, group, wanted, m, divisor, space, out, norms=False):
@@ -1245,7 +1285,7 @@ def test_brute_decider_forms_no_part(monkeypatch):
                     answer = nonzero_after_symmetrize(configuration, lam)
                     assert all(modes), (configuration.vectors, lam)
                     decided += bool(modes)
-                    norms, _ = symmetrized_norms(decomposable(configuration), [lam])
+                    norms, _ = _split_norms(decomposable(configuration), [lam])
                     assert answer == (norms[0] != 0)
     assert decided > 0
 
