@@ -4,15 +4,15 @@ The route works on weight blocks, a tensor's entries on the arrangements
 of one sorted index tuple, its weight, which every permutation of
 positions keeps: a block is an int list over the positions of
 `_block_space(weight)`.  `_pure_blocks` builds a pure tensor's blocks
-straight from the integer rows, with weights read off the rows' supports;
-a caller skips a weight where no listed shape can occur (Young's rule)
-before its block is built.  Three kernels take blocks: `_weight_block_parts`
-splits each into isotypic parts by the power sums of the Jucys-Murphy
-elements (`_separate`), or reads their squared norms from Krylov moments,
-`_block_norms` sums those norms over the blocks, and
-`_antisymmetrized_blocks` applies column antisymmetrizers.  Every move is
-a transposition, applied as a position map (two entries of each index
-tuple swapped) that is built once per weight, on first use.
+straight from the integer rows, each weight the sorted tuple of one index
+from each row's support; a caller skips a weight where no listed shape
+can occur (Young's rule) before its block is built.  Three kernels take
+blocks: `_weight_block_parts` splits each into isotypic parts by the power
+sums of the Jucys-Murphy elements (`_separate`), or reads their squared
+norms from Krylov moments, `_block_norms` sums those norms over the
+blocks, and `_antisymmetrized_blocks` applies column antisymmetrizers.
+Every move is a transposition, applied as a position map (two entries of
+each index tuple swapped) that is built once per weight, on first use.
 
 `symmetrize(cfg, lam)` and `nonzero_after_symmetrize`, the brute decider,
 build lam's blocks from the rows; the decider builds none past the first
@@ -141,16 +141,14 @@ def _pure_blocks(rows, keep=lambda weight: True):
     """For each weight of the pure tensor of the integer rows that keep
     accepts, in lexicographic order and before its _block_space is built:
     the weight, the space and the block, the product of the rows' entries
-    at each arrangement.  The weights are the sums of one index from each
-    row's support, each coded by its index counts as base-(n + 1) digits,
-    so no block is zero, and there is none when some row is zero."""
-    base, d = len(rows) + 1, len(rows[0])
-    codes = {0}
+    at each arrangement.  The weights are the sorted tuples of one index
+    from each row's support, so no block is zero, and there is none when
+    some row is zero."""
+    weights = {()}
     for row in rows:
-        steps = [base**i for i, c in enumerate(row) if c]
-        codes = {code + step for code in codes for step in steps}
-    digits = lambda code: (i + 1 for i in range(d) for _ in range(code // base**i % base))
-    for weight in sorted(tuple(digits(code)) for code in codes):
+        support = [i + 1 for i, c in enumerate(row) if c]
+        weights = {tuple(sorted((*w, i))) for w in weights for i in support}
+    for weight in sorted(weights):
         if keep(weight):
             space = _block_space(weight)
             entries = zip(*(read(row) for read, row in zip(space.readers, rows)))

@@ -8,11 +8,11 @@ same report, and the same violation records, on any platform.
 `TRIAL_SUITES` maps each per-configuration suite, in run order, to its
 function of one `_Trial`: the matroid-union oracle cross-check, the
 four-decider agreement and the Gram-matrix identity over every shape, the
-column criterion for a random tableau and the det-twist reduction.  The
-values suites share are `_Trial` properties, computed at most once, on
-first use.  The character-table, idempotent and operator-rank suites run
-once per report (`STANDALONE_SUITES`).  `check_trial` writes every trial
-record and `run_standalone_suite` every standalone one.
+column criterion for a random tableau and the det-twist reduction.  Every
+suite runs on every trial, so `_Trial` computes what they share when it is
+built.  The character-table, idempotent and operator-rank suites run once
+per report (`STANDALONE_SUITES`).  `check_trial` writes every trial record
+and `run_standalone_suite` every standalone one.
 
 A trial's pure tensor is never formed as index tuples: its weight blocks
 are built once, straight from the integer rows (`brute._pure_blocks`),
@@ -30,7 +30,6 @@ import time
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
@@ -277,36 +276,24 @@ def _sort_key(record: dict):
 
 class _Trial:
     """One generated configuration and the values its suites share, each
-    computed at most once, on first use: the weight blocks of its pure
+    computed once, when the trial is built: the weight blocks of its pure
     tensor, built from the rows, its rank partition, the certificate of
     each shape, and the all-shape norms and gmf values."""
 
     def __init__(self, spec: TrialSpec, n: int, d: int, trial_index: int):
         self.spec, self.n, self.d, self.trial_index = spec, n, d, trial_index
-        self.cfg = generate_configuration(spec, n, d, trial_index)
+        self.cfg = cfg = generate_configuration(spec, n, d, trial_index)
         self.shapes = partitions_of(n)
-        # the oracle and agreement suites share one engine run per shape
-        self.certificate = cache(partial(gamas_condition, self.cfg))
-
-    @cached_property
-    def blocks(self) -> list:
         # every shape is listed, and (n) can occur in every block
-        return list(_pure_blocks(self.cfg.rows))
-
-    @cached_property
-    def rho(self):
-        return rank_partition(self.cfg)
-
-    # one call per route serves every shape: the squared norms <wT, wT> and
-    # the gmf values, as integers over one positive divisor per route
-    @cached_property
-    def symmetrized_norms(self) -> tuple[list[int], int]:
+        self.blocks = list(_pure_blocks(cfg.rows))
+        self.rho = rank_partition(cfg)
+        # the oracle and agreement suites share one engine run per shape
+        self.certificates = {lam: gamas_condition(cfg, lam) for lam in self.shapes}
+        # one call per route serves every shape: the squared norms <wT, wT>
+        # and the gmf values, as integers over one positive divisor per route
         norms, divisor = _block_norms(self.blocks, self.shapes)
-        return norms, divisor * prod(self.cfg.scales) ** 2
-
-    @cached_property
-    def matrix_function_sums(self) -> tuple[list[int], int]:
-        return matrix_function_sums(gram_matrix(self.cfg), self.shapes)
+        self.symmetrized_norms = norms, divisor * prod(cfg.scales) ** 2
+        self.matrix_function_sums = matrix_function_sums(gram_matrix(cfg), self.shapes)
 
 
 def _matroid_oracle_suite(trial: _Trial):
@@ -315,7 +302,7 @@ def _matroid_oracle_suite(trial: _Trial):
         yield None, f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}"
     rho_conjugate = rho.conjugate()
     # gamas_condition validates its certificate before returning it
-    if all(any(v) for v in trial.cfg.vectors) and trial.certificate(rho_conjugate) is None:
+    if all(any(v) for v in trial.cfg.vectors) and trial.certificates[rho_conjugate] is None:
         yield (
             rho_conjugate, "rank partition achieved by a valid certificate", "no valid certificate"
         )
@@ -326,7 +313,7 @@ def _agreement_suite(trial: _Trial):
     norms, _ = trial.symmetrized_norms
     values, _ = trial.matrix_function_sums
     for lam, norm, value in zip(trial.shapes, norms, values):
-        certificate = trial.certificate(lam)
+        certificate = trial.certificates[lam]
         answers = {
             "brute": norm != 0,
             "gram": value != 0,

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -12,7 +14,7 @@ from isotypic.cli import _all_digits, build_parser, main
 from isotypic.linalg import VectorConfiguration
 from isotypic.partitions import Partition
 from isotypic.selfcheck import TrialSpec, VerificationReport, run_verification
-from fresh_process import cli_modules, package_submodules
+from fresh_process import SRC, cli_modules, package_submodules
 from oracles import character_fault, position_map_fault
 
 
@@ -56,6 +58,26 @@ def test_decide_all_methods(capsys, config_file):
     assert obj["methods_agreed"] is True
     blocks = [sorted(b) for b in obj["certificate"]]
     assert sorted(len(b) for b in blocks) == [1, 2]
+
+
+def test_decide_sparse_vectors_at_the_top_of_a_large_space(tmp_path):
+    # the brute route reads a weight as a sorted tuple of indices, so three
+    # standard basis vectors e_(D-2), e_(D-1), e_D of Q^D with D = 50000
+    # build one weight block, and no number sized by D; a cold process
+    # answers every method well within the timeout
+    dim = 50_000
+    vectors = [[int(j == i) for j in range(dim)] for i in range(dim - 3, dim)]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dim": dim, "vectors": vectors}))
+    result = subprocess.run(
+        [sys.executable, "-m", "isotypic", "decide", "--method", "all",
+         "--config", str(config), "--shape", "2,1"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "appears": True, "certificate": [[1, 2], [3]], "methods_agreed": True
+    }
 
 
 def test_decide_single_method(capsys, config_file):

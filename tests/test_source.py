@@ -186,23 +186,76 @@ def test_cycles_are_walked_only_by_the_cycle_type_and_the_walk():
     }
 
 
+_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_decorated(decorator) -> bool:
+    # cache, functools.cache or lru_cache(...)
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) in _CACHES
+
+
+def _caches(path: Path) -> set[str]:
+    """The module-qualified name of every cache in one source file: each
+    function or class decorated with cache, lru_cache or cached_property,
+    and each name bound to a cache(...) or lru_cache(...) call, named by
+    its scope and target."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+            if any(map(_cache_decorated, node.decorator_list)):
+                found.add(scope)
+            children = node.body
+        else:
+            if isinstance(node, ast.Assign):
+                targets = [getattr(t, "id", getattr(t, "attr", "?")) for t in node.targets]
+                scope = f"{scope}.{','.join(targets)}"
+            elif isinstance(node, ast.Call) and _cache_decorated(node.func):
+                found.add(scope)
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
 def test_characters_caches_only_the_character_values_and_rows():
     # the tables, the permutation stream and the idempotents are n!- or
     # p(n)^2-sized and read by few callers, so they are rebuilt per call
     # and nothing of them stays resident
-    def name(decorator):
-        # cache, functools.cache or lru_cache(...)
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return getattr(target, "id", getattr(target, "attr", None))
-
     tree = ast.parse((SOURCE_DIR / "characters.py").read_text())
     cached = {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(name(d) in {"cache", "lru_cache", "cached_property"} for d in node.decorator_list)
+        and any(map(_cache_decorated, node.decorator_list))
     }
     assert cached == {"_mn", "character_row"}
+
+
+def test_every_cache_in_the_library_is_pinned():
+    # a cache keeps what it holds for the life of the process, so each one
+    # is a decision: brute keeps the block spaces, the Young candidates and
+    # the Lagrange steps of each weight or group of shapes, characters the
+    # character values and rows, partitions the partitions and conjugates,
+    # and a linear matroid its full rank; the harness computes a trial's
+    # shared values once, in plain attributes, and caches nothing
+    caches = set().union(*map(_caches, sorted(SOURCE_DIR.glob("*.py"))))
+    assert caches == {
+        "brute._young_candidates",
+        "brute._BlockSpace.maps",
+        "brute._BlockSpace.readers",
+        "brute._block_space",
+        "brute._lagrange",
+        "characters._mn",
+        "characters.character_row",
+        "matroid.LinearMatroid.full_rank",
+        "partitions._conjugate_parts",
+        "partitions._partitions_of",
+    }
 
 
 def test_only_central_idempotent_walks_permutations():
@@ -253,7 +306,7 @@ def test_a_trial_forms_no_part():
         "selfcheck._idempotent_suite",
     }
     assert _callers("_block_norms", sources) == {
-        "selfcheck._Trial.symmetrized_norms",
+        "selfcheck._Trial.__init__",
         "selfcheck._det_twist_suite",
     }
     assert _callers("_antisymmetrized_blocks", sources) == {

@@ -995,26 +995,35 @@ def _rational_parts(sums, divisor):
 def test_pure_blocks_are_the_weight_blocks_of_the_pure_tensor():
     # the blocks built from the rows are, weight by weight in lexicographic
     # order, the blocks of the pure tensor multiplied out by index tuple, on
-    # configurations with zero vectors, repeats and rational multiples
+    # configurations with zero vectors, repeats and rational multiples, and
+    # on sparse rows of Q^200 whose one or two entries sit at indices near
+    # 200, so that the weights hold high indices
     rng = random.Random(64)
+    configurations = [
+        degenerate_config(rng, n, d) for n in range(1, 8) for d in range(1, 5) for _ in range(3)
+    ]
+    for n in range(1, 7):
+        for _ in range(4):
+            vectors = [[0] * 200 for _ in range(n)]
+            for row in vectors:
+                for i in rng.sample(range(190, 200), rng.randint(1, 2)):
+                    row[i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            configurations.append(VectorConfiguration(200, vectors))
     nonzero = 0
-    for n in range(1, 8):
-        for d in range(1, 5):
-            for _ in range(3):
-                configuration = degenerate_config(rng, n, d)
-                w, scale = decomposable(configuration), prod(configuration.scales)
-                built = [
-                    (weight, space, [Fraction(c, scale) for c in v])
-                    for weight, space, v in brute._pure_blocks(configuration.rows)
-                ]
-                split = {
-                    weight: (space, [Fraction(c, w.divisor) for c in v])
-                    for weight, space, v in _position_blocks(w.numerators)
-                }
-                assert [weight for weight, _, _ in built] == sorted(split)
-                assert {weight: (space, v) for weight, space, v in built} == split
-                nonzero += bool(split)
-    assert nonzero > 40
+    for configuration in configurations:
+        w, scale = decomposable(configuration), prod(configuration.scales)
+        built = [
+            (weight, space, [Fraction(c, scale) for c in v])
+            for weight, space, v in brute._pure_blocks(configuration.rows)
+        ]
+        split = {
+            weight: (space, [Fraction(c, w.divisor) for c in v])
+            for weight, space, v in _position_blocks(w.numerators)
+        }
+        assert [weight for weight, _, _ in built] == sorted(split)
+        assert {weight: (space, v) for weight, space, v in built} == split
+        nonzero += bool(split)
+    assert nonzero > 60
 
 
 def test_projector_matches_reference_symmetrized_sums():
