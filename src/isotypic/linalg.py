@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction`, ints or rational literals; matrices
-are immutable and keep integer rows over row scales, and rank is computed
-by fraction-free (Bareiss) elimination on integer rows, so nothing here
-is approximate.  `VectorConfiguration`, the input of every decider, lives
-here too, so that the matroid deciders load no tensor or character code.
+Scalars are `fractions.Fraction`, ints or rational literals, each parsed
+once by `integer_scaled`; matrices are immutable and keep integer rows
+over row scales, and rank is computed by fraction-free (Bareiss)
+elimination on integer rows, so nothing here is approximate.
+`VectorConfiguration`, the input of every decider, keeps the same form
+here, so that the matroid deciders load no tensor or character code.
 So does `SparseTensor`, the one integer form of a sparse exact array,
-which a group-algebra element subclasses: every rational becomes
-integers in this module, and the brute and gram routes test those
-integers for zero in their own modules.
+which a group-algebra element subclasses: no object here stores a
+`Fraction`, and the brute and gram routes test integers for zero.
 """
 
 from __future__ import annotations
@@ -47,9 +47,19 @@ def _exact(e) -> Fraction | int:
     raise ValueError(f"not an exact scalar: {_brief(e)}")
 
 
-def as_vector(entries: Iterable) -> Vector:
-    """Coerce entries to Fractions; only exact inputs (no floats) are accepted."""
-    return tuple(Fraction(_exact(e)) for e in entries)
+def _rational_rows(rows, scales) -> tuple[Vector, ...]:
+    """The rational view of integer rows over their scales."""
+    return tuple(tuple(Fraction(e, scale) for e in row) for row, scale in zip(rows, scales))
+
+
+def _json_rows(rows, name: str, items: str) -> list:
+    """`rows`, refused unless it is a JSON list of JSON lists."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{name} must be a JSON list of {items}, got {_brief(rows)}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{name}[{i}] must be a JSON list, got {_brief(row)}")
+    return rows
 
 
 class Matrix:
@@ -59,7 +69,7 @@ class Matrix:
     __slots__ = ("numerators", "scales")
 
     def __init__(self, rows: Iterable[Iterable]):
-        scaled = [integer_scaled(as_vector(row)) for row in rows]
+        scaled = [integer_scaled(row) for row in rows]
         widths = {len(ints) for ints, _ in scaled}
         if len(widths) > 1:
             raise ValueError("ragged rows in matrix")
@@ -76,10 +86,7 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[Vector, ...]:
-        return tuple(
-            tuple(Fraction(e, scale) for e in row)
-            for row, scale in zip(self.numerators, self.scales)
-        )
+        return _rational_rows(self.numerators, self.scales)
 
     @property
     def nrows(self) -> int:
@@ -102,17 +109,13 @@ class Matrix:
     def from_json_obj(cls, obj: dict) -> "Matrix":
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValueError('a matrix is a JSON object with the key "entries"')
-        entries = obj["entries"]
-        if not isinstance(entries, list):
-            raise ValueError(f"entries must be a JSON list of rows, got {_brief(entries)}")
-        for i, row in enumerate(entries):
-            if not isinstance(row, list):
-                raise ValueError(f"entries[{i}] must be a JSON list, got {_brief(row)}")
-        return cls(entries)
+        return cls(_json_rows(obj["entries"], "entries", "rows"))
 
 
-def integer_scaled(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, as ints, and that lcm."""
+def integer_scaled(entries: Iterable) -> tuple[list[int], int]:
+    """The exact entries, each parsed by `_exact`, times the lcm of their
+    denominators, as ints, and that lcm (1 for ints)."""
+    row = [_exact(e) for e in entries]
     scale = lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row], scale
 
@@ -127,40 +130,43 @@ def lowest_terms(numerators: dict, divisor: int) -> tuple[dict, int]:
 class VectorConfiguration:
     """An ordered list of vectors in Q^dim; zero vectors are permitted.
 
-    The one place where a configuration becomes integers: `rows[i]` is
-    vectors[i] times `scales[i]`, the lcm of its entries' denominators.
+    One integer form: vector i is the int row `rows[i]` over `scales[i]`,
+    the lcm of its entries' denominators; `vectors` is the rational view.
     `rank_memo`, the ranks by frozenset of 1-based indices, is shared by
     every `matroid.LinearMatroid` on the configuration.
     """
 
-    __slots__ = ("dim", "vectors", "rows", "scales", "rank_memo")
+    __slots__ = ("dim", "rows", "scales", "rank_memo")
 
     def __init__(self, dim: int, vectors: Iterable[Iterable]):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValueError(f"dimension must be a nonnegative integer, got {_brief(dim)}")
         self.dim = dim
-        self.vectors = tuple(as_vector(v) for v in vectors)
-        for v in self.vectors:
-            if len(v) != self.dim:
-                raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
-        scaled = [integer_scaled(v) for v in self.vectors]
+        scaled = [integer_scaled(v) for v in vectors]
+        for row, _ in scaled:
+            if len(row) != dim:
+                raise ValueError(f"vector of length {len(row)} in dimension {dim}")
         self.rows = tuple(tuple(row) for row, _ in scaled)
         self.scales = tuple(scale for _, scale in scaled)
         self.rank_memo: dict[frozenset[int], int] = {frozenset(): 0}
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        return _rational_rows(self.rows, self.scales)
+
+    # canonical: integer_scaled gives gcd(scale, *row) = 1, so equal vectors give equal forms
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VectorConfiguration)
-            and self.dim == other.dim
-            and self.vectors == other.vectors
+            and (self.dim, self.rows, self.scales) == (other.dim, other.rows, other.scales)
         )
 
     def __hash__(self):
-        return hash((self.dim, self.vectors))
+        return hash((self.dim, self.rows, self.scales))
 
     def __repr__(self):
         return f"VectorConfiguration(dim={self.dim}, n={self.n})"
@@ -168,20 +174,14 @@ class VectorConfiguration:
     def to_json_obj(self) -> dict:
         return {
             "dim": self.dim,
-            "vectors": [[str(Fraction(e)) for e in v] for v in self.vectors],
+            "vectors": [[str(e) for e in v] for v in _rational_rows(self.rows, self.scales)],
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
         if not isinstance(obj, dict) or not {"dim", "vectors"} <= obj.keys():
             raise ValueError('a configuration is a JSON object with keys "dim" and "vectors"')
-        vectors = obj["vectors"]
-        if not isinstance(vectors, list):
-            raise ValueError(f"vectors must be a JSON list of vectors, got {_brief(vectors)}")
-        for i, v in enumerate(vectors):
-            if not isinstance(v, list):
-                raise ValueError(f"vectors[{i}] must be a JSON list, got {_brief(v)}")
-        return cls(obj["dim"], vectors)
+        return cls(obj["dim"], _json_rows(obj["vectors"], "vectors", "vectors"))
 
 
 class SparseTensor:
@@ -197,7 +197,7 @@ class SparseTensor:
         for idx in keys:
             if len(idx) != n or any(not 1 <= i <= d for i in idx):
                 raise ValueError(f"bad index {idx} for degree {n}, dimension {d}")
-        values, scale = integer_scaled(as_vector(entries.values()))
+        values, scale = integer_scaled(entries.values())
         self.n, self.d = n, d
         self.numerators, self.divisor = lowest_terms(dict(zip(keys, values)), scale)
 
@@ -275,7 +275,7 @@ def _int_rank(rows: list[list[int]]) -> int:
     return r
 
 
-def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank_of_rows(rows: Sequence[Sequence]) -> int:
     """Rank of a list of equal-length rational rows (no Matrix wrapper needed);
     scaling a row to integers does not change the rank."""
     return _int_rank([integer_scaled(r)[0] for r in rows])
@@ -284,9 +284,9 @@ def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
 def is_independent(vectors: Sequence[Sequence]) -> bool:
     """True iff the vectors are linearly independent over the rationals.
 
-    Entries follow the rule of `as_vector`, but ints and Fractions are kept
-    as they are.  The empty family is independent; any family longer than
-    the ambient dimension, or containing the zero vector, is dependent.
+    Entries follow the rule of `integer_scaled`.  The empty family is
+    independent; any family longer than the ambient dimension, or
+    containing the zero vector, is dependent.
     """
     vectors = [tuple(map(_exact, v)) for v in vectors]
     if not vectors:

@@ -166,11 +166,11 @@ def generate_configuration(
     """
     rng = SplitMix64(_mix(spec.seed, n, d, trial_index))
     r = spec.entry_range
-    vectors: list[tuple[Fraction, ...]] = []
+    vectors: list[tuple[int | Fraction, ...]] = []
     for i in range(n):
         u_zero, u_dup, u_scale = rng.uniform(), rng.uniform(), rng.uniform()
         if u_zero < spec.p_zero:
-            vectors.append(tuple(Fraction(0) for _ in range(d)))
+            vectors.append((0,) * d)
             continue
         if i > 0 and u_dup < spec.p_duplicate:
             vectors.append(vectors[rng.randint(0, i - 1)])
@@ -182,7 +182,7 @@ def generate_configuration(
             base = vectors[rng.randint(0, i - 1)]
             vectors.append(tuple(c * e for e in base))
             continue
-        vectors.append(tuple(Fraction(rng.randint(-r, r)) for _ in range(d)))
+        vectors.append(tuple(rng.randint(-r, r) for _ in range(d)))
     return VectorConfiguration(d, vectors)
 
 
@@ -302,7 +302,7 @@ def _matroid_oracle_suite(trial: _Trial):
         yield None, f"rho={list(oracle.rho)}", f"rho={list(rho.rho)}"
     rho_conjugate = rho.conjugate()
     # gamas_condition validates its certificate before returning it
-    if all(any(v) for v in trial.cfg.vectors) and trial.certificates[rho_conjugate] is None:
+    if all(map(any, trial.cfg.rows)) and trial.certificates[rho_conjugate] is None:
         yield (
             rho_conjugate, "rank partition achieved by a valid certificate", "no valid certificate"
         )

@@ -323,11 +323,14 @@ def test_missing_file_is_usage_error(capsys):
             "vectors[0] must be a JSON list, got {'1': 0, '0': 1}",
         ),
         ("--config", {"dim": 1, "vectors": [None]}, "vectors[0] must be a JSON list, got None"),
+        ("--matrix", {"entries": "1"}, "entries must be a JSON list of rows, got '1'"),
         ("--matrix", {"entries": ["1"]}, "entries[0] must be a JSON list, got '1'"),
         ("--matrix", {"entries": [None]}, "entries[0] must be a JSON list, got None"),
         ("--config", {"dim": 2, "vectors": [["1", None]]}, "not an exact scalar: None"),
         ("--config", {"dim": 2, "vectors": [["1", ["0"]]]}, "not an exact scalar: ['0']"),
         ("--config", {"dim": 1, "vectors": [[{"1": 0}]]}, "not an exact scalar: {'1': 0}"),
+        # every entry is parsed before any length is checked
+        ("--config", {"dim": 2, "vectors": [["1"], ["0", 0.5]]}, "not an exact scalar: 0.5"),
         (
             "--config",
             {"dim": 1, "vectors": [["1/0"]]},
@@ -343,8 +346,9 @@ def test_missing_file_is_usage_error(capsys):
     ids=[
         "config-list", "config-no-dim", "config-no-vectors", "matrix-no-entries", "matrix-list",
         "config-vectors-string", "config-vector-string", "config-vector-object",
-        "config-vector-null", "matrix-row-string", "matrix-row-null", "config-entry-null",
-        "config-entry-list", "config-entry-object", "config-zero-denominator", "config-dim-float",
+        "config-vector-null", "matrix-entries-string", "matrix-row-string", "matrix-row-null",
+        "config-entry-null", "config-entry-list", "config-entry-object",
+        "config-float-after-short-vector", "config-zero-denominator", "config-dim-float",
         "matrix-entry-null", "matrix-entry-list", "matrix-zero-denominator", "matrix-empty-row",
         "matrix-not-square",
     ],

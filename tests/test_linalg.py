@@ -4,8 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import isotypic.linalg
 from isotypic.linalg import (
     Matrix,
+    SparseTensor,
+    VectorConfiguration,
     _independent_rows,
     is_independent,
     parse_rational,
@@ -75,10 +78,32 @@ def test_is_independent_dimension_mismatch():
     "vectors", [[[0.5, 1]], [[True, False]], [[1, 0], [0, 1.0]], [["1/2", None]]]
 )
 def test_is_independent_takes_exact_entries_only(vectors):
-    # as in as_vector: a float or a bool is refused, not read as a binary
+    # as in integer_scaled: a float or a bool is refused, not read as a binary
     # fraction or as 0 and 1
     with pytest.raises(ValueError):
         is_independent(vectors)
+
+
+def test_int_entries_build_no_fraction(monkeypatch):
+    # int entries are already the integer form: a configuration, a matrix
+    # and a tensor built from them keep the ints over scale 1
+    class CountingFraction(Fraction):
+        built = 0
+
+        def __new__(cls, *args, **kwargs):
+            CountingFraction.built += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(isotypic.linalg, "Fraction", CountingFraction)
+    configuration = VectorConfiguration(3, [[1, 0, -2], [0, 0, 0], [4, 5, 6]])
+    matrix = Matrix([[1, 2], [-3, 4]])
+    tensor = SparseTensor(2, 2, {(1, 2): 3, (2, 1): -6})
+    assert CountingFraction.built == 0
+    assert configuration.rows == ((1, 0, -2), (0, 0, 0), (4, 5, 6))
+    assert configuration.scales == (1, 1, 1)
+    assert matrix.numerators == ((1, 2), (-3, 4))
+    assert matrix.scales == (1, 1)
+    assert (tensor.numerators, tensor.divisor) == ({(1, 2): 3, (2, 1): -6}, 1)
 
 
 def test_is_independent_parses_rational_literals():

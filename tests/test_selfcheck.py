@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import time
 from collections import Counter
@@ -75,6 +76,29 @@ def test_generate_configuration_deterministic():
     assert a == b
     c = generate_configuration(spec, 4, 2, 8)
     assert a != c  # different trials give different instances (generic)
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (TrialSpec(), "8fafd0fbb6020364cd283bc88eaf74330cd9fb01844f0093633fc86a18b8570a"),
+        (
+            TrialSpec(seed=7, n_max=8, dims=(1, 2, 3, 4)),
+            "9277cee66b678d0338d6cebaaeeb661b7f5214214a5267a9a4ca2b11cb1d36d2",
+        ),
+    ],
+    ids=["default", "seed-7-n-max-8"],
+)
+def test_seed_to_instance_map_is_pinned(spec, digest):
+    # a report without violations holds no configuration, so its bytes
+    # cannot see a moved instance: pin every instance of the spec instead
+    instances = [
+        generate_configuration(spec, n, d, t).to_json_obj()
+        for n in range(1, spec.n_max + 1)
+        for d in spec.dims
+        for t in range(spec.trials_per_cell)
+    ]
+    assert hashlib.sha256(json.dumps(instances).encode()).hexdigest() == digest
 
 
 def test_generate_configuration_entry_range():

@@ -163,6 +163,18 @@ def test_integer_scaled_has_one_home_per_input():
     assert _callers("integer_scaled", sorted(SOURCE_DIR.glob("*.py"))) == homes
 
 
+def test_no_library_module_reads_the_rational_view_of_a_configuration():
+    # the library reads a configuration by dim, n, rows and scales; the
+    # rational view `vectors` is for callers outside it
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "vectors"
+    ]
+    assert readers == []
+
+
 def test_tensor_and_element_kernels_build_no_fraction():
     # tensors, group-algebra elements and matrices keep integer numerators,
     # and the kernels pass those on; a rational appears only in linalg, the

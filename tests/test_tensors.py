@@ -390,6 +390,20 @@ def test_equal_values_have_one_integer_form():
             assert value.divisor == 2
             assert value == built[0]
             assert hash(value) == hash(built[0])
+    # a configuration keeps each vector as ints over the lcm of its
+    # denominators, so ints, Fractions and literals give one form
+    configurations_built = [
+        VectorConfiguration(2, [[1, "2/4"], [0, 0], ["-6/4", 3]]),
+        VectorConfiguration(
+            2, [[Fraction(2, 2), Fraction(1, 2)], ["0", "0/5"], [Fraction(-3, 2), "3"]]
+        ),
+    ]
+    for value in configurations_built:
+        assert (value.rows, value.scales) == (((2, 1), (0, 0), (-3, 6)), (2, 1, 2))
+        assert value == configurations_built[0]
+        assert hash(value) == hash(configurations_built[0])
+        assert value.to_json_obj()["vectors"] == [["1", "1/2"], ["0", "0"], ["-3/2", "3"]]
+    assert configurations_built[0] != VectorConfiguration(2, [[2, 1], [0, 0], [-3, 6]])
 
 
 def test_zero_tensor_and_zero_element_have_divisor_one():
@@ -771,6 +785,11 @@ def test_character_sum_skips_vanishing_classes_consistently():
 
 
 def degenerate_config(rng, n, d):
+    """The configuration of `degenerate_vectors`."""
+    return VectorConfiguration(d, degenerate_vectors(rng, n, d))
+
+
+def degenerate_vectors(rng, n, d):
     """Rational vectors with zero vectors, repeats and rational multiples of
     earlier vectors mixed in."""
     vectors = []
@@ -785,7 +804,7 @@ def degenerate_config(rng, n, d):
             vectors.append([c * e for e in vectors[rng.randrange(i)]])
         else:
             vectors.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)])
-    return VectorConfiguration(d, vectors)
+    return vectors
 
 
 def test_class_sums_match_per_shape_oracles():
@@ -908,10 +927,11 @@ def test_configuration_rows_are_the_vectors_over_their_scales():
     rng = random.Random(42)
     for _ in range(60):
         n, d = rng.randint(1, 6), rng.randint(0, 3)
-        configuration = degenerate_config(rng, n, d)
+        vectors = degenerate_vectors(rng, n, d)
+        configuration = VectorConfiguration(d, vectors)
         rows, scales = configuration.rows, configuration.scales
         assert len(rows) == len(scales) == n
-        for row, scale, vector in zip(rows, scales, configuration.vectors):
+        for row, scale, vector in zip(rows, scales, vectors):
             assert all(isinstance(c, int) for c in row)
             assert scale == lcm(*(e.denominator for e in vector))
             assert [Fraction(c, scale) for c in row] == list(vector)
