@@ -15,10 +15,10 @@ order of `partitions_of`: the one row a generalized matrix function
 The library's one n!-term walk is `central_idempotent`'s, over
 `permutations_with_class`, which checks the degree cap when called and
 pairs `itertools.permutations` with the class of each permutation, read
-by one cycle walk.  Neither keeps anything n!-sized once it returns: only
-the character values (`_mn`) and rows (`character_row`) are cached.  The
-module loads the permutation code (`symgroup`) only when permutations are
-walked, so a gram process never loads it.
+by one cycle walk (`partitions._cycle_lengths`).  Neither keeps anything
+n!-sized once it returns: only the character values (`_mn`) and rows
+(`character_row`) are cached.  Only `central_idempotent` loads the
+permutation code (`symgroup`), so a gram process never loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cache
 from math import factorial
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .partitions import DEGREE_CAP, Partition, _check_degree, partitions_of
+from .partitions import DEGREE_CAP, Partition, _check_degree, _cycle_lengths, partitions_of
 
 if TYPE_CHECKING:
     from .symgroup import GroupAlgebraElement
@@ -121,13 +121,11 @@ def permutations_with_class(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     image tuple, each paired with the index of its cycle type in
     partitions_of(n): a one-pass iterator that keeps nothing it has
     yielded.  Each class is read by one cycle walk of the image tuple
-    (symgroup._cycle_lengths); no Permutation is built.  The degree cap is
-    checked at the call.
+    (partitions._cycle_lengths); no Permutation is built and symgroup is not
+    loaded.  The degree cap is checked at the call.
     """
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-    from .symgroup import _cycle_lengths  # only here: a gram process never loads it
-
     index = {rho.parts: i for i, rho in enumerate(partitions_of(n))}
     perms = itertools.permutations(range(1, n + 1))
     return ((images, index[_cycle_lengths(images)]) for images in perms)

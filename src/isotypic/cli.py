@@ -247,32 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("character-table", help="character table of S_n as JSON")
     p.add_argument("n", type=int)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_character_table)
 
     p = sub.add_parser("symmetrize", help="apply the shape's projector to a configuration")
     p.add_argument("--config", required=True, help="VectorConfiguration JSON file")
     p.add_argument("--shape", required=True, help="partition, e.g. '2,1'")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_symmetrize)
 
     p = sub.add_parser("decide", help="decide whether the shape appears")
     p.add_argument("--config", required=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--method", choices=_METHODS + ("all",), default="all")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("rank-partition", help="rank partition of a configuration")
     p.add_argument("--config", required=True)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_rank_partition)
 
     p = sub.add_parser("gmf", help="generalized matrix function of a matrix")
     p.add_argument("--matrix", help="matrix JSON file: {\"entries\": [[...], ...]}")
     p.add_argument("--config", help="configuration file; uses its Gram matrix")
     p.add_argument("--shape", required=True)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_gmf)
 
     p = sub.add_parser("selfcheck", help="run the verification harness")
@@ -285,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-scale", type=float)
     p.add_argument("--p-zero", type=float)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_selfcheck)
 
     p = sub.add_parser("replay", help="re-run a single violation from a report")
     p.add_argument("--report", required=True, help="selfcheck JSON output file")
     p.add_argument("--index", type=int, default=0, help="violation index")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_replay)
 
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true")
     return parser
 
 

@@ -1,13 +1,13 @@
 """Integer partitions and their combinatorics.
 
 Conjugation, dominance order, hook lengths, standard and semistandard
-tableau counts, and first-column removal.  Enumeration order is
-reverse-lexicographic everywhere, so output is reproducible.  The module
-also holds `DEGREE_CAP`, which the character code reads without loading
-the permutation code, the refusals the deciders share (a degree outside
-1..DEGREE_CAP, `_check_degree`, and a shape whose size is not the number
-of vectors, `_check_shape_size`) and `_brief`, the bounded text that every
-error message echoing an input value shows of it.
+tableau counts, first-column removal and the cycle type of an image tuple
+(`_cycle_lengths`).  Enumeration order is reverse-lexicographic everywhere,
+so output is reproducible.  The module also holds `DEGREE_CAP`, which the
+character code reads without loading the permutation code, the refusals
+the deciders share (a degree outside 1..DEGREE_CAP, `_check_degree`, and a
+shape whose size is not the number of vectors, `_check_shape_size`) and
+`_brief`, the bounded text of an input value that error messages echo.
 """
 
 from __future__ import annotations
@@ -152,6 +152,20 @@ class Partition:
 @cache
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
+
+
+def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of the cycle type of a 1-based image tuple, longest first."""
+    unseen = set(images)
+    lengths = []
+    while unseen:
+        start = j = unseen.pop()
+        length = 1
+        while (j := images[j - 1]) != start:
+            unseen.discard(j)
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 @cache

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .linalg import SparseTensor, _int_rank
-from .partitions import DEGREE_CAP, Partition, _integers
+from .partitions import DEGREE_CAP, Partition, _cycle_lengths, _integers
 
 
 class Permutation:
@@ -126,20 +126,6 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     if sigma.n != tau.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
     return Permutation(_place_action(tau.images)(sigma.images))
-
-
-def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The parts of the cycle type of a 1-based image tuple, longest first."""
-    unseen = set(images)
-    lengths = []
-    while unseen:
-        start = j = unseen.pop()
-        length = 1
-        while (j := images[j - 1]) != start:
-            unseen.discard(j)
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def _place_action(images: tuple[int, ...]):

@@ -76,13 +76,13 @@ from isotypic.linalg import (
 from isotypic.matroid import BlockCertificate, LinearMatroid, validate_certificate
 from isotypic.partitions import Partition, partitions_of
 from isotypic.symgroup import (
+    OPERATOR_DIMENSION_CAP,
     GroupAlgebraElement,
     Permutation,
     _moved_sums,
     _place_action,
     compose,
 )
-from isotypic.tensors import OPERATOR_DIMENSION_CAP
 
 
 def brute_partitions(n):

@@ -11,12 +11,14 @@ from math import factorial
 
 import pytest
 
+from isotypic.brute import decomposable, nonzero_after_symmetrize, symmetrize
 from isotypic.characters import (
     central_idempotent,
     character_table,
     character_value,
 )
-from isotypic.linalg import is_independent
+from isotypic.gram import generalized_matrix_function, gram_matrix
+from isotypic.linalg import VectorConfiguration, is_independent
 from isotypic.matroid import (
     decide_appears,
     gamas_condition,
@@ -35,19 +37,11 @@ from isotypic.symgroup import (
     GroupAlgebraElement,
     Permutation,
     Tableau,
+    apply_algebra_element,
     column_antisymmetrizer,
+    operator_rank,
     row_symmetrizer,
     subset_antisymmetrizer,
-)
-from isotypic.tensors import (
-    VectorConfiguration,
-    apply_algebra_element,
-    decomposable,
-    generalized_matrix_function,
-    gram_matrix,
-    nonzero_after_symmetrize,
-    operator_rank,
-    symmetrize,
 )
 from oracles import character_fault, tensor_inner, tensor_sum
 

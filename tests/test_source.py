@@ -352,7 +352,7 @@ def test_brute_defines_only_its_exports_as_public_functions():
 
 
 def test_no_library_module_imports_a_name_it_never_uses():
-    # tensors binds names only for the tracer and the tests (noqa: F401)
+    # tensors binds names only for the tracer (noqa: F401)
     unused = set()
     for path in sorted(SOURCE_DIR.glob("*.py")):
         if path.name == "tensors.py":
@@ -453,8 +453,8 @@ def test_only_symgroup_names_the_place_action_kernels():
 
 
 def test_tensors_defines_nothing_of_its_own():
-    # tensors only binds names for the tracer's tensors.* hooks and the
-    # tests that import from it: no function, class or constant
+    # tensors only binds names for the tracer's tensors.* hooks: no
+    # function, class or constant
     tree = ast.parse((SOURCE_DIR / "tensors.py").read_text())
     docstring, *body = tree.body
     assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
@@ -511,8 +511,6 @@ def test_exports_are_their_home_module_objects():
         home = importlib.import_module(f"isotypic.{module}")
         for name in names.split():
             assert getattr(isotypic, name) is getattr(home, name), name
-    assert isotypic.tensors.VectorConfiguration is isotypic.linalg.VectorConfiguration
-    assert isotypic.tensors.OPERATOR_DIMENSION_CAP is isotypic.symgroup.OPERATOR_DIMENSION_CAP
     assert isotypic.symgroup.SparseTensor is isotypic.linalg.SparseTensor
     assert isotypic.symgroup.DEGREE_CAP is isotypic.partitions.DEGREE_CAP
 
@@ -535,6 +533,22 @@ def test_tensors_binds_the_traced_names_to_their_home_objects(name, home):
     # own object, which the CLI and the harness call
     home = importlib.import_module(f"isotypic.{home}")
     assert getattr(isotypic.tensors, name) is getattr(home, name)
+
+
+def test_tensors_binds_exactly_the_tracer_names():
+    # tensors exists for bench/tracing.py's tensors.* spans alone: a name
+    # bound there and hooked nowhere is a second way in for callers;
+    # test_tensors_defines_nothing_of_its_own checks that each bound name is
+    # its home module's object
+    traced = {attr for module, attr, _ in _bench_tracing().SPANS if module == "tensors"}
+    tree = ast.parse((SOURCE_DIR / "tensors.py").read_text())
+    bound = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert bound == traced
 
 
 def test_only_brute_names_the_pure_tensor_helpers():

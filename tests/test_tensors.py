@@ -13,6 +13,7 @@ from isotypic.brute import decomposable, nonzero_after_symmetrize, symmetrize
 from isotypic.characters import central_idempotent, character_table
 from isotypic.gram import generalized_matrix_function, gram_matrix, matrix_function_sums
 from isotypic.linalg import Matrix, SparseTensor, VectorConfiguration, is_independent
+from isotypic.matroid import gamas_condition
 from isotypic.partitions import Partition, partitions_of, syt_count, weyl_dimension
 from isotypic.symgroup import (
     OPERATOR_DIMENSION_CAP,
@@ -1241,6 +1242,29 @@ def test_brute_decider_stops_at_the_first_nonzero_block(monkeypatch):
     blocks.clear()
     assert not symmetrize(configuration, P(3, 1)).is_zero()
     assert len(blocks) == 2
+
+
+def test_brute_decider_answers_past_its_first_block():
+    # the decider answers from every block it keeps, as Gamas's theorem
+    # does: the first kept block of v1 = (-1, 1, 1, 1), v2 = (1, -1, 0, 0)
+    # has a zero (1, 1)-part, yet (1, 1) appears; then every shape of 300
+    # seeded sparse configurations
+    pair = cfg(4, (-1, 1, 1, 1), (1, -1, 0, 0))
+    blocks = brute._pure_blocks(pair.rows, brute._occurs([P(1, 1)]))
+    [(norm, _)] = next(brute._weight_block_parts(blocks, [P(1, 1)], norms=True))
+    assert norm == 0
+    assert nonzero_after_symmetrize(pair, P(1, 1))
+    rng = random.Random(41)
+    configurations = [pair]
+    for _ in range(300):
+        n, d = rng.randint(2, 5), rng.randint(2, 4)
+        rows = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(d)] for _ in range(n)]
+        configurations.append(VectorConfiguration(d, rows))
+    for configuration in configurations:
+        for lam in partitions_of(configuration.n):
+            appears = gamas_condition(configuration, lam) is not None
+            assert nonzero_after_symmetrize(configuration, lam) == appears, (
+                configuration.rows, lam)
 
 
 def _counted_spaces(monkeypatch):
