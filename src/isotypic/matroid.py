@@ -17,8 +17,8 @@ cross-check.  All of them share the configuration's rank memo.
 
 The augmenting-path search skips work by four exact matroid facts, so it
 finds the same paths and ends with the same color classes as the plain
-search would.  Call a class full when it holds min(cap, r(E)) elements:
-1. a full class accepts no element, being a basis or at its capacity;
+search would.  Call class j full when it holds caps[j] elements:
+1. a class at its capacity accepts no element;
 2. acceptance is tested in every class before any exchange arc is built,
    and the first accepting class in index order is the one the plain
    search, which interleaves the two, would have reached first;
@@ -26,7 +26,8 @@ search would.  Call a class full when it holds min(cap, r(E)) elements:
    reaches no sink, and neither does anything it has arcs to, so later
    searches never enter it;
 4. once every class is full, nothing more can be covered.
-Capacities change only which classes are full: an exchange keeps a
+No capacity exceeds r(E) (`gamas_condition` refuses a larger part), so
+capacities change only which classes are full: an exchange keeps a
 class's size, so the arcs are those of the uncapped search.
 """
 
@@ -114,18 +115,17 @@ def _augment(
     Along a shortest (BFS) path the chain of replacements, executed from
     the terminal node back to e, keeps every class independent.
 
-    Full classes, those holding min(caps[j], r(E)) elements, are never
-    asked to accept, and a popped node's arcs are built only when no class
-    accepts it; neither changes which node is terminal first or through
-    which class.  `dead` holds the nodes visited by failed searches since
-    the classes last changed: they start out visited here, and since every
-    arc out of a dead node ends at a dead node, no live node is reached
-    through one and the live nodes are queued in the same order.  A
-    failure adds its visited nodes to `dead`; a success clears it.
+    Full classes, those holding caps[j] elements, are never asked to accept,
+    and a popped node's arcs are built only when no class accepts it;
+    neither changes which node is terminal first or through which class.
+    `dead` holds the nodes visited by failed searches since the classes last
+    changed: they start out visited here, and since every arc out of a dead
+    node ends at a dead node, no live node is reached through one and the
+    live nodes are queued in the same order.  A failure adds its visited
+    nodes to `dead`; a success clears it.
     """
-    full = matroid.full_rank
     frozen = [frozenset(c) for c in classes]
-    open_classes = [(j, c) for j, c in enumerate(frozen) if len(c) < min(caps[j], full)]
+    open_classes = [(j, c) for j, c in enumerate(frozen) if len(c) < caps[j]]
     parent: dict[int, tuple[int, int]] = {}
     visited = dead | {e}
     queue = deque([e])
@@ -159,13 +159,13 @@ def _fill(
 ) -> list[int]:
     """Cover what it can of `elements` in order, and return what it covered.
 
-    Class j stays independent with at most caps[j] elements: the classes
-    are an independent set of the union of the truncated matroids, so an
-    element whose search fails stays uncovered by them (Edmonds 1965).  The
-    pruning stays exact with capacities, which only decide which classes
-    are full; the loop stops once every class is.
+    Class j stays independent with at most caps[j] <= r(E) elements: the
+    classes are an independent set of the union of the truncated matroids,
+    so an element whose search fails stays uncovered by them (Edmonds
+    1965).  The pruning stays exact with capacities, which only decide
+    which classes are full; the loop stops once every class is.
     """
-    room = sum(min(cap, matroid.full_rank) for cap in caps)
+    room = sum(caps)
     held = sum(len(c) for c in classes)
     dead: set[int] = set()
     covered: list[int] = []
@@ -227,11 +227,10 @@ def rank_partition_oracle(cfg: VectorConfiguration) -> RankPartition:
     if n > ORACLE_SIZE_CAP:
         raise ValueError(f"ground set of {n} exceeds oracle cap {ORACLE_SIZE_CAP}")
     matroid = LinearMatroid(cfg)
-    elements = list(range(1, n + 1))
-    profiles = set()
-    for mask in range(1 << n):
-        subset = frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
-        profiles.add((matroid.rank(subset), n - len(subset)))
+    subsets = [frozenset()]
+    for e in range(1, n + 1):
+        subsets += [s | {e} for s in subsets]
+    profiles = {(matroid.rank(s), n - len(s)) for s in subsets}
     rho: list[int] = []
     previous = 0
     for k in range(1, n + 1):
@@ -249,17 +248,21 @@ def gamas_condition(
     """A partition of the indices into independent blocks whose sizes are
     the parts of the conjugate shape, or None when there is none.
 
-    One class per part of lam', with that part as its capacity, filled by
-    the matroid-partition engine.  The capacities sum to n, so covering all
-    n indices fills every class exactly; and since a failed augmenting
-    search is exact, an index left uncovered means no such partition
-    exists.  A zero vector, or a part above r(E), leaves one uncovered.
-    Blocks come by size descending, then by smallest index.
+    A zero vector, or a part of lam' above r(E), is refused before the
+    engine runs: no independent block holds a zero vector or more than
+    r(E) vectors.  Otherwise one class per part of lam', with that part as
+    its capacity, is filled by the matroid-partition engine.  The
+    capacities sum to n, so covering all n indices fills every class
+    exactly; and since a failed augmenting search is exact, an index left
+    uncovered means no such partition exists.  Blocks come by size
+    descending, then by smallest index.
     """
     _check_shape_size(lam, cfg.n)
     caps = list(lam.conjugate().parts)
-    classes: list[set[int]] = [set() for _ in caps]
     matroid = LinearMatroid(cfg)
+    if matroid.zero_indices or max(caps, default=0) > matroid.full_rank:
+        return None
+    classes: list[set[int]] = [set() for _ in caps]
     if len(_fill(matroid, classes, caps, range(1, cfg.n + 1))) < cfg.n:
         return None
     blocks = sorted((tuple(sorted(c)) for c in classes), key=lambda b: (-len(b), b))

@@ -748,8 +748,9 @@ def rank_fault():
     """Read every rank 3 as 2 in the matroid engine's rank oracle, for the
     duration of the block.
 
-    The engine then never holds three vectors in one class, so it misses
-    the certificates of shapes with a column of three or more and reads
+    r(E) then reads 2 on a configuration of rank 3, so gamas_condition
+    refuses the shapes with a column of three or more before it searches,
+    and the engine, which never holds three vectors in one class, reads
     rank partitions of rank at most 2.  Patches isotypic.matroid._int_rank,
     which LinearMatroid.rank looks up at call time, so the engine and the
     min-formula oracle read the same wrong ranks, while is_independent,

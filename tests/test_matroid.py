@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -263,6 +265,18 @@ def test_gamas_condition_tall_shapes_fail_in_low_dimension():
     assert gamas_condition(configuration, P(1, 1, 1)) is None
 
 
+def test_gamas_condition_refuses_without_a_search(monkeypatch):
+    # a zero vector lies in no independent block, and a column of three
+    # needs rank 3: both are settled before any augmenting path
+    def search(*args):
+        raise AssertionError("gamas_condition ran an augmenting search")
+
+    monkeypatch.setattr(matroid_module, "_augment", search)
+    for lam in partitions_of(3):
+        assert gamas_condition(cfg(2, E1, (0, 0), E2), lam) is None
+    assert gamas_condition(cfg(2, E1, E2, (1, 1)), P(1, 1, 1)) is None
+
+
 def test_certificates_validate_randomized():
     rng = random.Random(41)
     for _ in range(80):
@@ -360,6 +374,70 @@ def test_gamas_condition_work_bound():
     configuration, lam = plane_crowd(30)
     engine = count_rank_calls(lambda: gamas_condition(configuration, lam))
     assert engine <= 1000, engine
+
+
+def test_engine_capacities_never_exceed_the_full_rank(monkeypatch):
+    # the engine caps a class by its capacity alone, which is the
+    # truncated matroid's rank only while no capacity exceeds r(E)
+    fill, filled = matroid_module._fill, []
+
+    def checked(matroid, classes, caps, elements):
+        assert max(caps, default=0) <= matroid.full_rank, (caps, matroid.full_rank)
+        filled.append(caps)
+        return fill(matroid, classes, caps, elements)
+
+    monkeypatch.setattr(matroid_module, "_fill", checked)
+    rng = random.Random(4200)
+    for _ in range(150):
+        configuration = mixed_config(rng, rng.randint(1, 8), rng.randint(1, 4))
+        rank_partition(configuration)
+        for lam in partitions_of(configuration.n):
+            gamas_condition(configuration, lam)
+    assert filled
+
+
+def golden_configs():
+    """Seeded configurations at n = 8..16, with zero vectors, repeats and
+    rational multiples of earlier vectors.  Indices from 8 on wrap around
+    the smallest set table, so a small color class no longer iterates in
+    ascending order there: two of these end with other certificates when
+    the search builds its arcs in ascending index order."""
+    rng = random.Random(0)
+    configs = []
+    for n in range(8, 17):
+        for _ in range(5):
+            d = rng.randint(2, 5)
+            vectors = []
+            for i in range(n):
+                roll = rng.random()
+                if roll < 0.04:
+                    vectors.append((0,) * d)
+                elif i > 0 and roll < 0.2:
+                    vectors.append(vectors[rng.randrange(i)])
+                elif i > 0 and roll < 0.35:
+                    c = Fraction(rng.choice([-3, -2, -1, 2, 3]), rng.randint(1, 4))
+                    vectors.append(tuple(c * e for e in vectors[rng.randrange(i)]))
+                else:
+                    vectors.append(tuple(rng.randint(-2, 2) for _ in range(d)))
+            configs.append(VectorConfiguration(d, vectors))
+    return configs
+
+
+def test_rank_partitions_and_certificates_are_pinned():
+    # rho and the certificate of every shape, tall ones included: a change
+    # to the engine's verdicts or to its augmenting paths moves these bytes
+    records, certified = [], 0
+    for configuration in golden_configs():
+        shapes = partitions_of(configuration.n)
+        certificates = [gamas_condition(configuration, lam) for lam in shapes]
+        certified += sum(c is not None for c in certificates)
+        records.append([
+            list(rank_partition(configuration).rho),
+            [None if c is None else c.to_json_obj() for c in certificates],
+        ])
+    assert certified
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "0ec073e6fb3b058287b32edb1e952b307a9e681609027c2c479d3ded2c195f55"
 
 
 def test_decide_appears_examples():
