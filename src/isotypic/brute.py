@@ -4,9 +4,10 @@ The route works on weight blocks, a tensor's entries on the arrangements
 of one sorted index tuple, its weight, which every permutation of
 positions keeps: a block is an int list over the positions of
 `_block_space(weight)`.  `_pure_blocks` builds a pure tensor's blocks
-straight from the integer rows, each weight the sorted tuple of one index
-from each row's support; a caller skips a weight where no listed shape
-can occur (Young's rule) before its block is built.  Three kernels take
+for a list of shapes straight from the integer rows, each weight the
+sorted tuple of one index from each row's support, and skips a weight
+where no listed shape can occur (Young's rule) before its block is
+built; the shape (n) occurs in every block.  Three kernels take
 blocks: `_weight_block_parts` splits each into isotypic parts by the power
 sums of the Jucys-Murphy elements (`_separate`), or reads their squared
 norms from Krylov moments, `_block_norms` sums those norms over the
@@ -49,12 +50,6 @@ def _pure_numerators(rows) -> dict[tuple[int, ...], int]:
     return entries
 
 
-def _check_pure_tensor(cfg: VectorConfiguration, lam: Partition) -> None:
-    """Refuse a shape of another size and a degree outside 1..DEGREE_CAP."""
-    _check_shape_size(lam, cfg.n)
-    _check_degree(cfg.n)
-
-
 def decomposable(cfg: VectorConfiguration) -> SparseTensor:
     """The pure tensor of the configuration, zero iff some vector is zero: the
     products of the integer rows over the product of the scales."""
@@ -67,8 +62,9 @@ def symmetrize(cfg: VectorConfiguration, lam: Partition) -> SparseTensor:
     """Apply the character projector for lam to the pure tensor of cfg:
     apply_algebra_element(decomposable(cfg), central_idempotent(lam)), each
     weight block's lam-part (_weight_block_parts) brought to one divisor."""
-    _check_pure_tensor(cfg, lam)
-    blocks = _pure_blocks(cfg.rows, _occurs([lam]))
+    _check_shape_size(lam, cfg.n)
+    _check_degree(cfg.n)
+    blocks = _pure_blocks(cfg.rows, [lam])
     parts = [part for part, in _weight_block_parts(blocks, [lam])]
     divisor = lcm(*(q for _, q in parts))
     entries = {idx: c * (divisor // q) for part, q in parts for idx, c in part.items()}
@@ -79,8 +75,9 @@ def nonzero_after_symmetrize(cfg: VectorConfiguration, lam: Partition) -> bool:
     """Exact zero test of the symmetrized pure tensor (the brute-force
     decider): True at the first weight block whose part has a nonzero
     squared norm, read as _block_norms reads it."""
-    _check_pure_tensor(cfg, lam)
-    blocks = _pure_blocks(cfg.rows, _occurs([lam]))
+    _check_shape_size(lam, cfg.n)
+    _check_degree(cfg.n)
+    blocks = _pure_blocks(cfg.rows, [lam])
     return any(norm for (norm, _), in _weight_block_parts(blocks, [lam], norms=True))
 
 
@@ -131,25 +128,20 @@ def _antisymmetrized_blocks(blocks, positions: Sequence[Sequence[int]]):
             yield weight, space, v
 
 
-def _occurs(shapes: Sequence[Partition]):
-    """The test whether some listed shape can occur in a weight's block."""
+def _pure_blocks(rows, shapes: Sequence[Partition]):
+    """For each weight of the pure tensor of the integer rows where some
+    listed shape can occur (by _young_candidates), in lexicographic order
+    and before its _block_space is built: the weight, the space and the
+    block, the product of the rows' entries at each arrangement.  The
+    weights are the sorted tuples of one index from each row's support, so
+    no block is zero, and there is none when some row is zero."""
     listed = set(shapes)
-    return lambda weight: not listed.isdisjoint(_young_candidates(weight))
-
-
-def _pure_blocks(rows, keep=lambda weight: True):
-    """For each weight of the pure tensor of the integer rows that keep
-    accepts, in lexicographic order and before its _block_space is built:
-    the weight, the space and the block, the product of the rows' entries
-    at each arrangement.  The weights are the sorted tuples of one index
-    from each row's support, so no block is zero, and there is none when
-    some row is zero."""
     weights = {()}
     for row in rows:
         support = [i + 1 for i, c in enumerate(row) if c]
         weights = {tuple(sorted((*w, i))) for w in weights for i in support}
     for weight in sorted(weights):
-        if keep(weight):
+        if not listed.isdisjoint(_young_candidates(weight)):
             space = _block_space(weight)
             entries = zip(*(read(row) for read, row in zip(space.readers, rows)))
             yield weight, space, list(map(prod, entries))

@@ -49,9 +49,7 @@ def _mn(lam_parts: tuple[int, ...], rho_parts: tuple[int, ...]) -> int:
         if nb < 0 or nb in beta_set:
             continue
         jumped = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([nb, *(x for x in beta if x != b)], reverse=True)
         m = len(new_beta)
         mu = tuple(
             part

@@ -79,7 +79,7 @@ class Matrix:
     @classmethod
     def _from_integers(cls, numerators, scales) -> "Matrix":
         """The matrix whose row i is numerators[i] / scales[i] (scales > 0)."""
-        a = cls(())
+        a = cls.__new__(cls)
         a.numerators = tuple(tuple(row) for row in numerators)
         a.scales = tuple(scales)
         return a
@@ -284,20 +284,16 @@ def rank_of_rows(rows: Sequence[Sequence]) -> int:
 def is_independent(vectors: Sequence[Sequence]) -> bool:
     """True iff the vectors are linearly independent over the rationals.
 
-    Entries follow the rule of `integer_scaled`.  The empty family is
-    independent; any family longer than the ambient dimension, or
-    containing the zero vector, is dependent.
+    Each vector is parsed once, by `integer_scaled`, and the integer rows
+    are tested by `_independent_rows`.  The empty family is independent;
+    any family longer than the ambient dimension, or containing the zero
+    vector, is dependent.
     """
-    vectors = [tuple(map(_exact, v)) for v in vectors]
-    if not vectors:
-        return True
-    dims = {len(v) for v in vectors}
+    rows = [integer_scaled(v)[0] for v in vectors]
+    dims = {len(row) for row in rows}
     if len(dims) > 1:
         raise ValueError(f"vectors of mixed dimension: {sorted(dims)}")
-    d = dims.pop()
-    if len(vectors) > d:
-        return False
-    return rank_of_rows(vectors) == len(vectors)
+    return _independent_rows(rows)
 
 
 def _independent_rows(rows: Sequence[Sequence[int]]) -> bool:

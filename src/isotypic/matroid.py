@@ -34,7 +34,6 @@ class's size, so the arcs are those of the uncapped search.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .linalg import VectorConfiguration, _independent_rows, _int_rank
@@ -48,7 +47,8 @@ class LinearMatroid:
     """Exact rank oracle over index subsets of a vector configuration.
 
     Ranks run on the configuration's integer rows, in pure integer
-    arithmetic, and are kept per frozenset in its shared `rank_memo`.
+    arithmetic, and are kept per frozenset in its shared `rank_memo`,
+    which is the one cache of `full_rank` too.
     """
 
     def __init__(self, cfg: VectorConfiguration):
@@ -71,7 +71,7 @@ class LinearMatroid:
         key = frozenset(subset)
         return self.rank(key) == len(key)
 
-    @cached_property
+    @property
     def full_rank(self) -> int:
         """r(E): the size of every basis."""
         return self.rank(range(1, self.n + 1))

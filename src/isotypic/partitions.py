@@ -169,12 +169,12 @@ def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
-def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
+def _partitions_of(n: int) -> tuple[Partition, ...]:
+    out: list[Partition] = []
 
     def rec(remaining, largest, prefix):
         if remaining == 0:
-            out.append(prefix)
+            out.append(Partition(prefix))
             return
         for p in range(min(largest, remaining), 0, -1):
             rec(remaining - p, p, prefix + (p,))
@@ -187,7 +187,7 @@ def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, reverse-lexicographic: (n) first, (1,...,1) last."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(p) for p in _partitions_of(n)]
+    return list(_partitions_of(n))
 
 
 def syt_count(lam: Partition) -> int:

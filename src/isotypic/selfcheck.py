@@ -285,7 +285,7 @@ class _Trial:
         self.cfg = cfg = generate_configuration(spec, n, d, trial_index)
         self.shapes = partitions_of(n)
         # every shape is listed, and (n) can occur in every block
-        self.blocks = list(_pure_blocks(cfg.rows))
+        self.blocks = list(_pure_blocks(cfg.rows, self.shapes))
         self.rho = rank_partition(cfg)
         # the oracle and agreement suites share one engine run per shape
         self.certificates = {lam: gamas_condition(cfg, lam) for lam in self.shapes}
@@ -375,9 +375,8 @@ def _det_twist_suite(trial: _Trial):
     if n == d:
         reduced = [True] * len(d_row_shapes)
     else:
-        sums, _ = _block_norms(
-            _pure_blocks(cfg.rows[d:]), [lam.remove_first_column() for lam in d_row_shapes]
-        )
+        shapes = [lam.remove_first_column() for lam in d_row_shapes]
+        sums, _ = _block_norms(_pure_blocks(cfg.rows[d:], shapes), shapes)
         reduced = [norm != 0 for norm in sums]
     for lam, norm, rhs in zip(d_row_shapes, wedged, reduced):
         if (norm != 0) != rhs:

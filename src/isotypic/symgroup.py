@@ -255,8 +255,7 @@ OPERATOR_DIMENSION_CAP = 4096
 
 def apply_algebra_element(w: SparseTensor, x: GroupAlgebraElement) -> SparseTensor:
     """Linear extension: the sum of x(sigma) * (w acted on by sigma)."""
-    if x.n != w.n:
-        raise ValueError(f"degree mismatch: {x.n} vs {w.n}")
+    x._check(w)
     total = _moved_sums(w.numerators, x.numerators.items())
     return SparseTensor._from_integers(w.n, w.d, total, w.divisor * x.divisor)
 

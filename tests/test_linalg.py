@@ -112,6 +112,18 @@ def test_is_independent_parses_rational_literals():
     assert is_independent([[Fraction(1, 2), 1], ["0", "-3/4"]])
 
 
+def test_is_independent_parses_each_entry_once(monkeypatch):
+    exact, calls = isotypic.linalg._exact, []
+
+    def counting(e):
+        calls.append(e)
+        return exact(e)
+
+    monkeypatch.setattr(isotypic.linalg, "_exact", counting)
+    assert is_independent([[1, 2], ["1/2", 4]])
+    assert calls == [1, 2, "1/2", 4]
+
+
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_bounded(rows):

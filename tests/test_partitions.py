@@ -27,6 +27,15 @@ def test_partitions_of_small():
     assert [p.parts for p in partitions_of(0)] == [()]
 
 
+def test_partitions_of_builds_each_shape_once():
+    # every call returns the cached Partitions in a list of its own
+    first, second = partitions_of(5), partitions_of(5)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second)) and len(first) == 7
+    first.clear()
+    assert [p.parts for p in partitions_of(5)] == brute_partitions(5)
+
+
 def test_partitions_of_four_matches_brute_enumeration():
     got = [p.parts for p in partitions_of(4)]
     assert got == brute_partitions(4)

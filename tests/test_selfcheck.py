@@ -609,9 +609,9 @@ def test_one_walk_per_tensor_per_trial(monkeypatch):
     stream, pure = characters.permutations_with_class, selfcheck._pure_blocks
     walked, built, calls = [], [], Counter()
 
-    def counting_pure(rows):
+    def counting_pure(rows, shapes):
         built.append(len(rows))
-        return pure(rows)
+        return pure(rows, shapes)
 
     def counting(name, fn):
         def counted(*args):

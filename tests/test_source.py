@@ -156,11 +156,25 @@ def test_integer_scaled_has_one_home_per_input():
     # entries, which are an element's coefficients too
     homes = {
         "linalg.rank_of_rows",
+        "linalg.is_independent",
         "linalg.Matrix.__init__",
         "linalg.VectorConfiguration.__init__",
         "linalg.SparseTensor.__init__",
     }
     assert _callers("integer_scaled", sorted(SOURCE_DIR.glob("*.py"))) == homes
+
+
+def test_no_default_argument_is_a_lambda():
+    # a library function takes what it filters by as data, not a callable
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in node.args.defaults + node.args.kw_defaults
+        if isinstance(default, ast.Lambda)
+    ]
+    assert found == []
 
 
 def test_no_library_module_reads_the_rational_view_of_a_configuration():
@@ -252,9 +266,9 @@ def test_every_cache_in_the_library_is_pinned():
     # a cache keeps what it holds for the life of the process, so each one
     # is a decision: brute keeps the block spaces, the Young candidates and
     # the Lagrange steps of each weight or group of shapes, characters the
-    # character values and rows, partitions the partitions and conjugates,
-    # and a linear matroid its full rank; the harness computes a trial's
-    # shared values once, in plain attributes, and caches nothing
+    # character values and rows, and partitions the partitions and
+    # conjugates; the harness computes a trial's shared values once, in
+    # plain attributes, and caches nothing
     caches = set().union(*map(_caches, sorted(SOURCE_DIR.glob("*.py"))))
     assert caches == {
         "brute._young_candidates",
@@ -264,7 +278,6 @@ def test_every_cache_in_the_library_is_pinned():
         "brute._lagrange",
         "characters._mn",
         "characters.character_row",
-        "matroid.LinearMatroid.full_rank",
         "partitions._conjugate_parts",
         "partitions._partitions_of",
     }
@@ -552,10 +565,10 @@ def test_tensors_binds_exactly_the_tracer_names():
 
 
 def test_only_brute_names_the_pure_tensor_helpers():
-    # the pure tensor, its weight blocks and its shape check have one home,
+    # the pure tensor and its weight blocks have one home,
     # and only the harness's trial builds blocks from outside it; the
     # group-algebra oracles in symgroup read only brute's weight blocks
-    helpers = {"_check_pure_tensor", "_pure_numerators", "_pure_blocks"}
+    helpers = {"_pure_numerators", "_pure_blocks"}
     named = {}
     for path in sorted(SOURCE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -180,7 +180,8 @@ def _antisymmetrizer_inputs(rng, n, d):
 def _antisymmetrized_entries(w, positions):
     """The rational entries of w acted on by brute._antisymmetrized_blocks,
     for increasing lists of disjoint positions, on w's weight blocks."""
-    blocks = brute._antisymmetrized_blocks(_position_blocks(w.numerators), positions)
+    split = _position_blocks(w.numerators, partitions_of(w.n))
+    blocks = brute._antisymmetrized_blocks(split, positions)
     return {
         idx: Fraction(c, w.divisor)
         for _, space, v in blocks
@@ -977,16 +978,17 @@ def test_symmetrize_checks_the_shape_and_degree_before_the_pure_tensor(monkeypat
             route(VectorConfiguration(2, []), P())
 
 
-def _position_blocks(numerators, keep=lambda weight: True):
+def _position_blocks(numerators, shapes):
     """For each weight block of a tensor (the numerators with one sorted
-    index tuple) whose weight keep accepts, before its space is built: the
-    weight, its brute._block_space and the block as an int list over the
-    space's positions, as the brute kernels take them."""
+    index tuple) where some listed shape can occur, before its space is
+    built: the weight, its brute._block_space and the block as an int list
+    over the space's positions, as the brute kernels take them."""
+    listed = set(shapes)
     blocks = {}
     for idx, c in numerators.items():
         blocks.setdefault(tuple(sorted(idx)), {})[idx] = c
     for weight, block in blocks.items():
-        if keep(weight):
+        if not listed.isdisjoint(brute._young_candidates(weight)):
             space = brute._block_space(weight)
             v = [0] * len(space.tuples)
             for idx, c in block.items():
@@ -999,7 +1001,7 @@ def _projector_sums(w, shapes):
     over one divisor common to all: the parts of each weight block where a
     listed shape can occur (brute._weight_block_parts) brought to that
     divisor."""
-    split = _position_blocks(w.numerators, brute._occurs(shapes))
+    split = _position_blocks(w.numerators, shapes)
     blocks = list(brute._weight_block_parts(split, shapes))
     divisor = lcm(*(q for parts in blocks for _, q in parts))
     out = [{} for _ in shapes]
@@ -1033,13 +1035,14 @@ def test_pure_blocks_are_the_weight_blocks_of_the_pure_tensor():
     nonzero = 0
     for configuration in configurations:
         w, scale = decomposable(configuration), prod(configuration.scales)
+        shapes = partitions_of(configuration.n)
         built = [
             (weight, space, [Fraction(c, scale) for c in v])
-            for weight, space, v in brute._pure_blocks(configuration.rows)
+            for weight, space, v in brute._pure_blocks(configuration.rows, shapes)
         ]
         split = {
             weight: (space, [Fraction(c, w.divisor) for c in v])
-            for weight, space, v in _position_blocks(w.numerators)
+            for weight, space, v in _position_blocks(w.numerators, shapes)
         }
         assert [weight for weight, _, _ in built] == sorted(split)
         assert {weight: (space, v) for weight, space, v in built} == split
@@ -1125,7 +1128,7 @@ def _squared_norms(sums, divisor):
 def _split_norms(w, shapes):
     """brute._block_norms on the weight blocks of w where a listed shape
     can occur."""
-    return brute._block_norms(_position_blocks(w.numerators, brute._occurs(shapes)), shapes)
+    return brute._block_norms(_position_blocks(w.numerators, shapes), shapes)
 
 
 def _rational_norms(w, shapes):
@@ -1250,7 +1253,7 @@ def test_brute_decider_answers_past_its_first_block():
     # has a zero (1, 1)-part, yet (1, 1) appears; then every shape of 300
     # seeded sparse configurations
     pair = cfg(4, (-1, 1, 1, 1), (1, -1, 0, 0))
-    blocks = brute._pure_blocks(pair.rows, brute._occurs([P(1, 1)]))
+    blocks = brute._pure_blocks(pair.rows, [P(1, 1)])
     [(norm, _)] = next(brute._weight_block_parts(blocks, [P(1, 1)], norms=True))
     assert norm == 0
     assert nonzero_after_symmetrize(pair, P(1, 1))
